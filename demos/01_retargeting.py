@@ -9,8 +9,6 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from gesturemetrics.mapping import MappingParams, StreamMapper, load_skeleton_frames
 from gesturemetrics.model import JOINT_NAMES, RobotProfile
 from gesturemetrics.pipeline import PoseStream, resample, window
@@ -55,7 +53,8 @@ def main():
     mapper = StreamMapper(params=MappingParams(), profile=profile, seed=0)
     frames = load_skeleton_frames(capture)
     poses = [mapper.map_frame(f) for f in frames]
-    stream = PoseStream(poses=poses, native_rate_hz=10.0)
+    stream = PoseStream(values=[p.values for p in poses],
+                        timestamps=[p.timestamp for p in poses], native_rate_hz=10.0)
 
     print("\nfirst mapped pose (rad / open fraction):")
     for name, value in zip(JOINT_NAMES, poses[0].values):
@@ -67,7 +66,7 @@ def main():
     print(f"\nresampled to 4 Hz: {len(stream4)} poses")
     print(f"units of movement (mu=4): {len(ds)}, each a {14 * 4}-vector")
 
-    swing = [p.values[JOINT_NAMES.index("RElbowRoll")] for p in stream4.poses]
+    swing = stream4.values[:, JOINT_NAMES.index("RElbowRoll")]
     print(f"RElbowRoll range over the wave: [{min(swing):+.3f}, {max(swing):+.3f}] rad")
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from gesturemetrics.model import as_matrix
 from gesturemetrics.pcoa import fidelity_report
-from gesturemetrics.procrustes import procrustes
+from gesturemetrics.report import originality
 from gesturemetrics.synth import beat_gesture_corpus
 
 MU = 4
@@ -18,8 +18,7 @@ MU = 4
 
 def compare(name, matrix_o, matrix_g):
     report, res_o, res_g = fidelity_report(matrix_o, matrix_g, MU)
-    d = report.dims
-    proc = procrustes(res_o.coordinates[:, :d], res_g.coordinates[:, :d], MU)
+    proc = originality(res_o, res_g, MU, report.dims)
     r2 = np.array(report.r2)
     print(f"\n== {name} ==")
     print(f"  R^2 per axis      : {np.round(r2, 3)}")

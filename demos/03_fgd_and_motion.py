@@ -10,7 +10,7 @@ import numpy as np
 
 from gesturemetrics.fgd import fgd
 from gesturemetrics.gmm import fit, sample
-from gesturemetrics.model import RobotProfile, as_matrix, dataset_from_matrix
+from gesturemetrics.model import GestureDataset, RobotProfile, as_matrix
 from gesturemetrics.motion import motion_report
 from gesturemetrics.synth import beat_gesture_corpus
 
@@ -21,8 +21,8 @@ def main():
     profile = RobotProfile.default()
     corpus = beat_gesture_corpus(4000, MU, seed=0)
     x = as_matrix(corpus)
-    train = dataset_from_matrix(x[:800], dt=corpus.dt)
-    heldout = dataset_from_matrix(x[800:], dt=corpus.dt)
+    train = GestureDataset(matrix=x[:800], dt=corpus.dt)
+    heldout = GestureDataset(matrix=x[800:], dt=corpus.dt)
 
     model = fit(train, k=8, seed=0)
     print(f"reference mixture: k={model.k}, d={model.d}, "
@@ -35,10 +35,10 @@ def main():
     candidates = {
         "held-out corpus": heldout,
         "mixture samples": sample(model, 200, seed=1),
-        "noisy corpus (sigma=0.1)": dataset_from_matrix(
-            held_x + rng.normal(0.0, 0.1, held_x.shape), dt=corpus.dt),
-        "uniform noise": dataset_from_matrix(
-            rng.uniform(lo, hi, size=(200, lo.size)), dt=corpus.dt),
+        "noisy corpus (sigma=0.1)": GestureDataset(
+            matrix=held_x + rng.normal(0.0, 0.1, held_x.shape), dt=corpus.dt),
+        "uniform noise": GestureDataset(
+            matrix=rng.uniform(lo, hi, size=(200, lo.size)), dt=corpus.dt),
     }
 
     print(f"\n{'candidate':28s} {'FGD':>9s} {'E (boot)':>9s} {'sigma':>8s} "

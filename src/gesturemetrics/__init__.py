@@ -2,9 +2,9 @@
 
 Library layers:
 
-- ``model``: 14-joint pose model, units of movement, robot profile
+- ``model``: robot profile, 14-joint poses, array-backed gesture datasets
 - ``mapping``: OpenNI/OpenPose skeleton-to-joint retargeting
-- ``pipeline``: resampling, windowing, CSV IO
+- ``pipeline``: array-backed pose streams, resampling, windowing, CSV IO
 - ``pcoa``: correlation-distance PCoA fidelity analysis
 - ``procrustes``: originality statistic
 - ``motion``: forward kinematics, jerk and path-length statistics
@@ -21,9 +21,7 @@ from .model import (  # noqa: F401
     GestureDataset,
     Pose,
     RobotProfile,
-    UnitOfMovement,
     as_matrix,
-    flatten_window,
-    unflatten,
     validate_pose,
 )
+from .pipeline import PoseStream  # noqa: F401

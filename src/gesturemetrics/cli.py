@@ -28,6 +28,7 @@ from .procrustes import procrustes
 from .report import (
     dump_json,
     evaluate,
+    originality,
     write_spectra_csv,
     write_spectrum_svg,
 )
@@ -82,15 +83,16 @@ def _cmd_map(args):
                 f"frame layout {frame.layout!r} does not match --layout {args.layout}")
     if not frames:
         raise StructuralError("no frames in input")
+    span = frames[-1].timestamp - frames[0].timestamp
+    if len(frames) > 1 and not span > 0:
+        raise StructuralError("frame timestamps must be strictly increasing")
     mapper = StreamMapper(params=MappingParams(), profile=_load_profile(args),
                           seed=args.seed)
-    poses = [mapper.map_frame(frame) for frame in frames]
-    if len(frames) > 1:
-        rate = (len(frames) - 1) / (frames[-1].timestamp - frames[0].timestamp)
-    else:
-        rate = 1.0
-    pipeline.save_stream(pipeline.PoseStream(poses=poses, native_rate_hz=rate),
-                         args.output)
+    values = np.array([mapper.map_frame(frame).values for frame in frames])
+    rate = (len(frames) - 1) / span if len(frames) > 1 else 1.0
+    stream = pipeline.PoseStream(values=values, timestamps=[f.timestamp for f in frames],
+                                 native_rate_hz=rate)
+    pipeline.save_stream(stream, args.output)
     return EXIT_OK
 
 
@@ -116,42 +118,45 @@ def _cmd_match_lengths(args):
     return EXIT_OK
 
 
-def _cmd_pcoa(args):
+def _load_pair(args):
     ds_o = pipeline.load_dataset(args.original)
     ds_g = pipeline.load_dataset(args.generated)
     if ds_o.mu != ds_g.mu:
         raise StructuralError(f"mu mismatch: {ds_o.mu} vs {ds_g.mu}")
+    return ds_o, ds_g
+
+
+def _write_spectra(args, fidelity):
+    spectra = (fidelity["eigen_spectrum_original"], fidelity["eigen_spectrum_generated"])
+    if args.spectrum_csv:
+        write_spectra_csv(args.spectrum_csv, *spectra)
+    if args.svg:
+        write_spectrum_svg(args.svg, *spectra)
+
+
+def _cmd_pcoa(args):
+    ds_o, ds_g = _load_pair(args)
     report, _, _ = fidelity_report(as_matrix(ds_o), as_matrix(ds_g),
                                    ds_o.mu, dims=args.dims)
-    _write_output(report.to_dict(), args.out, args.format)
-    if args.spectrum_csv:
-        write_spectra_csv(args.spectrum_csv, report.eigen_spectrum_original,
-                          report.eigen_spectrum_generated)
-    if args.svg:
-        write_spectrum_svg(args.svg, report.eigen_spectrum_original,
-                           report.eigen_spectrum_generated)
+    doc = report.to_dict()
+    _write_output(doc, args.out, args.format)
+    _write_spectra(args, doc)
     return EXIT_OK
 
 
 def _cmd_procrustes(args):
+    reflections = not args.no_reflections
     if args.coordinates:
         y_o = np.loadtxt(args.original, delimiter=",", ndmin=2)
         y_g = np.loadtxt(args.generated, delimiter=",", ndmin=2)
         if args.mu is None:
             raise StructuralError("--mu is required with --coordinates")
-        mu = args.mu
+        result = procrustes(y_o, y_g, args.mu, allow_reflections=reflections)
     else:
-        ds_o = pipeline.load_dataset(args.original)
-        ds_g = pipeline.load_dataset(args.generated)
-        if ds_o.mu != ds_g.mu:
-            raise StructuralError(f"mu mismatch: {ds_o.mu} vs {ds_g.mu}")
-        mu = ds_o.mu
-        res_o = analyze_dataset_structure(as_matrix(ds_o), mu)
-        res_g = analyze_dataset_structure(as_matrix(ds_g), mu)
-        dims = min(args.dims, res_o.eigenvalues.size, res_g.eigenvalues.size)
-        y_o = res_o.coordinates[:, :dims]
-        y_g = res_g.coordinates[:, :dims]
-    result = procrustes(y_o, y_g, mu, allow_reflections=not args.no_reflections)
+        ds_o, ds_g = _load_pair(args)
+        result = originality(analyze_dataset_structure(as_matrix(ds_o), ds_o.mu),
+                             analyze_dataset_structure(as_matrix(ds_g), ds_g.mu),
+                             ds_o.mu, args.dims, allow_reflections=reflections)
     _write_output(result.to_dict(), args.out, args.format)
     return EXIT_OK
 
@@ -193,14 +198,8 @@ def _cmd_evaluate(args):
     summary = evaluate(ds_o, ds_g, model, _load_profile(args),
                        dims=args.dims, bootstrap=args.bootstrap, seed=args.seed)
     _write_output(summary.to_dict(), args.out, args.format)
-    if args.spectrum_csv and summary.fidelity:
-        write_spectra_csv(args.spectrum_csv,
-                          summary.fidelity["eigen_spectrum_original"],
-                          summary.fidelity["eigen_spectrum_generated"])
-    if args.svg and summary.fidelity:
-        write_spectrum_svg(args.svg,
-                           summary.fidelity["eigen_spectrum_original"],
-                           summary.fidelity["eigen_spectrum_generated"])
+    if summary.fidelity:
+        _write_spectra(args, summary.fidelity)
     return EXIT_METRIC_FAILURE if summary.errors else EXIT_OK
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
 from .gmm import posterior_matrix
-from .model import GestureDataset, dataset_from_matrix
 
 JITTER = 1e-10
 NEG_CLAMP = 1e-8

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .model import GestureDataset, as_matrix, dataset_from_matrix
+from .model import GestureDataset, as_matrix
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_K = 24
@@ -93,6 +93,13 @@ def _log_gaussian(x, means, covariance):
     return out
 
 
+def _e_step(x, means, covariance, log_weights):
+    """Responsibilities (N x K) and the log-likelihood of every row of x."""
+    log_prob = _log_gaussian(x, means, covariance) + log_weights
+    log_norm = np.logaddexp.reduce(log_prob, axis=1)
+    return np.exp(log_prob - log_norm[:, None]), log_norm
+
+
 def _regularize(cov):
     floor = COV_REG * float(np.mean(np.diag(cov)))
     if floor <= 0:
@@ -138,10 +145,7 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     lls = []
     prev_params = None
     for _ in range(max_iter):
-        # E step
-        log_prob = _log_gaussian(x, means, covariance) + np.log(weights)
-        log_norm = np.logaddexp.reduce(log_prob, axis=1)
-        resp = np.exp(log_prob - log_norm[:, None])
+        resp, log_norm = _e_step(x, means, covariance, np.log(weights))
         ll = float(np.sum(log_norm))
         if lls and ll < lls[-1]:
             # the regularization floor can break exact EM monotonicity on
@@ -174,24 +178,12 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     )
 
 
-def posterior(model, um):
-    """Component responsibilities p(component | unit); sums to 1."""
-    x = um.array()[None, :] if hasattr(um, "array") else np.asarray(um, dtype=float)[None, :]
-    if x.shape[1] != model.d:
-        raise StructuralError(f"unit has dimension {x.shape[1]}, model expects {model.d}")
-    log_prob = _log_gaussian(x, model.means, model.covariance) + np.log(model.weights + 1e-300)
-    log_norm = np.logaddexp.reduce(log_prob, axis=1)
-    return np.exp(log_prob - log_norm[:, None])[0]
-
-
 def posterior_matrix(model, ds):
-    """Responsibility vectors for every unit of a dataset (N x K)."""
+    """Responsibility vectors for every unit of a dataset (N x K); rows sum to 1."""
     x = as_matrix(ds)
     if x.shape[1] != model.d:
         raise StructuralError(f"dataset dimension {x.shape[1]} does not match model d={model.d}")
-    log_prob = _log_gaussian(x, model.means, model.covariance) + np.log(model.weights + 1e-300)
-    log_norm = np.logaddexp.reduce(log_prob, axis=1)
-    return np.exp(log_prob - log_norm[:, None])
+    return _e_step(x, model.means, model.covariance, np.log(model.weights + 1e-300))[0]
 
 
 def sample(model, n, seed=0, source_tag="gmm-sample"):
@@ -203,7 +195,7 @@ def sample(model, n, seed=0, source_tag="gmm-sample"):
     chol = np.linalg.cholesky(model.covariance)
     noise = rng.standard_normal((n, model.d))
     rows = model.means[comps] + noise @ chol.T
-    return dataset_from_matrix(rows, dt=model.dt, source_tag=source_tag)
+    return GestureDataset(matrix=rows, dt=model.dt, source_tag=source_tag)
 
 
 def save_model(model, path):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, ParseError, StructuralError, UnknownOrientationError
-from .model import JOINT_NAMES, N_JOINTS, Pose, validate_pose
+from .model import JOINT_NAMES, Pose, validate_pose
 
 OPENNI_LAYOUT = "openni15"
 OPENPOSE_LAYOUT = "openpose25"
@@ -357,13 +357,9 @@ class StreamMapper:
         else:
             self._map_openpose_extras(frame)
 
-        pose = Pose(
-            values=tuple(values[name] for name in JOINT_NAMES),
-            timestamp=frame.timestamp,
-        )
-        pose = validate_pose(pose, self.profile)
-        self._values = dict(zip(JOINT_NAMES, pose.values))
-        return pose
+        clamped, n_clamped = validate_pose([values[name] for name in JOINT_NAMES], profile)
+        self._values = dict(zip(JOINT_NAMES, clamped.tolist()))
+        return Pose(values=clamped, timestamp=frame.timestamp, n_clamped=int(n_clamped))
 
     def _map_openni_extras(self, frame):
         params, profile, values = self.params, self.profile, self._values

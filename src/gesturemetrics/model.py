@@ -1,4 +1,4 @@
-"""Joint-space data model: robot profile, poses, units of movement, datasets.
+"""Joint-space data model: robot profile, poses, gesture datasets.
 
 Every downstream metric works on the same 14-joint upper-body pose vector.
 The joint order is fixed once here and reused for CSV columns, flattened
@@ -8,7 +8,7 @@ unit-of-movement vectors and GMM feature dimensions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -100,86 +100,35 @@ class RobotProfile:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Pose:
-    """One frame of 14 joint values, optionally timestamped.
+    """One frame of 14 joint values (a float64 array), optionally timestamped.
 
     ``n_clamped`` records how many values were pulled back inside their
     limits by :func:`validate_pose`; out-of-range capture noise is clamped,
     never rejected.
     """
 
-    values: tuple
+    values: np.ndarray
     timestamp: float | None = None
     n_clamped: int = 0
 
     def __post_init__(self):
-        if len(self.values) != N_JOINTS:
-            raise StructuralError(f"pose needs {N_JOINTS} values, got {len(self.values)}")
-
-    @property
-    def clamped(self):
-        return self.n_clamped > 0
-
-    def array(self):
-        return np.asarray(self.values, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (N_JOINTS,):
+            raise StructuralError(f"pose needs {N_JOINTS} values, got shape {self.values.shape}")
 
 
-def validate_pose(pose, profile):
-    """Clamp every joint value into its profile interval.
+def validate_pose(values, profile):
+    """Clamp joint values of shape (..., 14) into their profile intervals.
 
-    Idempotent; the returned pose records the number of clamped joints.
+    Works on one pose or a block of poses. Returns the clamped array and
+    the number of clamped joints per pose. Idempotent.
     """
+    values = np.asarray(values, dtype=float)
     limits = profile.limits_array()
-    vals = pose.array()
-    clipped = np.clip(vals, limits[:, 0], limits[:, 1])
-    n_clamped = int(np.count_nonzero(clipped != vals))
-    return replace(pose, values=tuple(clipped.tolist()), n_clamped=n_clamped)
-
-
-@dataclass(frozen=True)
-class UnitOfMovement:
-    """mu consecutive poses flattened to a single 14*mu vector.
-
-    Layout: all 14 joints of pose t, then all 14 joints of pose t+dt, ...
-    """
-
-    mu: int
-    flat: tuple
-    dt: float
-
-    def __post_init__(self):
-        if self.mu < 1:
-            raise StructuralError("mu must be a positive integer")
-        if len(self.flat) != N_JOINTS * self.mu:
-            raise StructuralError(
-                f"flat vector must have {N_JOINTS * self.mu} entries, got {len(self.flat)}"
-            )
-        if not self.dt > 0:
-            raise StructuralError("dt must be positive")
-
-    def array(self):
-        return np.asarray(self.flat, dtype=float)
-
-
-def flatten_window(poses, dt):
-    """Join a window of poses into one UnitOfMovement (joint-major per frame)."""
-    poses = list(poses)
-    if not poses:
-        raise StructuralError("cannot flatten an empty pose window")
-    flat = []
-    for pose in poses:
-        flat.extend(pose.values)
-    return UnitOfMovement(mu=len(poses), flat=tuple(flat), dt=dt)
-
-
-def unflatten(um):
-    """Inverse of :func:`flatten_window`; timestamps are rebuilt from dt."""
-    vals = um.array().reshape(um.mu, N_JOINTS)
-    return [
-        Pose(values=tuple(row.tolist()), timestamp=i * um.dt)
-        for i, row in enumerate(vals)
-    ]
+    clipped = np.clip(values, limits[:, 0], limits[:, 1])
+    return clipped, np.count_nonzero(clipped != values, axis=-1)
 
 
 def column_labels(mu):
@@ -189,38 +138,37 @@ def column_labels(mu):
 
 @dataclass
 class GestureDataset:
-    """A homogeneous collection of units of movement plus provenance."""
+    """N units of movement as one N x (14*mu) float64 matrix, plus provenance.
 
-    units: list
+    A unit of movement is mu consecutive poses sampled ``dt`` apart. Row
+    layout: all 14 joints of pose t, then all 14 joints of pose t+dt, ...
+    ``mu`` follows from the matrix width. The matrix is not copied.
+    """
+
+    matrix: np.ndarray
+    dt: float
     source_tag: str = ""
     sample_rate_hz: float = 0.0
 
     def __post_init__(self):
-        if not self.units:
-            raise StructuralError("dataset needs at least one unit of movement")
-        mu, dt = self.units[0].mu, self.units[0].dt
-        for um in self.units:
-            if um.mu != mu or um.dt != dt:
-                raise StructuralError("all units must share the same mu and dt")
-        self.mu = mu
-        self.dt = dt
-        if not self.sample_rate_hz:
-            self.sample_rate_hz = 1.0 / dt
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[1] % N_JOINTS != 0:
+            raise StructuralError("dataset matrix must be 2-D, its width a multiple of 14")
+        if self.matrix.shape[0] == 0 or self.matrix.shape[1] == 0:
+            raise StructuralError("dataset needs at least one unit of movement of mu >= 1 poses")
+        self.dt = float(self.dt)
+        if not self.dt > 0:
+            raise StructuralError("dt must be positive")
+        self.sample_rate_hz = float(self.sample_rate_hz or 1.0 / self.dt)
+
+    @property
+    def mu(self):
+        return self.matrix.shape[1] // N_JOINTS
 
     def __len__(self):
-        return len(self.units)
+        return self.matrix.shape[0]
 
 
 def as_matrix(ds):
-    """Stack a dataset into the N x (14*mu) analysis matrix."""
-    return np.vstack([um.array() for um in ds.units])
-
-
-def dataset_from_matrix(matrix, dt, source_tag=""):
-    """Build a dataset from an N x (14*mu) array (row = one flat unit)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] % N_JOINTS != 0:
-        raise StructuralError("matrix width must be a multiple of 14")
-    mu = matrix.shape[1] // N_JOINTS
-    units = [UnitOfMovement(mu=mu, flat=tuple(row.tolist()), dt=dt) for row in matrix]
-    return GestureDataset(units=units, source_tag=source_tag)
+    """The N x (14*mu) analysis matrix of a dataset."""
+    return ds.matrix

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
-from .model import JOINT_NAMES, unflatten
+from .model import JOINT_NAMES, N_JOINTS
 
 SITES = ("Lhand", "Rhand", "Lelbow", "Relbow")
 HEAD_ANGLES = ("yaw", "pitch")
@@ -59,12 +59,11 @@ def _rz(a):
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
 
 
-def forward_kinematics(pose, profile):
-    """Elbow and hand positions of both arms for one pose.
+def forward_kinematics(values, profile):
+    """Elbow and hand positions of both arms for one pose of 14 joint values.
 
     Returns a dict over ``SITES`` of length-3 arrays in the torso frame.
     """
-    vals = pose.array()
     ex = np.array([1.0, 0.0, 0.0])
     out = {}
     for prefix, side_sign, site_e, site_h in (
@@ -72,10 +71,10 @@ def forward_kinematics(pose, profile):
         ("R", -1.0, "Relbow", "Rhand"),
     ):
         shoulder = np.array([0.0, side_sign * profile.shoulder_offset, 0.0])
-        pitch = vals[_J[prefix + "ShoulderPitch"]]
-        roll = vals[_J[prefix + "ShoulderRoll"]]
-        eyaw = vals[_J[prefix + "ElbowYaw"]]
-        eroll = vals[_J[prefix + "ElbowRoll"]]
+        pitch = values[_J[prefix + "ShoulderPitch"]]
+        roll = values[_J[prefix + "ShoulderRoll"]]
+        eyaw = values[_J[prefix + "ElbowYaw"]]
+        eroll = values[_J[prefix + "ElbowRoll"]]
         r_sh = _ry(-pitch) @ _rz(roll)
         elbow = shoulder + profile.upper_arm_length * (r_sh @ ex)
         r_el = r_sh @ _rx(eyaw) @ _rz(eroll)
@@ -131,12 +130,14 @@ class MotionReport:
         }
 
 
-def unit_tracks(um, profile):
-    """Cartesian tracks of the four arm sites across one unit of movement."""
-    poses = unflatten(um)
-    positions = [forward_kinematics(p, profile) for p in poses]
+def unit_tracks(unit, dt, profile):
+    """Cartesian tracks of the four arm sites across one unit of movement.
+
+    ``unit`` holds the unit's 14*mu joint values, one dataset row.
+    """
+    positions = [forward_kinematics(pose, profile) for pose in unit.reshape(-1, N_JOINTS)]
     return {
-        site: CartesianTrack(points=np.array([pos[site] for pos in positions]), dt=um.dt)
+        site: CartesianTrack(points=np.array([pos[site] for pos in positions]), dt=dt)
         for site in SITES
     }
 
@@ -153,16 +154,16 @@ def motion_report(ds, profile):
     jerk_acc = {site: [] for site in SITES}
     path_acc = {site: [] for site in SITES}
     head_acc = {angle: [] for angle in HEAD_ANGLES}
-    for um in ds.units:
-        tracks = unit_tracks(um, profile)
-        vals = um.array().reshape(um.mu, len(JOINT_NAMES))
+    for unit in ds.matrix:
+        tracks = unit_tracks(unit, ds.dt, profile)
+        poses = unit.reshape(ds.mu, N_JOINTS)
         for site in SITES:
-            path_acc[site].append(path_length(tracks[site]) if um.mu >= 2 else 0.0)
+            path_acc[site].append(path_length(tracks[site]) if ds.mu >= 2 else 0.0)
             if jerk_available:
                 jerk_acc[site].append(jerk(tracks[site]))
         if jerk_available:
-            head_acc["yaw"].append(angular_jerk(vals[:, _J["HeadYaw"]], um.dt))
-            head_acc["pitch"].append(angular_jerk(vals[:, _J["HeadPitch"]], um.dt))
+            head_acc["yaw"].append(angular_jerk(poses[:, _J["HeadYaw"]], ds.dt))
+            head_acc["pitch"].append(angular_jerk(poses[:, _J["HeadPitch"]], ds.dt))
     return MotionReport(
         jerk_by_site={
             site: float(np.mean(jerk_acc[site])) if jerk_available else None

@@ -18,41 +18,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .model import (
-    JOINT_NAMES,
-    N_JOINTS,
-    GestureDataset,
-    Pose,
-    UnitOfMovement,
-    column_labels,
-    flatten_window,
-)
+from .model import JOINT_NAMES, N_JOINTS, GestureDataset, column_labels
 
 
 @dataclass
 class PoseStream:
-    """A timestamped pose sequence at a (nominal) native rate."""
+    """A T x 14 pose array with strictly increasing timestamps at a (nominal) native rate."""
 
-    poses: list
+    values: np.ndarray
+    timestamps: np.ndarray
     native_rate_hz: float
 
     def __post_init__(self):
-        if not self.poses:
+        self.values = np.asarray(self.values, dtype=float)
+        self.timestamps = np.asarray(self.timestamps, dtype=float)
+        self.native_rate_hz = float(self.native_rate_hz)
+        if self.values.ndim != 2 or self.values.shape[1] != N_JOINTS:
+            raise StructuralError(f"stream values must be T x {N_JOINTS}")
+        if self.values.shape[0] == 0:
             raise StructuralError("pose stream must be non-empty")
-        ts = [p.timestamp for p in self.poses]
-        if any(t is None for t in ts):
-            raise StructuralError("stream poses must be timestamped")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        if self.timestamps.shape != (self.values.shape[0],):
+            raise StructuralError("stream needs one timestamp per pose")
+        if not np.all(np.diff(self.timestamps) > 0):
             raise StructuralError("timestamps must be strictly increasing")
 
     def __len__(self):
-        return len(self.poses)
-
-    def values(self):
-        return np.array([p.values for p in self.poses], dtype=float)
-
-    def timestamps(self):
-        return np.array([p.timestamp for p in self.poses], dtype=float)
+        return self.values.shape[0]
 
 
 def resample(stream, target_hz):
@@ -63,28 +54,22 @@ def resample(stream, target_hz):
     """
     if not target_hz > 0:
         raise StructuralError("target rate must be positive")
-    ts = stream.timestamps()
+    ts = stream.timestamps
     if len(ts) == 1:
         raise StructuralError("cannot resample a single-pose stream")
     dt = 1.0 / target_hz
     n_out = int(np.floor((ts[-1] - ts[0]) / dt + 1e-9)) + 1
     grid = ts[0] + dt * np.arange(n_out)
-    vals = stream.values()
+    vals = stream.values
     out_vals = np.column_stack([np.interp(grid, ts, vals[:, j]) for j in range(N_JOINTS)])
-    poses = [
-        Pose(values=tuple(row.tolist()), timestamp=float(t))
-        for t, row in zip(grid, out_vals)
-    ]
-    return PoseStream(poses=poses, native_rate_hz=float(target_hz))
+    return PoseStream(values=out_vals, timestamps=grid, native_rate_hz=target_hz)
 
 
 def match_lengths(a, b):
     """Truncate the longer stream's trailing poses so lengths match."""
     n = min(len(a), len(b))
-    return (
-        PoseStream(poses=a.poses[:n], native_rate_hz=a.native_rate_hz),
-        PoseStream(poses=b.poses[:n], native_rate_hz=b.native_rate_hz),
-    )
+    return tuple(PoseStream(values=s.values[:n], timestamps=s.timestamps[:n],
+                            native_rate_hz=s.native_rate_hz) for s in (a, b))
 
 
 def window(stream, mu, stride=None, source_tag=""):
@@ -101,11 +86,9 @@ def window(stream, mu, stride=None, source_tag=""):
         raise StructuralError("stride must be positive")
     if len(stream) < mu:
         raise StructuralError(f"stream of {len(stream)} poses is shorter than mu={mu}")
-    dt = 1.0 / stream.native_rate_hz
-    units = []
-    for start in range(0, len(stream) - mu + 1, stride):
-        units.append(flatten_window(stream.poses[start:start + mu], dt))
-    return GestureDataset(units=units, source_tag=source_tag,
+    rows = np.arange(0, len(stream) - mu + 1, stride)[:, None] + np.arange(mu)
+    return GestureDataset(matrix=stream.values[rows].reshape(len(rows), N_JOINTS * mu),
+                          dt=1.0 / stream.native_rate_hz, source_tag=source_tag,
                           sample_rate_hz=stream.native_rate_hz)
 
 
@@ -123,6 +106,38 @@ def _parse_meta(lines):
     return meta, consumed
 
 
+def _parse_rows(lines, first_line, width, empty_message):
+    """Comma-separated data rows as a float array; errors carry the line number.
+
+    Blank lines are skipped. Non-numeric and non-finite cells are rejected.
+    """
+    rows, line_numbers = [], []
+    for lineno, line in enumerate(lines, start=first_line):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ParseError(f"expected {width} columns, got {len(cells)}", lineno)
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric cell: {exc}", lineno) from exc
+        line_numbers.append(lineno)
+    if not rows:
+        raise ParseError(empty_message)
+    array = np.array(rows)
+    finite = np.isfinite(array).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite cell", line_numbers[int(np.argmin(finite))])
+    return array
+
+
+def _write_rows(fh, array):
+    # repr of a Python float round-trips exactly
+    for row in array.tolist():
+        fh.write(",".join(map(repr, row)) + "\n")
+
+
 def save_dataset(ds, path):
     with open(path, "w") as fh:
         fh.write(f"#mu={ds.mu}\n")
@@ -130,8 +145,7 @@ def save_dataset(ds, path):
         fh.write(f"#rate_hz={ds.sample_rate_hz!r}\n")
         fh.write(f"#source={ds.source_tag}\n")
         fh.write(",".join(column_labels(ds.mu)) + "\n")
-        for um in ds.units:
-            fh.write(",".join(repr(float(v)) for v in um.flat) + "\n")
+        _write_rows(fh, ds.matrix)
 
 
 def load_dataset(path):
@@ -152,31 +166,16 @@ def load_dataset(path):
     if header != column_labels(mu):
         raise ParseError(
             f"header row does not match the mu={mu} column layout", consumed + 1)
-    units = []
-    for offset, line in enumerate(body[1:], start=consumed + 2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != N_JOINTS * mu:
-            raise ParseError(
-                f"expected {N_JOINTS * mu} columns, got {len(cells)}", offset)
-        try:
-            flat = tuple(float(c) for c in cells)
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell: {exc}", offset) from exc
-        units.append(UnitOfMovement(mu=mu, flat=flat, dt=dt))
-    if not units:
-        raise ParseError("dataset file contains no data rows")
-    return GestureDataset(units=units, source_tag=source, sample_rate_hz=rate)
+    matrix = _parse_rows(body[1:], consumed + 2, N_JOINTS * mu,
+                         "dataset file contains no data rows")
+    return GestureDataset(matrix=matrix, dt=dt, source_tag=source, sample_rate_hz=rate)
 
 
 def save_stream(stream, path):
     with open(path, "w") as fh:
         fh.write(f"#rate_hz={stream.native_rate_hz!r}\n")
         fh.write("timestamp," + ",".join(JOINT_NAMES) + "\n")
-        for pose in stream.poses:
-            fh.write(repr(float(pose.timestamp)) + ","
-                     + ",".join(repr(float(v)) for v in pose.values) + "\n")
+        _write_rows(fh, np.column_stack([stream.timestamps, stream.values]))
 
 
 def load_stream(path):
@@ -190,18 +189,5 @@ def load_stream(path):
     body = lines[consumed:]
     if not body or body[0].split(",") != ["timestamp", *JOINT_NAMES]:
         raise ParseError("stream file header row is malformed", consumed + 1)
-    poses = []
-    for offset, line in enumerate(body[1:], start=consumed + 2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != N_JOINTS + 1:
-            raise ParseError(f"expected {N_JOINTS + 1} columns, got {len(cells)}", offset)
-        try:
-            nums = [float(c) for c in cells]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell: {exc}", offset) from exc
-        poses.append(Pose(values=tuple(nums[1:]), timestamp=nums[0]))
-    if not poses:
-        raise ParseError("stream file contains no poses")
-    return PoseStream(poses=poses, native_rate_hz=rate)
+    rows = _parse_rows(body[1:], consumed + 2, N_JOINTS + 1, "stream file contains no poses")
+    return PoseStream(values=rows[:, 1:], timestamps=rows[:, 0], native_rate_hz=rate)

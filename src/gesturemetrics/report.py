@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .errors import StructuralError
 from .fgd import fgd as compute_fgd
@@ -44,6 +42,17 @@ class EvaluationSummary:
         }
 
 
+def originality(res_original, res_generated, mu, dims, allow_reflections=True):
+    """Procrustes statistic between the leading principal coordinates of two PCoA results.
+
+    Both coordinate sets are cut to ``dims`` columns, or fewer when either
+    result retained fewer dimensions.
+    """
+    d = min(dims, res_original.eigenvalues.size, res_generated.eigenvalues.size)
+    return procrustes(res_original.coordinates[:, :d], res_generated.coordinates[:, :d],
+                      mu, allow_reflections=allow_reflections)
+
+
 def evaluate(ds_original, ds_generated, model, profile, dims=10,
              bootstrap=0, seed=0):
     """Run fidelity, originality, motion and FGD analyses jointly."""
@@ -66,17 +75,15 @@ def evaluate(ds_original, ds_generated, model, profile, dims=10,
         report, res_o, res_g = fidelity_report(
             as_matrix(ds_original), as_matrix(ds_generated), ds_original.mu, dims=dims)
         summary.fidelity = report.to_dict()
-        coords["o"], coords["g"], coords["dims"] = res_o, res_g, report.dims
+        coords["o"], coords["g"] = res_o, res_g
     except Exception as exc:  # stage isolation: record and continue
         summary.errors["fidelity"] = str(exc)
 
     try:
         if not coords:
             raise StructuralError("skipped: fidelity stage failed, no coordinates")
-        d = coords["dims"]
-        result = procrustes(coords["o"].coordinates[:, :d],
-                            coords["g"].coordinates[:, :d], ds_original.mu)
-        summary.originality = result.to_dict()
+        summary.originality = originality(coords["o"], coords["g"], ds_original.mu,
+                                          dims).to_dict()
     except Exception as exc:
         summary.errors["originality"] = str(exc)
 

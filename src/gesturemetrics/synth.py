@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import StructuralError
-from .model import JOINT_NAMES, N_JOINTS, Pose, RobotProfile, validate_pose
+from .model import N_JOINTS, RobotProfile, validate_pose
 from .pipeline import PoseStream, window
 
 
@@ -43,11 +43,8 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
             amp = amplitude * half_range[j] * rng.uniform(0.3, 1.0)
             values[:, j] += amp * np.sin(2.0 * np.pi * freq * t + phase)
 
-    poses = []
-    for i in range(n_poses):
-        pose = Pose(values=tuple(values[i].tolist()), timestamp=float(t[i]))
-        poses.append(validate_pose(pose, profile))
-    return PoseStream(poses=poses, native_rate_hz=float(rate_hz))
+    values, _ = validate_pose(values, profile)
+    return PoseStream(values=values, timestamps=t, native_rate_hz=rate_hz)
 
 
 def beat_gesture_corpus(n_poses, mu, rate_hz=4.0, seed=0, profile=None,

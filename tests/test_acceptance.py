@@ -29,9 +29,9 @@ from gesturemetrics.mapping import (
 )
 from gesturemetrics.model import (
     N_JOINTS,
+    GestureDataset,
     RobotProfile,
     as_matrix,
-    dataset_from_matrix,
 )
 from gesturemetrics.motion import CartesianTrack, jerk, path_length
 from gesturemetrics.pcoa import DistanceMatrix, fidelity_report, pcoa
@@ -151,7 +151,7 @@ def test_criterion_05_em_monotonicity_and_recovery():
             b = rng.normal(size=(2000, N_JOINTS)) * sigma
             a[:, 0] -= 4.0
             b[:, 0] += 4.0
-            ds = dataset_from_matrix(np.vstack([a, b]), dt=0.25)
+            ds = GestureDataset(matrix=np.vstack([a, b]), dt=0.25)
             model = fit(ds, k=2, seed=seed)
             lls = np.array(model.log_likelihoods)
             assert np.all(np.diff(lls) >= 0)
@@ -202,13 +202,13 @@ def test_criterion_07_fgd_ordering_experiment():
             truth = GmmModel(weights=np.full(8, 1.0 / 8), means=center + 0.2 * dirs,
                              covariance=0.04 ** 2 * np.eye(dim), mu=4, dt=0.25)
             pool = as_matrix(sample(truth, 5000, seed=seed))
-            train = dataset_from_matrix(pool[:2500], dt=0.25)
+            train = GestureDataset(matrix=pool[:2500], dt=0.25)
             held = pool[2500:]
-            heldout = dataset_from_matrix(held, dt=0.25)
-            noisy = dataset_from_matrix(held + rng.normal(0.0, 0.1, held.shape),
-                                        dt=0.25)
-            uniform = dataset_from_matrix(rng.uniform(lo, hi, size=(2500, dim)),
-                                          dt=0.25)
+            heldout = GestureDataset(matrix=held, dt=0.25)
+            noisy = GestureDataset(matrix=held + rng.normal(0.0, 0.1, held.shape),
+                                   dt=0.25)
+            uniform = GestureDataset(matrix=rng.uniform(lo, hi, size=(2500, dim)),
+                                     dt=0.25)
             model = fit(train, k=8, seed=seed)
             d_held = fgd(model, train, heldout).value
             d_noise = fgd(model, train, noisy).value

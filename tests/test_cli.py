@@ -82,6 +82,16 @@ class TestMap:
         assert main(["map", "--layout", "openni", "--seed", "5", str(src), str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_equal_first_and_last_timestamps_is_input_failure(self, tmp_path, capsys):
+        src = tmp_path / "frames.jsonl"
+        write_openni_jsonl(src, n_frames=3)
+        records = [json.loads(line) for line in src.read_text().splitlines()]
+        src.write_text("".join(json.dumps({**rec, "timestamp": 1.0}) + "\n"
+                               for rec in records))
+        assert main(["map", "--layout", "openni", str(src),
+                     str(tmp_path / "mapped.csv")]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+
 
 class TestStreamCommands:
     def test_synth_corpus_windowed_directly(self, tmp_path):
@@ -239,6 +249,19 @@ class TestEvaluate:
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
         assert main(["motion-stats", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["motion-stats", "evaluate"])
+    def test_non_finite_cell_is_input_failure(self, corpus, tmp_path, capsys, command):
+        _, ds = corpus
+        lines = ds.read_text().splitlines()
+        lines[-1] = "nan" + lines[-1][lines[-1].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        inputs = [str(bad)] if command == "motion-stats" else [str(ds), str(bad)]
+        out = tmp_path / "out.json"
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        assert f"line {len(lines)}: non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_usage_exit_two(self):
         assert main(["window"]) == 2

@@ -10,7 +10,7 @@ from gesturemetrics.fgd import (
     stats_from_features,
 )
 from gesturemetrics.gmm import GmmModel
-from gesturemetrics.model import N_JOINTS, dataset_from_matrix
+from gesturemetrics.model import N_JOINTS, GestureDataset
 
 
 def two_pass_stats(features):
@@ -60,7 +60,7 @@ class TestFeatureStats:
     def test_model_features_live_on_simplex(self):
         rng = np.random.default_rng(1)
         model = toy_model()
-        ds = dataset_from_matrix(rng.normal(size=(30, N_JOINTS)), dt=0.25)
+        ds = GestureDataset(matrix=rng.normal(size=(30, N_JOINTS)), dt=0.25)
         stats = feature_stats(model, ds)
         assert stats.mean.shape == (2,)
         assert stats.mean.sum() == pytest.approx(1.0, abs=1e-10)
@@ -137,7 +137,7 @@ class TestFgdPipeline:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(7)
         model = toy_model()
-        ds = dataset_from_matrix(rng.normal(size=(50, N_JOINTS)), dt=0.25)
+        ds = GestureDataset(matrix=rng.normal(size=(50, N_JOINTS)), dt=0.25)
         res = fgd(model, ds, ds)
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.bootstrap_mean is None
@@ -145,8 +145,8 @@ class TestFgdPipeline:
     def test_symmetry(self):
         rng = np.random.default_rng(8)
         model = toy_model()
-        a = dataset_from_matrix(rng.normal(size=(60, N_JOINTS)) - 1.0, dt=0.25)
-        b = dataset_from_matrix(rng.normal(size=(60, N_JOINTS)) + 1.0, dt=0.25)
+        a = GestureDataset(matrix=rng.normal(size=(60, N_JOINTS)) - 1.0, dt=0.25)
+        b = GestureDataset(matrix=rng.normal(size=(60, N_JOINTS)) + 1.0, dt=0.25)
         assert fgd(model, a, b).value == pytest.approx(fgd(model, b, a).value,
                                                        abs=1e-10)
 
@@ -156,20 +156,20 @@ class TestFgdPipeline:
         base = rng.normal(size=(300, N_JOINTS)) * 0.5
         base[:150, 0] -= 4.0
         base[150:, 0] += 4.0
-        ds = dataset_from_matrix(base, dt=0.25, source_tag="ref")
+        ds = GestureDataset(matrix=base, dt=0.25, source_tag="ref")
         values = []
         for shift in (0.0, 1.0, 2.0, 3.0):
             moved = base.copy()
             moved[:, 0] += shift
-            values.append(fgd(model, ds, dataset_from_matrix(moved, dt=0.25)).value)
+            values.append(fgd(model, ds, GestureDataset(matrix=moved, dt=0.25)).value)
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
 
     def test_bootstrap_deterministic(self):
         rng = np.random.default_rng(10)
         model = toy_model()
-        a = dataset_from_matrix(rng.normal(size=(40, N_JOINTS)) - 0.5, dt=0.25)
-        b = dataset_from_matrix(rng.normal(size=(40, N_JOINTS)) + 0.5, dt=0.25)
+        a = GestureDataset(matrix=rng.normal(size=(40, N_JOINTS)) - 0.5, dt=0.25)
+        b = GestureDataset(matrix=rng.normal(size=(40, N_JOINTS)) + 0.5, dt=0.25)
         r1 = fgd(model, a, b, bootstrap=20, seed=3)
         r2 = fgd(model, a, b, bootstrap=20, seed=3)
         assert r1.bootstrap_mean == r2.bootstrap_mean
@@ -180,8 +180,8 @@ class TestFgdPipeline:
     def test_bootstrap_mean_near_point_estimate(self):
         rng = np.random.default_rng(11)
         model = toy_model()
-        a = dataset_from_matrix(rng.normal(size=(200, N_JOINTS)) - 2.0, dt=0.25)
-        b = dataset_from_matrix(rng.normal(size=(200, N_JOINTS)) + 2.0, dt=0.25)
+        a = GestureDataset(matrix=rng.normal(size=(200, N_JOINTS)) - 2.0, dt=0.25)
+        b = GestureDataset(matrix=rng.normal(size=(200, N_JOINTS)) + 2.0, dt=0.25)
         res = fgd(model, a, b, bootstrap=50, seed=0)
         assert res.bootstrap_mean == pytest.approx(res.value,
                                                    rel=0.5, abs=0.05)
@@ -189,6 +189,6 @@ class TestFgdPipeline:
     def test_to_dict(self):
         rng = np.random.default_rng(12)
         model = toy_model()
-        ds = dataset_from_matrix(rng.normal(size=(30, N_JOINTS)), dt=0.25)
+        ds = GestureDataset(matrix=rng.normal(size=(30, N_JOINTS)), dt=0.25)
         d = fgd(model, ds, ds, bootstrap=3, seed=0).to_dict()
         assert set(d) == {"value", "bootstrap_mean", "bootstrap_std"}

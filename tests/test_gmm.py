@@ -6,19 +6,18 @@ from gesturemetrics.gmm import (
     GmmModel,
     fit,
     load_model,
-    posterior,
     posterior_matrix,
     sample,
     save_model,
 )
-from gesturemetrics.model import N_JOINTS, as_matrix, dataset_from_matrix
+from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
 
 D = N_JOINTS  # mu=1 keeps the tests fast
 
 
 def gaussian_dataset(rng, n, center=0.0, scale=1.0):
     x = center + scale * rng.normal(size=(n, D))
-    return dataset_from_matrix(x, dt=0.25)
+    return GestureDataset(matrix=x, dt=0.25)
 
 
 def two_cluster_dataset(rng, n_per, separation=10.0, scale=0.5):
@@ -26,7 +25,7 @@ def two_cluster_dataset(rng, n_per, separation=10.0, scale=0.5):
     b = rng.normal(size=(n_per, D)) * scale
     a[:, 0] -= separation / 2
     b[:, 0] += separation / 2
-    return dataset_from_matrix(np.vstack([a, b]), dt=0.25)
+    return GestureDataset(matrix=np.vstack([a, b]), dt=0.25)
 
 
 class TestFit:
@@ -77,7 +76,7 @@ class TestFit:
     def test_records_mu_and_dt(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(60, 2 * N_JOINTS))
-        ds = dataset_from_matrix(x, dt=0.5)
+        ds = GestureDataset(matrix=x, dt=0.5)
         model = fit(ds, k=3, seed=0)
         assert model.mu == 2
         assert model.dt == 0.5
@@ -116,25 +115,28 @@ def toy_model(separation=8.0):
                     covariance=np.eye(D), mu=1, dt=0.25)
 
 
+def posteriors(model, rows):
+    return posterior_matrix(model, GestureDataset(matrix=np.atleast_2d(rows), dt=0.25))
+
+
 class TestPosterior:
     def test_simplex(self):
         rng = np.random.default_rng(6)
         model = toy_model()
-        for _ in range(20):
-            p = posterior(model, rng.normal(size=D))
-            assert np.all(p >= 0)
-            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        p = posteriors(model, rng.normal(size=(20, D)))
+        assert np.all(p >= 0)
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dominant_component_at_each_mean(self):
         model = toy_model()
+        p = posteriors(model, model.means)
         for j in range(model.k):
-            p = posterior(model, model.means[j])
-            assert np.argmax(p) == j
-            assert p[j] > 0.99
+            assert np.argmax(p[j]) == j
+            assert p[j, j] > 0.99
 
     def test_equidistant_point_follows_weights(self):
         model = toy_model()
-        p = posterior(model, np.zeros(D))
+        p = posteriors(model, np.zeros(D))[0]
         # equal likelihoods, so responsibilities reduce to the priors
         assert p[0] == pytest.approx(0.3, abs=1e-10)
         assert p[1] == pytest.approx(0.7, abs=1e-10)
@@ -145,15 +147,13 @@ class TestPosterior:
         ds = gaussian_dataset(rng, 15)
         mat = posterior_matrix(model, ds)
         assert mat.shape == (15, 2)
-        for i, um in enumerate(ds.units):
-            assert np.allclose(mat[i], posterior(model, um), atol=1e-12)
+        for i, row in enumerate(as_matrix(ds)):
+            assert np.allclose(mat[i], posteriors(model, row)[0], atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         model = toy_model()
-        with pytest.raises(StructuralError):
-            posterior(model, np.zeros(D + 1))
         rng = np.random.default_rng(8)
-        ds = dataset_from_matrix(rng.normal(size=(5, 2 * N_JOINTS)), dt=0.25)
+        ds = GestureDataset(matrix=rng.normal(size=(5, 2 * N_JOINTS)), dt=0.25)
         with pytest.raises(StructuralError):
             posterior_matrix(model, ds)
 

@@ -380,7 +380,7 @@ class TestStreamMapper:
         mapper = StreamMapper(seed=5)
         p1 = mapper.map_frame(make_tpose_frame())
         p2 = mapper.map_frame(make_tpose_frame())
-        assert p1.values == p2.values
+        assert np.array_equal(p1.values, p2.values)
 
     def test_missing_hand_holds_previous(self):
         mapper = StreamMapper(seed=0)
@@ -405,7 +405,7 @@ class TestStreamMapper:
                               right_pixels=(10, 500))
         run1 = StreamMapper(seed=7).map_frame(frame).values
         run2 = StreamMapper(seed=7).map_frame(frame).values
-        assert run1 == run2
+        assert np.array_equal(run1, run2)
 
     def test_openni_non_finger_joints_seed_independent(self):
         body = {name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}

@@ -8,14 +8,11 @@ from gesturemetrics.model import (
     GestureDataset,
     Pose,
     RobotProfile,
-    UnitOfMovement,
     as_matrix,
     column_labels,
-    dataset_from_matrix,
-    flatten_window,
-    unflatten,
     validate_pose,
 )
+from gesturemetrics.pipeline import PoseStream, window
 
 
 @pytest.fixture(scope="module")
@@ -23,9 +20,8 @@ def profile():
     return RobotProfile.default()
 
 
-def midpoint_pose(profile, timestamp=None):
-    limits = profile.limits_array()
-    return Pose(values=tuple(limits.mean(axis=1).tolist()), timestamp=timestamp)
+def midpoint_values(profile):
+    return profile.limits_array().mean(axis=1)
 
 
 class TestProfile:
@@ -57,112 +53,117 @@ class TestProfile:
 
 class TestValidatePose:
     def test_interior_point_unchanged(self, profile):
-        pose = midpoint_pose(profile)
-        out = validate_pose(pose, profile)
-        assert out.values == pose.values
-        assert out.n_clamped == 0
-        assert not out.clamped
+        vals = midpoint_values(profile)
+        out, n_clamped = validate_pose(vals, profile)
+        assert np.array_equal(out, vals)
+        assert n_clamped == 0
 
     def test_hand_open_clamped_to_one(self, profile):
-        vals = list(midpoint_pose(profile).values)
+        vals = midpoint_values(profile)
         vals[JOINT_NAMES.index("LHandOpen")] = 1.5
-        out = validate_pose(Pose(values=tuple(vals)), profile)
-        assert out.values[JOINT_NAMES.index("LHandOpen")] == 1.0
-        assert out.n_clamped == 1
+        out, n_clamped = validate_pose(vals, profile)
+        assert out[JOINT_NAMES.index("LHandOpen")] == 1.0
+        assert n_clamped == 1
 
     def test_head_yaw_below_lower_limit(self, profile):
         lo = profile.joint_limits[0][0]
-        vals = list(midpoint_pose(profile).values)
+        vals = midpoint_values(profile)
         vals[0] = lo - 0.3
-        out = validate_pose(Pose(values=tuple(vals)), profile)
-        assert out.values[0] == lo
+        out, _ = validate_pose(vals, profile)
+        assert out[0] == lo
 
     def test_idempotent(self, profile):
         rng = np.random.default_rng(3)
-        pose = Pose(values=tuple(rng.uniform(-3, 3, N_JOINTS).tolist()))
-        once = validate_pose(pose, profile)
-        twice = validate_pose(once, profile)
-        assert twice.values == once.values
-        assert twice.n_clamped == 0
+        once, _ = validate_pose(rng.uniform(-3, 3, N_JOINTS), profile)
+        twice, n_clamped = validate_pose(once, profile)
+        assert np.array_equal(twice, once)
+        assert n_clamped == 0
+
+    def test_block_matches_per_pose(self, profile):
+        rng = np.random.default_rng(4)
+        block = rng.uniform(-3, 3, (6, N_JOINTS))
+        out, n_clamped = validate_pose(block, profile)
+        for i, row in enumerate(block):
+            one, n_one = validate_pose(row, profile)
+            assert np.array_equal(out[i], one)
+            assert n_clamped[i] == n_one
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(StructuralError):
             Pose(values=tuple(range(13)))
 
 
+def units_of(poses, mu, dt=0.25):
+    """Window a list of 14-value poses into units of ``mu`` poses."""
+    poses = np.asarray(poses, dtype=float)
+    stream = PoseStream(values=poses, timestamps=dt * np.arange(len(poses)),
+                        native_rate_hz=1.0 / dt)
+    return as_matrix(window(stream, mu))
+
+
 class TestFlatten:
     def test_mu_one_identity(self, profile):
-        pose = midpoint_pose(profile)
-        um = flatten_window([pose], dt=0.25)
-        assert um.flat == pose.values
-        assert um.mu == 1
+        pose = midpoint_values(profile)
+        rows = units_of([pose], 1)
+        assert np.array_equal(rows[0], pose)
 
-    def test_layout_matches_frame_order(self, profile):
+    def test_layout_matches_frame_order(self):
         rng = np.random.default_rng(0)
-        poses = [Pose(values=tuple(rng.uniform(-1, 1, N_JOINTS).tolist()))
-                 for _ in range(4)]
-        um = flatten_window(poses, dt=0.25)
+        poses = rng.uniform(-1, 1, (4, N_JOINTS))
+        row = units_of(poses, 4)[0]
         for i, pose in enumerate(poses):
-            assert um.flat[i * N_JOINTS:(i + 1) * N_JOINTS] == pose.values
+            assert np.array_equal(row[i * N_JOINTS:(i + 1) * N_JOINTS], pose)
 
     def test_zeros_then_ones(self):
-        p1 = Pose(values=(0.0,) * N_JOINTS)
-        p2 = Pose(values=(1.0,) * N_JOINTS)
-        um = flatten_window([p1, p2], dt=0.5)
-        assert um.flat == (0.0,) * N_JOINTS + (1.0,) * N_JOINTS
+        row = units_of([np.zeros(N_JOINTS), np.ones(N_JOINTS)], 2, dt=0.5)[0]
+        assert row.tolist() == [0.0] * N_JOINTS + [1.0] * N_JOINTS
 
-    def test_unflatten_roundtrip(self):
+    def test_rows_reshape_back_into_poses(self):
         rng = np.random.default_rng(1)
-        poses = [Pose(values=tuple(rng.uniform(-1, 1, N_JOINTS).tolist()))
-                 for _ in range(6)]
-        um = flatten_window(poses, dt=0.25)
-        back = unflatten(um)
-        assert [p.values for p in back] == [p.values for p in poses]
-        assert [p.timestamp for p in back] == [i * 0.25 for i in range(6)]
+        poses = rng.uniform(-1, 1, (6, N_JOINTS))
+        row = units_of(poses, 6)[0]
+        assert np.array_equal(row.reshape(6, N_JOINTS), poses)
 
     def test_empty_window_rejected(self):
         with pytest.raises(StructuralError):
-            flatten_window([], dt=0.25)
+            GestureDataset(matrix=np.zeros((1, 0)), dt=0.25)
 
     def test_flat_length_enforced(self):
         with pytest.raises(StructuralError):
-            UnitOfMovement(mu=2, flat=(0.0,) * 27, dt=0.25)
+            GestureDataset(matrix=np.zeros((1, 27)), dt=0.25)
 
     def test_dt_positive(self):
         with pytest.raises(StructuralError):
-            UnitOfMovement(mu=1, flat=(0.0,) * N_JOINTS, dt=0.0)
+            GestureDataset(matrix=np.zeros((1, N_JOINTS)), dt=0.0)
 
 
 class TestDataset:
     @pytest.mark.parametrize("mu", [1, 4, 6, 8])
     def test_matrix_shape(self, mu):
         rng = np.random.default_rng(mu)
-        units = [UnitOfMovement(mu=mu, flat=tuple(rng.uniform(size=N_JOINTS * mu)),
-                                dt=0.25) for _ in range(5)]
-        ds = GestureDataset(units=units)
+        ds = GestureDataset(matrix=rng.uniform(size=(5, N_JOINTS * mu)), dt=0.25)
+        assert ds.mu == mu
+        assert len(ds) == 5
         assert as_matrix(ds).shape == (5, N_JOINTS * mu)
 
     def test_single_unit_matrix(self):
-        um = UnitOfMovement(mu=1, flat=tuple(float(i) for i in range(N_JOINTS)), dt=0.25)
-        ds = GestureDataset(units=[um])
-        assert np.array_equal(as_matrix(ds), np.array([um.flat]))
+        row = [float(i) for i in range(N_JOINTS)]
+        ds = GestureDataset(matrix=[row], dt=0.25)
+        assert as_matrix(ds).dtype == np.float64
+        assert np.array_equal(as_matrix(ds), np.array([row]))
 
     def test_three_by_56(self):
         rng = np.random.default_rng(7)
-        m = rng.normal(size=(3, 56))
-        ds = dataset_from_matrix(m, dt=0.25)
+        ds = GestureDataset(matrix=rng.normal(size=(3, 56)), dt=0.25)
         assert ds.mu == 4
+        assert ds.sample_rate_hz == 4.0
         assert as_matrix(ds).shape == (3, 56)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(StructuralError):
-            GestureDataset(units=[])
-
-    def test_heterogeneous_mu_rejected(self):
-        u1 = UnitOfMovement(mu=1, flat=(0.0,) * N_JOINTS, dt=0.25)
-        u2 = UnitOfMovement(mu=2, flat=(0.0,) * (2 * N_JOINTS), dt=0.25)
+            GestureDataset(matrix=np.zeros((0, N_JOINTS)), dt=0.25)
         with pytest.raises(StructuralError):
-            GestureDataset(units=[u1, u2])
+            GestureDataset(matrix=np.zeros(N_JOINTS), dt=0.25)
 
     def test_column_labels(self):
         labels = column_labels(2)

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from gesturemetrics.errors import InsufficientDataError, StructuralError
-from gesturemetrics.model import (
-    JOINT_NAMES,
-    N_JOINTS,
-    GestureDataset,
-    Pose,
-    RobotProfile,
-    flatten_window,
-)
+from gesturemetrics.model import JOINT_NAMES, N_JOINTS, GestureDataset, RobotProfile
 from gesturemetrics.motion import (
     SITES,
     CartesianTrack,
@@ -30,16 +23,15 @@ def profile():
 
 
 def pose_with(**angles):
-    vals = [0.0] * N_JOINTS
+    vals = np.zeros(N_JOINTS)
     for name, v in angles.items():
         vals[J[name]] = v
-    return Pose(values=tuple(vals))
+    return vals
 
 
 def random_pose(rng, profile):
     limits = profile.limits_array()
-    vals = rng.uniform(limits[:, 0], limits[:, 1])
-    return Pose(values=tuple(vals.tolist()))
+    return rng.uniform(limits[:, 0], limits[:, 1])
 
 
 def homogeneous(r, t):
@@ -63,7 +55,7 @@ def fk_oracle(pose, profile):
         c, s = np.cos(a), np.sin(a)
         return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
 
-    vals = np.array(pose.values)
+    vals = np.array(pose)
     out = {}
     for prefix, sign in (("L", 1.0), ("R", -1.0)):
         base = homogeneous(np.eye(3), [0.0, sign * profile.shoulder_offset, 0.0])
@@ -217,18 +209,16 @@ class TestAngularJerk:
 
 
 def build_dataset(rng, profile, n_units, mu, dt=0.25):
-    units = []
-    for _ in range(n_units):
-        poses = [random_pose(rng, profile) for _ in range(mu)]
-        units.append(flatten_window(poses, dt=dt))
-    return GestureDataset(units=units)
+    rows = [np.concatenate([random_pose(rng, profile) for _ in range(mu)])
+            for _ in range(n_units)]
+    return GestureDataset(matrix=rows, dt=dt)
 
 
 class TestUnitTracks:
     def test_shapes_and_dt(self, profile):
         rng = np.random.default_rng(4)
         ds = build_dataset(rng, profile, 1, 6)
-        tracks = unit_tracks(ds.units[0], profile)
+        tracks = unit_tracks(ds.matrix[0], ds.dt, profile)
         assert set(tracks) == set(SITES)
         for track in tracks.values():
             assert track.points.shape == (6, 3)
@@ -237,8 +227,7 @@ class TestUnitTracks:
     def test_rows_match_per_pose_fk(self, profile):
         rng = np.random.default_rng(5)
         poses = [random_pose(rng, profile) for _ in range(4)]
-        um = flatten_window(poses, dt=0.25)
-        tracks = unit_tracks(um, profile)
+        tracks = unit_tracks(np.concatenate(poses), 0.25, profile)
         for i, pose in enumerate(poses):
             pos = forward_kinematics(pose, profile)
             for site in SITES:
@@ -253,8 +242,8 @@ class TestMotionReport:
         for site in SITES:
             jerks = []
             paths = []
-            for um in ds.units:
-                track = unit_tracks(um, profile)[site]
+            for unit in ds.matrix:
+                track = unit_tracks(unit, ds.dt, profile)[site]
                 jerks.append(jerk(track))
                 paths.append(path_length(track))
             assert report.jerk_by_site[site] == pytest.approx(np.mean(jerks), abs=1e-12)
@@ -266,8 +255,8 @@ class TestMotionReport:
         ds = build_dataset(rng, profile, 5, 6)
         report = motion_report(ds, profile)
         for angle, joint in (("yaw", "HeadYaw"), ("pitch", "HeadPitch")):
-            vals = [angular_jerk(um.array().reshape(um.mu, N_JOINTS)[:, J[joint]], um.dt)
-                    for um in ds.units]
+            vals = [angular_jerk(unit.reshape(ds.mu, N_JOINTS)[:, J[joint]], ds.dt)
+                    for unit in ds.matrix]
             assert report.head_jerk[angle] == pytest.approx(np.mean(vals), abs=1e-12)
 
     def test_short_units_flag_jerk_unavailable(self, profile):
@@ -287,8 +276,8 @@ class TestMotionReport:
 
     def test_frozen_pose_dataset_all_zero(self, profile):
         pose = pose_with(LShoulderPitch=0.8, RShoulderPitch=0.8)
-        units = [flatten_window([pose] * 6, dt=0.25) for _ in range(3)]
-        report = motion_report(GestureDataset(units=units), profile)
+        ds = GestureDataset(matrix=np.tile(pose, (3, 6)), dt=0.25)
+        report = motion_report(ds, profile)
         assert all(v == pytest.approx(0.0, abs=1e-12)
                    for v in report.jerk_by_site.values())
         assert all(v == pytest.approx(0.0, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gesturemetrics.errors import ParseError, StructuralError
-from gesturemetrics.model import N_JOINTS, Pose, as_matrix, unflatten
+from gesturemetrics.model import N_JOINTS, as_matrix
 from gesturemetrics.pipeline import (
     PoseStream,
     load_dataset,
@@ -16,24 +16,22 @@ from gesturemetrics.pipeline import (
 
 
 def make_stream(n, rate_hz=4.0, fn=None, start=0.0):
-    dt = 1.0 / rate_hz
-    poses = []
-    for i in range(n):
-        t = start + i * dt
-        value = fn(t) if fn else 0.0
-        poses.append(Pose(values=(value,) * N_JOINTS, timestamp=t))
-    return PoseStream(poses=poses, native_rate_hz=rate_hz)
+    ts = start + np.arange(n) / rate_hz
+    values = [[fn(t) if fn else 0.0] * N_JOINTS for t in ts]
+    return PoseStream(values=values, timestamps=ts, native_rate_hz=rate_hz)
 
 
 class TestStream:
     def test_requires_strictly_increasing_timestamps(self):
-        p = Pose(values=(0.0,) * N_JOINTS, timestamp=0.0)
         with pytest.raises(StructuralError):
-            PoseStream(poses=[p, p], native_rate_hz=4.0)
+            PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0, 0.0],
+                       native_rate_hz=4.0)
 
     def test_requires_nonempty(self):
         with pytest.raises(StructuralError):
-            PoseStream(poses=[], native_rate_hz=4.0)
+            PoseStream(values=np.zeros((0, N_JOINTS)), timestamps=[], native_rate_hz=4.0)
+        with pytest.raises(StructuralError):
+            PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0], native_rate_hz=4.0)
 
 
 class TestResample:
@@ -41,27 +39,26 @@ class TestResample:
         stream = make_stream(20, rate_hz=4.0, fn=lambda t: np.sin(t))
         out = resample(stream, 4.0)
         assert len(out) == len(stream)
-        assert np.allclose(out.values(), stream.values(), atol=1e-9)
-        assert np.allclose(out.timestamps(), stream.timestamps(), atol=1e-9)
+        assert np.allclose(out.values, stream.values, atol=1e-9)
+        assert np.allclose(out.timestamps, stream.timestamps, atol=1e-9)
 
     def test_two_poses_one_second_to_4hz(self):
-        poses = [Pose(values=(0.0,) * N_JOINTS, timestamp=0.0),
-                 Pose(values=(1.0,) * N_JOINTS, timestamp=1.0)]
-        stream = PoseStream(poses=poses, native_rate_hz=1.0)
+        stream = PoseStream(values=[[0.0] * N_JOINTS, [1.0] * N_JOINTS],
+                            timestamps=[0.0, 1.0], native_rate_hz=1.0)
         out = resample(stream, 4.0)
         assert len(out) == 5
         # linear interpolation oracle, joint by joint
-        for i, pose in enumerate(out.poses):
-            assert pose.values[0] == pytest.approx(i * 0.25, abs=1e-12)
+        for i, pose in enumerate(out.values):
+            assert pose[0] == pytest.approx(i * 0.25, abs=1e-12)
 
     def test_constant_stream_stays_constant(self):
         stream = make_stream(9, rate_hz=2.0, fn=lambda t: 0.7)
         out = resample(stream, 5.0)
-        assert np.allclose(out.values(), 0.7)
+        assert np.allclose(out.values, 0.7)
         assert len(out) == 21
 
     def test_single_pose_rejected(self):
-        stream = PoseStream(poses=[Pose(values=(0.0,) * N_JOINTS, timestamp=0.0)],
+        stream = PoseStream(values=np.zeros((1, N_JOINTS)), timestamps=[0.0],
                             native_rate_hz=1.0)
         with pytest.raises(StructuralError):
             resample(stream, 4.0)
@@ -78,14 +75,17 @@ class TestMatchLengths:
         a = make_stream(10)
         b = make_stream(10)
         a2, b2 = match_lengths(a, b)
-        assert a2.poses == a.poses and b2.poses == b.poses
+        for old, new in ((a, a2), (b, b2)):
+            assert np.array_equal(new.values, old.values)
+            assert np.array_equal(new.timestamps, old.timestamps)
 
     def test_keeps_leading_poses(self):
         a = make_stream(5, fn=lambda t: t)
         b = make_stream(3, fn=lambda t: -t)
         a2, b2 = match_lengths(a, b)
         assert len(a2) == len(b2) == 3
-        assert [p.timestamp for p in a2.poses] == [p.timestamp for p in a.poses[:3]]
+        assert np.array_equal(a2.timestamps, a.timestamps[:3])
+        assert np.array_equal(a2.values, a.values[:3])
 
 
 class TestWindow:
@@ -101,21 +101,22 @@ class TestWindow:
         stream = make_stream(8, fn=lambda t: t)
         ds = window(stream, 4)
         assert len(ds) == 2
-        first = unflatten(ds.units[0])
-        second = unflatten(ds.units[1])
-        assert [p.values[0] for p in first] == [p.values[0] for p in stream.poses[:4]]
-        assert [p.values[0] for p in second] == [p.values[0] for p in stream.poses[4:]]
+        first, second = as_matrix(ds).reshape(2, 4, N_JOINTS)
+        assert np.array_equal(first, stream.values[:4])
+        assert np.array_equal(second, stream.values[4:])
 
     def test_concatenated_windows_reproduce_prefix(self):
         stream = make_stream(11, fn=lambda t: np.cos(t))
         ds = window(stream, 4)
-        rebuilt = [p.values for um in ds.units for p in unflatten(um)]
-        original = [p.values for p in stream.poses[:8]]
-        assert rebuilt == original
+        rebuilt = as_matrix(ds).reshape(-1, N_JOINTS)
+        assert np.array_equal(rebuilt, stream.values[:8])
 
     def test_explicit_stride_overlap(self):
-        ds = window(make_stream(10), 4, stride=2)
+        stream = make_stream(10, fn=lambda t: t)
+        ds = window(stream, 4, stride=2)
         assert len(ds) == 4
+        for i, row in enumerate(as_matrix(ds)):
+            assert np.array_equal(row.reshape(4, N_JOINTS), stream.values[2 * i:2 * i + 4])
 
     def test_bad_mu_rejected(self):
         with pytest.raises(StructuralError):
@@ -177,6 +178,19 @@ class TestDatasetIO:
         with pytest.raises(ParseError, match="line 6"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reported(self, tmp_path, cell):
+        ds = window(make_stream(4), 1)
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        cells = lines[7].split(",")
+        cells[5] = cell
+        lines[7] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 8"):
+            load_dataset(path)
+
 
 class TestStreamIO:
     def test_roundtrip_exact(self, tmp_path):
@@ -185,11 +199,23 @@ class TestStreamIO:
         save_stream(stream, path)
         back = load_stream(path)
         assert back.native_rate_hz == stream.native_rate_hz
-        assert np.array_equal(back.values(), stream.values())
-        assert np.array_equal(back.timestamps(), stream.timestamps())
+        assert np.array_equal(back.values, stream.values)
+        assert np.array_equal(back.timestamps, stream.timestamps)
 
     def test_missing_rate_header(self, tmp_path):
         path = tmp_path / "stream.csv"
         path.write_text("timestamp,x\n0.0,1.0\n")
         with pytest.raises(ParseError):
+            load_stream(path)
+
+    @pytest.mark.parametrize("column", [0, 3])
+    def test_non_finite_cell_reported(self, tmp_path, column):
+        path = tmp_path / "stream.csv"
+        save_stream(make_stream(5), path)
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[column] = "nan"
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 5"):
             load_stream(path)
