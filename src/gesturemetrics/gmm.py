@@ -68,9 +68,9 @@ class GmmModel:
 def _kmeanspp_centers(x, k, rng):
     n = x.shape[0]
     centers = [x[rng.integers(n)]]
+    d2 = np.full(n, np.inf)     # squared distance to the nearest center so far
     for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((x - c) ** 2, axis=1) for c in centers], axis=0)
+        d2 = np.minimum(d2, np.sum((x - centers[-1]) ** 2, axis=1))
         total = d2.sum()
         if total <= 0:
             centers.append(x[rng.integers(n)])
@@ -80,17 +80,21 @@ def _kmeanspp_centers(x, k, rng):
     return np.array(centers)
 
 
+def _sq_dists(y, z):
+    """Squared distances (N x K) between the rows of y and z; pass both centred on the data."""
+    return np.sum(y * y, axis=1)[:, None] - 2.0 * (y @ z.T) + np.sum(z * z, axis=1)
+
+
 def _log_gaussian(x, means, covariance):
     """Log density of every row of x under every component (shared cov)."""
     d = x.shape[1]
     chol = np.linalg.cholesky(covariance)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    out = np.empty((x.shape[0], means.shape[0]))
-    for j, m in enumerate(means):
-        sol = np.linalg.solve(chol, (x - m).T)
-        maha = np.sum(sol ** 2, axis=0)
-        out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
-    return out
+    # centre before whitening: on offset, ill-conditioned data the whitened
+    # coordinates would otherwise be huge and the expanded distance cancel
+    white = (np.vstack([x, means]) - x.mean(axis=0)) @ np.linalg.inv(chol).T
+    maha = _sq_dists(white[:len(x)], white[len(x):])
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
 def _e_step(x, means, covariance, log_weights):
@@ -98,6 +102,15 @@ def _e_step(x, means, covariance, log_weights):
     log_prob = _log_gaussian(x, means, covariance) + log_weights
     log_norm = np.logaddexp.reduce(log_prob, axis=1)
     return np.exp(log_prob - log_norm[:, None]), log_norm
+
+
+def _m_step(xc, gram, resp):
+    """Weights, means and pooled covariance, all in the centred coordinates of ``xc``."""
+    nk = resp.sum(axis=0) + 1e-300
+    means = (resp.T @ xc) / nk[:, None]
+    # sum_k sum_i r_ik (x_i - m_k)(x_i - m_k)' = X'X - sum_k n_k m_k m_k', gram = X'X
+    scatter = gram - (means * nk[:, None]).T @ means
+    return nk / len(xc), means, (scatter + scatter.T) / (2.0 * len(xc))
 
 
 def _regularize(cov):
@@ -121,31 +134,34 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     The recorded log-likelihood trace is non-decreasing.
     """
     x = as_matrix(ds)
-    n, d = x.shape
+    n = x.shape[0]
     if n < k:
         raise StructuralError(f"need at least k={k} units, got {n}")
     rng = _rng(seed)
-    means = _kmeanspp_centers(x, k, rng)
+    # fit in centred coordinates: there the expanded forms do not cancel
+    center = x.mean(axis=0)
+    xc = x - center
+    gram = xc.T @ xc
+    means = _kmeanspp_centers(x, k, rng) - center
     # Lloyd refinement of the seeding; empty clusters keep their old center
     for _ in range(50):
-        d2 = np.stack([np.sum((x - c) ** 2, axis=1) for c in means], axis=1)
-        assign = np.argmin(d2, axis=1)
-        new_means = np.array([
-            x[assign == j].mean(axis=0) if np.any(assign == j) else means[j]
-            for j in range(k)])
+        assign = np.argmin(_sq_dists(xc, means), axis=1)
+        onehot = assign[:, None] == np.arange(k)
+        counts = onehot.sum(axis=0)[:, None]
+        new_means = np.where(counts > 0, (onehot.T @ xc) / np.maximum(counts, 1), means)
         if np.allclose(new_means, means, atol=1e-12):
             break
         means = new_means
     weights = np.full(k, 1.0 / k)
     # within-cluster scatter of the initial assignment; the total covariance
     # would swamp the between-cluster separation and merge the components
-    centered = x - means[assign]
+    centered = xc - means[assign]
     covariance, floored = _regularize(centered.T @ centered / n)
 
     lls = []
     prev_params = None
     for _ in range(max_iter):
-        resp, log_norm = _e_step(x, means, covariance, np.log(weights))
+        resp, log_norm = _e_step(xc, means, covariance, np.log(weights))
         ll = float(np.sum(log_norm))
         if lls and ll < lls[-1]:
             # the regularization floor can break exact EM monotonicity on
@@ -156,20 +172,13 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
         if len(lls) > 1 and lls[-1] - lls[-2] < rel_tol * abs(lls[-1]):
             break
         prev_params = (weights, means, covariance)
-        # M step
-        nk = resp.sum(axis=0) + 1e-300
-        weights = nk / n
-        means = (resp.T @ x) / nk[:, None]
-        scatter = np.zeros((d, d))
-        for j in range(k):
-            diff = x - means[j]
-            scatter += (resp[:, j][:, None] * diff).T @ diff
-        covariance, step_floored = _regularize(scatter / n)
+        weights, means, pooled = _m_step(xc, gram, resp)
+        covariance, step_floored = _regularize(pooled)
         floored = floored or step_floored
 
     return GmmModel(
         weights=weights,
-        means=means,
+        means=means + center,
         covariance=covariance,
         mu=ds.mu,
         dt=ds.dt,

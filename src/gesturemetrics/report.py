@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import StructuralError
+from .errors import GestureError, StructuralError
 from .fgd import fgd as compute_fgd
 from .model import as_matrix
 from .motion import motion_report
@@ -107,9 +107,13 @@ def evaluate(ds_original, ds_generated, model, profile, dims=10,
 def dump_json(doc, path=None):
     """Canonical JSON: sorted keys, fixed separators, trailing newline.
 
-    Identical inputs serialize to byte-identical files.
+    Identical inputs serialize to byte-identical files. A non-finite number
+    raises ``GestureError``: JSON (RFC 8259) has no NaN or Infinity.
     """
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise GestureError(f"report has a non-finite value (NaN or infinity): {exc}") from exc
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -263,6 +263,21 @@ class TestErrors:
         assert f"line {len(lines)}: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_result_is_metric_failure(self, corpus, tmp_path, capsys):
+        # finite input, but dt**3 underflows to 0 and the jerk becomes infinite
+        _, ds = corpus
+        text = ds.read_text()
+        tiny_dt = tmp_path / "tiny_dt.csv"
+        tiny_dt.write_text(text.replace("#dt=0.25\n", "#dt=1e-300\n"))
+        assert tiny_dt.read_text() != text
+        out = tmp_path / "out.json"
+        assert main(["motion-stats", str(tiny_dt), "--out", str(out)]) == 1
+        assert "non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["motion-stats", str(tiny_dt)]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_bad_usage_exit_two(self):
         assert main(["window"]) == 2
 

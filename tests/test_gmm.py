@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.gmm import (
     GmmModel,
+    _kmeanspp_centers,
+    _log_gaussian,
+    _m_step,
+    _rng,
     fit,
     load_model,
     posterior_matrix,
@@ -81,11 +87,118 @@ class TestFit:
         assert model.mu == 2
         assert model.dt == 0.5
 
+    def test_covariance_symmetric_at_large_magnitude(self):
+        rng = np.random.default_rng(23)
+        x = 1e6 * (as_matrix(two_cluster_dataset(rng, 100)) + 5.0)
+        model = fit(GestureDataset(matrix=x, dt=0.25), k=3, seed=0)
+        assert np.array_equal(model.covariance, model.covariance.T)
+
     def test_too_few_units_rejected(self):
         rng = np.random.default_rng(5)
         ds = gaussian_dataset(rng, 4)
         with pytest.raises(StructuralError):
             fit(ds, k=5, seed=0)
+
+
+def per_component_log_gaussian(x, means, covariance):
+    """Reference E-step: one triangular solve per component."""
+    d = x.shape[1]
+    chol = np.linalg.cholesky(covariance)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    out = np.empty((x.shape[0], means.shape[0]))
+    for j, m in enumerate(means):
+        sol = np.linalg.solve(chol, (x - m).T)
+        out[:, j] = -0.5 * (d * np.log(2.0 * np.pi) + logdet + np.sum(sol ** 2, axis=0))
+    return out
+
+
+def per_component_scatter(x, means, resp):
+    """Reference M-step scatter: sum over components of the weighted outer products."""
+    scatter = np.zeros((x.shape[1], x.shape[1]))
+    for j in range(means.shape[0]):
+        diff = x - means[j]
+        scatter += (resp[:, j][:, None] * diff).T @ diff
+    return scatter
+
+
+def list_min_kmeanspp(x, k, rng):
+    """Reference k-means++ seeding: nearest-center distance recomputed from every center."""
+    n = x.shape[0]
+    centers = [x[rng.integers(n)]]
+    for _ in range(1, k):
+        d2 = np.min([np.sum((x - c) ** 2, axis=1) for c in centers], axis=0)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(x[rng.integers(n)])
+            continue
+        centers.append(x[rng.choice(n, p=d2 / total)])
+    return np.array(centers)
+
+
+def random_covariance(rng, d, condition):
+    """Symmetric positive definite matrix with eigenvalues from 1 down to 1/condition."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    cov = (q * np.logspace(0.0, -np.log10(condition), d)) @ q.T
+    return (cov + cov.T) / 2.0
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("offset, condition", [(0.0, 10.0), (50.0, 1e10)])
+    def test_log_gaussian_matches_per_component(self, offset, condition):
+        rng = np.random.default_rng(20)
+        d = 4 * N_JOINTS
+        cov = random_covariance(rng, d, condition)
+        assert np.linalg.cond(cov) >= 0.5 * condition
+        chol = np.linalg.cholesky(cov)
+        x = offset + rng.normal(size=(300, d)) @ chol.T
+        means = offset + rng.normal(size=(6, d)) @ chol.T
+        expected = per_component_log_gaussian(x, means, cov)
+        got = _log_gaussian(x, means, cov)
+        assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-9
+
+    def test_m_step_matches_per_component_scatter(self):
+        rng = np.random.default_rng(21)
+        x = 3.0 + rng.normal(size=(400, D)) * rng.uniform(0.1, 2.0, D)
+        resp = rng.dirichlet(np.ones(5), size=400)
+        center = x.mean(axis=0)
+        xc = x - center
+        weights, means, cov = _m_step(xc, xc.T @ xc, resp)
+        nk = resp.sum(axis=0)
+        assert np.allclose(weights, nk / 400, rtol=1e-12)
+        assert np.allclose(means + center, (resp.T @ x) / nk[:, None], rtol=1e-12)
+        expected = per_component_scatter(x, means + center, resp) / 400
+        assert np.max(np.abs(cov - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_kmeanspp_picks_same_centers(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(200, D)) + 10.0 * rng.integers(0, 4, size=(200, 1))
+        # three distinct rows: once all three are centers every distance is zero
+        few = np.repeat(x[:3], 10, axis=0)
+        for data, k in ((x, 12), (few, 6)):
+            assert np.array_equal(_kmeanspp_centers(data, k, _rng(seed)),
+                                  list_min_kmeanspp(data, k, _rng(seed)))
+
+
+class TestTranslationInvariance:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(offset=st.lists(st.floats(-1e3, 1e3), min_size=D, max_size=D))
+    @example(offset=[1e3] * D)
+    def test_offset_leaves_posteriors_and_fit_unchanged(self, offset):
+        shift = np.array(offset)
+        ds = two_cluster_dataset(np.random.default_rng(24), 80)
+        x = as_matrix(ds)
+        moved = GestureDataset(matrix=x + shift, dt=0.25)
+        model = fit(ds, k=3, seed=1)
+        shifted = GmmModel(weights=model.weights, means=model.means + shift,
+                           covariance=model.covariance, mu=1, dt=0.25)
+        assert np.allclose(posterior_matrix(shifted, moved),
+                           posterior_matrix(model, ds), rtol=0.0, atol=1e-9)
+        refit = fit(moved, k=3, seed=1)
+        assert len(refit.log_likelihoods) == len(model.log_likelihoods)
+        scale = np.max(np.abs(model.covariance))
+        assert np.allclose(refit.covariance, model.covariance, rtol=0.0, atol=1e-10 * scale)
 
 
 class TestModelValidation:
