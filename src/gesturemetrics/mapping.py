@@ -340,7 +340,6 @@ class StreamMapper:
         self.rng = np.random.Generator(np.random.Philox(seed))
         limits = self.profile.limits_array()
         self._values = dict(zip(JOINT_NAMES, limits.mean(axis=1)))
-        self._hand_state = {"left": None, "right": None}
 
     def map_frame(self, frame):
         params, profile = self.params, self.profile
@@ -400,9 +399,7 @@ class StreamMapper:
                 continue  # hold previous hand values
             hand = np.asarray(hand, dtype=float)
             try:
-                state = map_hand_side_openpose(hand, side)
-                self._hand_state[side] = state
-                if state == PALM and params.palm_up_elbow_offset:
+                if map_hand_side_openpose(hand, side) == PALM and params.palm_up_elbow_offset:
                     values[prefix + "ElbowYaw"] += params.palm_up_elbow_offset
                 wrist_height = float(hand[HAND_WRIST, 1])
                 values[prefix + "WristYaw"] = map_hand_yaw_openpose(
@@ -410,11 +407,6 @@ class StreamMapper:
                 values[prefix + "HandOpen"] = map_hand_opening_openpose(hand, params)
             except DegenerateGeometryError:
                 pass
-
-
-def map_frame(frame, params=None, profile=None, seed=0):
-    """One-shot mapping of a single frame (fresh hold-last-value state)."""
-    return StreamMapper(params=params, profile=profile, seed=seed).map_frame(frame)
 
 
 def _frame_from_record(rec, line):

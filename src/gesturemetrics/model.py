@@ -157,9 +157,11 @@ class GestureDataset:
         if self.matrix.shape[0] == 0 or self.matrix.shape[1] == 0:
             raise StructuralError("dataset needs at least one unit of movement of mu >= 1 poses")
         self.dt = float(self.dt)
-        if not self.dt > 0:
-            raise StructuralError("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise StructuralError("dt must be finite and positive")
         self.sample_rate_hz = float(self.sample_rate_hz or 1.0 / self.dt)
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise StructuralError("sample rate must be finite and positive")
 
     @property
     def mu(self):

@@ -16,7 +16,7 @@ head does not translate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,21 +27,6 @@ SITES = ("Lhand", "Rhand", "Lelbow", "Relbow")
 HEAD_ANGLES = ("yaw", "pitch")
 
 _J = {name: i for i, name in enumerate(JOINT_NAMES)}
-
-
-@dataclass
-class CartesianTrack:
-    """T x 3 positions of one body site at a fixed sampling interval."""
-
-    points: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise StructuralError("track must be T x 3")
-        if not self.dt > 0:
-            raise StructuralError("dt must be positive")
 
 
 def _rx(a):
@@ -84,32 +69,49 @@ def forward_kinematics(values, profile):
     return out
 
 
-def jerk(track):
-    """Mean norm of the discrete jerk (third forward difference / dt^3)."""
-    pts = track.points
-    if pts.shape[0] < 4:
-        raise InsufficientDataError("jerk needs at least 4 samples")
-    third = np.diff(pts, n=3, axis=0) / track.dt ** 3
-    return float(np.mean(np.linalg.norm(third, axis=1)))
+def _tracks(points):
+    points = np.asarray(points, dtype=float)
+    if points.ndim < 2 or points.shape[-1] != 3:
+        raise StructuralError("tracks must be (..., T, 3)")
+    return points
 
 
-def path_length(track):
-    """Total traversed distance: sum of consecutive displacement norms."""
-    pts = track.points
-    if pts.shape[0] < 2:
+def _third_difference(values, dt, axis, what):
+    """Third forward difference along the time ``axis``, over dt^3."""
+    if values.ndim == 0 or values.shape[axis] < 4:
+        raise InsufficientDataError(f"{what} needs at least 4 samples")
+    if not dt > 0:
+        raise StructuralError("dt must be positive")
+    return np.diff(values, n=3, axis=axis) / dt ** 3
+
+
+def _per_track(values):
+    """A single track's statistic as a float, a batch's as an array."""
+    return float(values) if values.ndim == 0 else values
+
+
+def jerk(points, dt):
+    """Mean norm of the discrete jerk (third forward difference / dt^3).
+
+    ``points`` holds (..., T, 3) positions sampled ``dt`` apart; the result
+    has one value per track.
+    """
+    third = _third_difference(_tracks(points), dt, -2, "jerk")
+    return _per_track(np.mean(np.linalg.norm(third, axis=-1), axis=-1))
+
+
+def path_length(points):
+    """Total traversed distance of (..., T, 3) tracks: sum of step norms."""
+    points = _tracks(points)
+    if points.shape[-2] < 2:
         raise InsufficientDataError("path length needs at least 2 samples")
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    return _per_track(np.sum(np.linalg.norm(np.diff(points, axis=-2), axis=-1), axis=-1))
 
 
 def angular_jerk(series, dt):
-    """Scalar-series analogue of :func:`jerk` (absolute third difference)."""
-    series = np.asarray(series, dtype=float)
-    if series.size < 4:
-        raise InsufficientDataError("angular jerk needs at least 4 samples")
-    if not dt > 0:
-        raise StructuralError("dt must be positive")
-    third = np.diff(series, n=3) / dt ** 3
-    return float(np.mean(np.abs(third)))
+    """Analogue of :func:`jerk` for (..., T) angle series (absolute third difference)."""
+    third = _third_difference(np.asarray(series, dtype=float), dt, -1, "angular jerk")
+    return _per_track(np.mean(np.abs(third), axis=-1))
 
 
 @dataclass
@@ -122,24 +124,7 @@ class MotionReport:
     jerk_available: bool
 
     def to_dict(self):
-        return {
-            "jerk_by_site": self.jerk_by_site,
-            "path_length_by_site": self.path_length_by_site,
-            "head_jerk": self.head_jerk,
-            "jerk_available": self.jerk_available,
-        }
-
-
-def unit_tracks(unit, dt, profile):
-    """Cartesian tracks of the four arm sites across one unit of movement.
-
-    ``unit`` holds the unit's 14*mu joint values, one dataset row.
-    """
-    positions = [forward_kinematics(pose, profile) for pose in unit.reshape(-1, N_JOINTS)]
-    return {
-        site: CartesianTrack(points=np.array([pos[site] for pos in positions]), dt=dt)
-        for site in SITES
-    }
+        return asdict(self)
 
 
 def motion_report(ds, profile):
@@ -150,29 +135,26 @@ def motion_report(ds, profile):
     When mu < 4 the jerk entries are flagged unavailable; path lengths are
     still reported.
     """
+    poses = ds.matrix.reshape(-1, N_JOINTS)
+    sites = np.empty((len(poses), len(SITES), 3))
+    for i, pose in enumerate(poses):
+        pos = forward_kinematics(pose, profile)
+        sites[i] = [pos[site] for site in SITES]
+    tracks = sites.reshape(len(ds), ds.mu, len(SITES), 3)
+    heads = poses.reshape(len(ds), ds.mu, N_JOINTS)[:, :, [_J["HeadYaw"], _J["HeadPitch"]]]
     jerk_available = ds.mu >= 4
-    jerk_acc = {site: [] for site in SITES}
-    path_acc = {site: [] for site in SITES}
-    head_acc = {angle: [] for angle in HEAD_ANGLES}
-    for unit in ds.matrix:
-        tracks = unit_tracks(unit, ds.dt, profile)
-        poses = unit.reshape(ds.mu, N_JOINTS)
-        for site in SITES:
-            path_acc[site].append(path_length(tracks[site]) if ds.mu >= 2 else 0.0)
-            if jerk_available:
-                jerk_acc[site].append(jerk(tracks[site]))
-        if jerk_available:
-            head_acc["yaw"].append(angular_jerk(poses[:, _J["HeadYaw"]], ds.dt))
-            head_acc["pitch"].append(angular_jerk(poses[:, _J["HeadPitch"]], ds.dt))
     return MotionReport(
         jerk_by_site={
-            site: float(np.mean(jerk_acc[site])) if jerk_available else None
-            for site in SITES
+            site: float(np.mean(jerk(tracks[:, :, s], ds.dt))) if jerk_available else None
+            for s, site in enumerate(SITES)
         },
-        path_length_by_site={site: float(np.mean(path_acc[site])) for site in SITES},
+        path_length_by_site={
+            site: float(np.mean(path_length(tracks[:, :, s]))) if ds.mu >= 2 else 0.0
+            for s, site in enumerate(SITES)
+        },
         head_jerk={
-            angle: float(np.mean(head_acc[angle])) if jerk_available else None
-            for angle in HEAD_ANGLES
+            angle: float(np.mean(angular_jerk(heads[:, :, a], ds.dt))) if jerk_available else None
+            for a, angle in enumerate(HEAD_ANGLES)
         },
         jerk_available=jerk_available,
     )

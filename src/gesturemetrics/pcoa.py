@@ -81,10 +81,9 @@ def correlation_distance(data, labels=None):
         warnings.warn(
             "zero-variance columns treated as uncorrelated (d=1): "
             + ", ".join(labels[i] for i in dead))
-    safe = data.copy()
-    # give dead columns unit variance noisefree placeholder; their r is forced to 0 below
-    safe[:, dead] += np.arange(n_rows)[:, None] * 1.0
-    r = np.corrcoef(safe, rowvar=False)
+    # dead columns divide 0 by 0 here; their r is forced to 0 below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.corrcoef(data, rowvar=False)
     r[dead, :] = 0.0
     r[:, dead] = 0.0
     np.fill_diagonal(r, 1.0)

@@ -13,6 +13,7 @@ trip is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class PoseStream:
             raise StructuralError(f"stream values must be T x {N_JOINTS}")
         if self.values.shape[0] == 0:
             raise StructuralError("pose stream must be non-empty")
+        if not (np.isfinite(self.native_rate_hz) and self.native_rate_hz > 0):
+            raise StructuralError("stream rate must be finite and positive")
         if self.timestamps.shape != (self.values.shape[0],):
             raise StructuralError("stream needs one timestamp per pose")
         if not np.all(np.diff(self.timestamps) > 0):
@@ -93,6 +96,7 @@ def window(stream, mu, stride=None, source_tag=""):
 
 
 def _parse_meta(lines):
+    """Comment-header ``#key=value`` pairs as key -> (value text, line number)."""
     meta = {}
     consumed = 0
     for line in lines:
@@ -102,8 +106,22 @@ def _parse_meta(lines):
         body = line[1:].strip()
         if "=" in body:
             key, _, val = body.partition("=")
-            meta[key.strip()] = val.strip()
+            meta[key.strip()] = (val.strip(), consumed)
     return meta, consumed
+
+
+def _positive_header(meta, key):
+    """The ``#key`` header as a finite positive float; errors carry its line number."""
+    if key not in meta:
+        raise ParseError(f"missing #{key} header")
+    text, line = meta[key]
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid #{key} header: {exc}", line) from exc
+    if not (math.isfinite(value) and value > 0):
+        raise ParseError(f"#{key} must be finite and positive, got {text}", line)
+    return value
 
 
 def _parse_rows(lines, first_line, width, empty_message):
@@ -153,12 +171,19 @@ def load_dataset(path):
         lines = fh.read().splitlines()
     meta, consumed = _parse_meta(lines)
     try:
-        mu = int(meta["mu"])
-        dt = float(meta["dt"])
+        mu = int(meta["mu"][0])
     except (KeyError, ValueError) as exc:
-        raise ParseError(f"missing or invalid #mu/#dt header: {exc}") from exc
-    rate = float(meta.get("rate_hz", 1.0 / dt))
-    source = meta.get("source", "")
+        raise ParseError(f"missing or invalid #mu header: {exc}") from exc
+    dt = _positive_header(meta, "dt")
+    try:
+        scale = dt ** 3
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise ParseError(f"#dt={dt!r} cubed (the jerk's scale) is not a positive finite number",
+                         meta["dt"][1])
+    rate = _positive_header(meta, "rate_hz") if "rate_hz" in meta else 1.0 / dt
+    source = meta.get("source", ("", None))[0]
     body = lines[consumed:]
     if not body:
         raise ParseError("dataset file has no header row", consumed + 1)
@@ -182,10 +207,7 @@ def load_stream(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta, consumed = _parse_meta(lines)
-    try:
-        rate = float(meta["rate_hz"])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"missing or invalid #rate_hz header: {exc}") from exc
+    rate = _positive_header(meta, "rate_hz")
     body = lines[consumed:]
     if not body or body[0].split(",") != ["timestamp", *JOINT_NAMES]:
         raise ParseError("stream file header row is malformed", consumed + 1)

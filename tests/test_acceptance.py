@@ -33,7 +33,7 @@ from gesturemetrics.model import (
     RobotProfile,
     as_matrix,
 )
-from gesturemetrics.motion import CartesianTrack, jerk, path_length
+from gesturemetrics.motion import jerk, path_length
 from gesturemetrics.pcoa import DistanceMatrix, fidelity_report, pcoa
 from gesturemetrics.procrustes import procrustes
 from gesturemetrics.synth import beat_gesture_corpus
@@ -167,16 +167,12 @@ def test_criterion_06_jerk_lpath_exactness():
     def body():
         t = np.arange(8.0)
         zeros = np.zeros(8)
-        constant = CartesianTrack(points=np.tile([1.0, -2.0, 0.5], (8, 1)), dt=1.0)
-        assert jerk(constant) <= 1e-12
-        quadratic = CartesianTrack(
-            points=np.column_stack([3 * t ** 2, t ** 2, zeros]), dt=1.0)
-        assert jerk(quadratic) <= 1e-12
-        cubic = CartesianTrack(points=np.column_stack([t ** 3, zeros, zeros]), dt=1.0)
-        assert abs(jerk(cubic) - 6.0) <= 1e-12
+        assert jerk(np.tile([1.0, -2.0, 0.5], (8, 1)), 1.0) <= 1e-12
+        assert jerk(np.column_stack([3 * t ** 2, t ** 2, zeros]), 1.0) <= 1e-12
+        assert abs(jerk(np.column_stack([t ** 3, zeros, zeros]), 1.0) - 6.0) <= 1e-12
         # piecewise-linear path: 3-4-5 triangle legs traversed in sequence
         pts = np.array([[0.0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]])
-        assert abs(path_length(CartesianTrack(points=pts, dt=1.0)) - 7.0) <= 1e-12
+        assert abs(path_length(pts) - 7.0) <= 1e-12
 
     _run(6, "jerk and lpath exactness", body)
 

@@ -263,13 +263,37 @@ class TestErrors:
         assert f"line {len(lines)}: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.parametrize("value", ["0.0", "-4.0", "inf"])
+    def test_bad_stream_rate_header_is_input_failure(self, corpus, tmp_path, capsys, value):
+        stream, _ = corpus
+        text = stream.read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace("#rate_hz=4.0\n", f"#rate_hz={value}\n"))
+        assert bad.read_text() != text
+        out = tmp_path / "windowed.csv"
+        assert main(["window", "--mu", "4", str(bad), str(out)]) == 2
+        assert "line 1: #rate_hz must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "0.0", "1e-300"])
+    def test_bad_dt_header_is_input_failure(self, corpus, tmp_path, capsys, value):
+        _, ds = corpus
+        text = ds.read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace("#dt=0.25\n", f"#dt={value}\n"))
+        assert bad.read_text() != text
+        out = tmp_path / "motion.json"
+        assert main(["motion-stats", str(bad), "--out", str(out)]) == 2
+        assert "line 2: #dt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_result_is_metric_failure(self, corpus, tmp_path, capsys):
-        # finite input, but dt**3 underflows to 0 and the jerk becomes infinite
+        # valid input, but dt**3 is subnormal (about 1e-315) and the jerk overflows
         _, ds = corpus
         text = ds.read_text()
         tiny_dt = tmp_path / "tiny_dt.csv"
-        tiny_dt.write_text(text.replace("#dt=0.25\n", "#dt=1e-300\n"))
+        tiny_dt.write_text(text.replace("#dt=0.25\n", "#dt=1e-105\n"))
         assert tiny_dt.read_text() != text
         out = tmp_path / "out.json"
         assert main(["motion-stats", str(tiny_dt), "--out", str(out)]) == 1

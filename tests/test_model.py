@@ -165,6 +165,16 @@ class TestDataset:
         with pytest.raises(StructuralError):
             GestureDataset(matrix=np.zeros(N_JOINTS), dt=0.25)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.25, float("inf"), float("nan")])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(StructuralError):
+            GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=dt)
+
+    @pytest.mark.parametrize("rate", [-4.0, float("inf"), float("nan")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(StructuralError):
+            GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25, sample_rate_hz=rate)
+
     def test_column_labels(self):
         labels = column_labels(2)
         assert labels[0] == "HeadYaw[0]"

@@ -5,13 +5,11 @@ from gesturemetrics.errors import InsufficientDataError, StructuralError
 from gesturemetrics.model import JOINT_NAMES, N_JOINTS, GestureDataset, RobotProfile
 from gesturemetrics.motion import (
     SITES,
-    CartesianTrack,
     angular_jerk,
     forward_kinematics,
     jerk,
     motion_report,
     path_length,
-    unit_tracks,
 )
 
 J = {name: i for i, name in enumerate(JOINT_NAMES)}
@@ -129,66 +127,64 @@ class TestForwardKinematics:
 
 class TestJerk:
     def test_constant_track_zero(self):
-        track = CartesianTrack(points=np.tile([1.0, 2.0, 3.0], (8, 1)), dt=0.25)
-        assert jerk(track) == 0.0
+        assert jerk(np.tile([1.0, 2.0, 3.0], (8, 1)), 0.25) == 0.0
 
     def test_quadratic_track_zero(self):
         t = np.arange(10.0)
         pts = np.column_stack([t ** 2, 2 * t ** 2, np.zeros(10)])
-        assert jerk(CartesianTrack(points=pts, dt=1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert jerk(pts, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_cubic_track_exactly_six(self):
         t = np.arange(6.0)
         pts = np.column_stack([t ** 3, np.zeros(6), np.zeros(6)])
-        assert jerk(CartesianTrack(points=pts, dt=1.0)) == 6.0
+        assert jerk(pts, 1.0) == 6.0
 
     def test_cubic_track_any_dt_exactly_six(self):
         dt = 0.25
         t = np.arange(8) * dt
         pts = np.column_stack([t ** 3, np.zeros(8), np.zeros(8)])
-        assert jerk(CartesianTrack(points=pts, dt=dt)) == pytest.approx(6.0, abs=1e-10)
+        assert jerk(pts, dt) == pytest.approx(6.0, abs=1e-10)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(12, 3))
-        a = jerk(CartesianTrack(points=pts, dt=0.25))
-        b = jerk(CartesianTrack(points=pts + [5.0, -2.0, 9.0], dt=0.25))
+        a = jerk(pts, 0.25)
+        b = jerk(pts + [5.0, -2.0, 9.0], 0.25)
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_scaling_is_linear(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(12, 3))
-        a = jerk(CartesianTrack(points=pts, dt=0.25))
-        b = jerk(CartesianTrack(points=3.0 * pts, dt=0.25))
+        a = jerk(pts, 0.25)
+        b = jerk(3.0 * pts, 0.25)
         assert b == pytest.approx(3.0 * a, rel=1e-12)
 
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
-            jerk(CartesianTrack(points=np.zeros((3, 3)), dt=0.25))
+            jerk(np.zeros((3, 3)), 0.25)
 
 
 class TestPathLength:
     def test_straight_line(self):
         pts = np.column_stack([np.linspace(0, 2, 9), np.zeros(9), np.zeros(9)])
-        assert path_length(CartesianTrack(points=pts, dt=0.25)) == pytest.approx(2.0)
+        assert path_length(pts) == pytest.approx(2.0)
 
     def test_out_and_back_doubles(self):
         pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])
-        assert path_length(CartesianTrack(points=pts, dt=0.25)) == pytest.approx(2.0)
+        assert path_length(pts) == pytest.approx(2.0)
 
     def test_polygon_approaches_circumference(self):
         theta = np.linspace(0, 2 * np.pi, 2001)
         pts = np.column_stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)])
-        length = path_length(CartesianTrack(points=pts, dt=0.01))
-        assert length == pytest.approx(2 * np.pi, rel=1e-5)
+        assert path_length(pts) == pytest.approx(2 * np.pi, rel=1e-5)
 
     def test_stationary_zero(self):
         pts = np.tile([0.3, -0.1, 0.2], (5, 1))
-        assert path_length(CartesianTrack(points=pts, dt=0.25)) == 0.0
+        assert path_length(pts) == 0.0
 
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
-            path_length(CartesianTrack(points=np.zeros((1, 3)), dt=0.25))
+            path_length(np.zeros((1, 3)))
 
 
 class TestAngularJerk:
@@ -214,24 +210,41 @@ def build_dataset(rng, profile, n_units, mu, dt=0.25):
     return GestureDataset(matrix=rows, dt=dt)
 
 
+def unit_tracks(unit, profile):
+    """mu x 3 track of every site of one dataset row, one FK call per pose."""
+    poses = [unit[k:k + N_JOINTS] for k in range(0, unit.size, N_JOINTS)]
+    positions = [forward_kinematics(pose, profile) for pose in poses]
+    return {site: np.array([pos[site] for pos in positions]) for site in SITES}
+
+
 class TestUnitTracks:
     def test_shapes_and_dt(self, profile):
         rng = np.random.default_rng(4)
-        ds = build_dataset(rng, profile, 1, 6)
-        tracks = unit_tracks(ds.matrix[0], ds.dt, profile)
-        assert set(tracks) == set(SITES)
-        for track in tracks.values():
-            assert track.points.shape == (6, 3)
-            assert track.dt == 0.25
+        ds = build_dataset(rng, profile, 3, 6)
+        tracks = np.stack([unit_tracks(unit, profile)["Lhand"] for unit in ds.matrix])
+        assert tracks.shape == (3, 6, 3)
+        assert jerk(tracks, ds.dt).shape == (3,)
+        assert path_length(tracks).shape == (3,)
+        assert isinstance(jerk(tracks[0], ds.dt), float)
+        assert isinstance(path_length(tracks[0]), float)
+        # halving the rate multiplies the jerk by 2^-3
+        slow = GestureDataset(matrix=ds.matrix, dt=2 * ds.dt)
+        fast_jerk = motion_report(ds, profile).jerk_by_site["Lhand"]
+        slow_jerk = motion_report(slow, profile).jerk_by_site["Lhand"]
+        assert slow_jerk == pytest.approx(fast_jerk / 8.0, rel=1e-12)
 
     def test_rows_match_per_pose_fk(self, profile):
         rng = np.random.default_rng(5)
         poses = [random_pose(rng, profile) for _ in range(4)]
-        tracks = unit_tracks(np.concatenate(poses), 0.25, profile)
-        for i, pose in enumerate(poses):
-            pos = forward_kinematics(pose, profile)
-            for site in SITES:
-                assert np.allclose(tracks[site].points[i], pos[site], atol=1e-12)
+        ds = GestureDataset(matrix=[np.concatenate(poses)], dt=0.25)
+        report = motion_report(ds, profile)
+        tracks = unit_tracks(ds.matrix[0], profile)
+        for site in SITES:
+            for i, pose in enumerate(poses):
+                assert np.allclose(tracks[site][i], forward_kinematics(pose, profile)[site],
+                                   atol=1e-12)
+            assert report.jerk_by_site[site] == jerk(tracks[site], 0.25)
+            assert report.path_length_by_site[site] == path_length(tracks[site])
 
 
 class TestMotionReport:
@@ -243,8 +256,8 @@ class TestMotionReport:
             jerks = []
             paths = []
             for unit in ds.matrix:
-                track = unit_tracks(unit, ds.dt, profile)[site]
-                jerks.append(jerk(track))
+                track = unit_tracks(unit, profile)[site]
+                jerks.append(jerk(track, ds.dt))
                 paths.append(path_length(track))
             assert report.jerk_by_site[site] == pytest.approx(np.mean(jerks), abs=1e-12)
             assert report.path_length_by_site[site] == pytest.approx(
@@ -293,9 +306,29 @@ class TestMotionReport:
 
 class TestTrackValidation:
     def test_wrong_width_rejected(self):
-        with pytest.raises(StructuralError):
-            CartesianTrack(points=np.zeros((5, 2)), dt=0.25)
+        for points in (np.zeros((5, 2)), np.zeros((2, 5, 4)), np.zeros(5)):
+            with pytest.raises(StructuralError):
+                jerk(points, 0.25)
+            with pytest.raises(StructuralError):
+                path_length(points)
 
     def test_nonpositive_dt_rejected(self):
-        with pytest.raises(StructuralError):
-            CartesianTrack(points=np.zeros((5, 3)), dt=-1.0)
+        for dt in (-1.0, 0.0, float("nan")):
+            with pytest.raises(StructuralError):
+                jerk(np.zeros((5, 3)), dt)
+            with pytest.raises(StructuralError):
+                angular_jerk(np.zeros(5), dt)
+
+
+class TestBatchedStatistics:
+    def test_batched_equals_stacked_per_track_calls(self):
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(4, 5, 9, 3))
+        series = rng.normal(size=(4, 5, 9))
+        per_track = [[(jerk(points[i, j], 0.25), path_length(points[i, j]),
+                       angular_jerk(series[i, j], 0.25)) for j in range(5)]
+                     for i in range(4)]
+        want_jerk, want_path, want_angular = np.moveaxis(np.array(per_track), -1, 0)
+        assert np.array_equal(jerk(points, 0.25), want_jerk)
+        assert np.array_equal(path_length(points), want_path)
+        assert np.array_equal(angular_jerk(series, 0.25), want_angular)

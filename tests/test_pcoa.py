@@ -54,6 +54,17 @@ class TestCorrelationDistance:
             dm = correlation_distance(data, labels=["a", "b"])
         assert dm.d[0, 1] == pytest.approx(1.0)
 
+    def test_dead_column_leaves_live_block_unchanged(self):
+        rng = np.random.default_rng(4)
+        live = rng.normal(size=(30, 5))
+        data = np.insert(live, 2, 3.0, axis=1)
+        with pytest.warns(UserWarning, match="zero-variance"):
+            dm = correlation_distance(data)
+        keep = [0, 1, 3, 4, 5]
+        assert np.allclose(dm.d[np.ix_(keep, keep)], correlation_distance(live).d,
+                           rtol=0.0, atol=1e-12)
+        assert np.all(dm.d[2, keep] == 1.0)
+
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(25, 6))

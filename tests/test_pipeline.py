@@ -33,6 +33,12 @@ class TestStream:
         with pytest.raises(StructuralError):
             PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0], native_rate_hz=4.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -4.0, float("inf"), float("nan")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(StructuralError):
+            PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0, 1.0],
+                       native_rate_hz=rate)
+
 
 class TestResample:
     def test_native_rate_is_identity(self):
@@ -192,6 +198,53 @@ class TestDatasetIO:
             load_dataset(path)
 
 
+def with_header(path, key, value):
+    """Rewrite the ``#key=...`` comment header of a saved file."""
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"#{key}="))
+    lines[index] = f"#{key}={value}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestDatasetHeaders:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(window(make_stream(8), 4), path)
+        return path
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0.0", "-0.25", "fast"])
+    def test_dt_must_be_finite_and_positive(self, saved, value):
+        with_header(saved, "dt", value)
+        with pytest.raises(ParseError, match="line 2"):
+            load_dataset(saved)
+
+    def test_dt_whose_cube_underflows_rejected(self, saved):
+        with_header(saved, "dt", "1e-300")
+        with pytest.raises(ParseError, match="line 2: .*cubed"):
+            load_dataset(saved)
+
+    def test_dt_whose_cube_overflows_rejected(self, saved):
+        with_header(saved, "dt", "1e200")
+        with pytest.raises(ParseError, match="line 2: .*cubed"):
+            load_dataset(saved)
+
+    def test_missing_dt_rejected(self, saved):
+        saved.write_text(saved.read_text().replace("#dt=0.25\n", ""))
+        with pytest.raises(ParseError, match="#dt"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0.0", "-4.0"])
+    def test_rate_must_be_finite_and_positive(self, saved, value):
+        with_header(saved, "rate_hz", value)
+        with pytest.raises(ParseError, match="line 3"):
+            load_dataset(saved)
+
+    def test_missing_rate_defaults_to_inverse_dt(self, saved):
+        saved.write_text(saved.read_text().replace("#rate_hz=4.0\n", ""))
+        assert load_dataset(saved).sample_rate_hz == 4.0
+
+
 class TestStreamIO:
     def test_roundtrip_exact(self, tmp_path):
         stream = make_stream(7, rate_hz=3.0, fn=lambda t: np.sin(3 * t))
@@ -206,6 +259,14 @@ class TestStreamIO:
         path = tmp_path / "stream.csv"
         path.write_text("timestamp,x\n0.0,1.0\n")
         with pytest.raises(ParseError):
+            load_stream(path)
+
+    @pytest.mark.parametrize("value", ["0.0", "-4.0", "inf", "nan", "fast"])
+    def test_rate_must_be_finite_and_positive(self, tmp_path, value):
+        path = tmp_path / "stream.csv"
+        save_stream(make_stream(5), path)
+        with_header(path, "rate_hz", value)
+        with pytest.raises(ParseError, match="line 1"):
             load_stream(path)
 
     @pytest.mark.parametrize("column", [0, 3])
