@@ -44,14 +44,14 @@ def wave_frames(path, n=40, rate_hz=10.0):
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="retarget-demo-"))
-    capture = workdir / "capture.jsonl"
-    wave_frames(capture)
-    print(f"capture: {capture} (40 frames at 10 Hz)")
+    with tempfile.TemporaryDirectory(prefix="retarget-demo-") as workdir:
+        capture = Path(workdir) / "capture.jsonl"
+        wave_frames(capture)
+        print(f"capture: {capture} (40 frames at 10 Hz)")
+        frames = load_skeleton_frames(capture)
 
     profile = RobotProfile.default()
     mapper = StreamMapper(params=MappingParams(), profile=profile, seed=0)
-    frames = load_skeleton_frames(capture)
     poses = [mapper.map_frame(f) for f in frames]
     stream = PoseStream(values=[p.values for p in poses],
                         timestamps=[p.timestamp for p in poses], native_rate_hz=10.0)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, ParseError, StructuralError, UnknownOrientationError
-from .model import JOINT_NAMES, Pose, validate_pose
+from .model import JOINT_NAMES, Pose, RobotProfile, validate_pose
 
 OPENNI_LAYOUT = "openni15"
 OPENPOSE_LAYOUT = "openpose25"
@@ -58,6 +58,10 @@ HAND_PINKY_TIP = 20
 PALM = "palm"
 BACK = "back"
 
+# positions in the 14-joint pose vector
+_INDEX = {name: i for i, name in enumerate(JOINT_NAMES)}
+_HEAD = [_INDEX["HeadYaw"], _INDEX["HeadPitch"]]
+
 
 @dataclass(frozen=True)
 class MappingParams:
@@ -85,6 +89,9 @@ class MappingParams:
             raise StructuralError("k1 must be positive")
         if not self.n_pixels > 0:
             raise StructuralError("n_pixels must be positive")
+        for src in (self.head_pitch_src, self.head_yaw_src, self.hand_yaw_src, self.hand_open_src):
+            if not src[1] > src[0]:
+                raise StructuralError("source intervals must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -117,9 +124,9 @@ class SkeletonFrame:
             raise StructuralError(f"unsupported layout {self.layout!r}")
 
     def point(self, name, confidence_threshold=0.0):
-        """Keypoint as array, or None if below the confidence threshold."""
+        """Keypoint as array; StructuralError if below the confidence threshold."""
         if self.confidence.get(name, 1.0) < confidence_threshold:
-            return None
+            raise StructuralError(f"keypoint {name} below confidence threshold")
         return np.asarray(self.body[name], dtype=float)
 
 
@@ -142,8 +149,8 @@ def _rotate_about_vertical(v, angle):
     return np.array([x * c + z * s, y, -x * s + z * c])
 
 
-def map_head_openni(head_orientation, neck, head, params, profile):
-    """Head yaw/pitch from OpenNI tracker output.
+def map_head_openni(head_orientation, neck, head, params):
+    """Raw (unclamped) head yaw/pitch from OpenNI tracker output.
 
     ``head_orientation`` carries the tracker's (beta, gamma) Euler angles.
     Yaw is the gained beta angle; pitch is the arctangent of the head-neck
@@ -156,10 +163,7 @@ def map_head_openni(head_orientation, neck, head, params, profile):
     yaw = params.k1 * beta
     r = _rotate_about_vertical(hn, -math.pi / 2)
     pitch = math.atan2(r[2], r[1]) + abs(params.k2 * gamma)
-    limits = profile.limits_array()
-    yaw = float(np.clip(yaw, *limits[0]))
-    pitch = float(np.clip(pitch, *limits[1]))
-    return yaw, pitch
+    return float(yaw), float(pitch)
 
 
 def map_head_openpose(nose, neck, params, profile):
@@ -257,7 +261,7 @@ def arm_angles(frame, confidence_threshold=0.0):
 
     Returns a dict keyed by joint name covering the 8 arm joints. Raises
     DegenerateGeometryError on zero-length limb vectors and StructuralError
-    when a required keypoint is missing or below the confidence threshold.
+    when a required keypoint is below the confidence threshold.
     """
     if frame.layout == OPENNI_LAYOUT:
         wrist_names = {"left": "LHand", "right": "RHand"}
@@ -266,24 +270,18 @@ def arm_angles(frame, confidence_threshold=0.0):
         wrist_names = {"left": "LWrist", "right": "RWrist"}
         hip_ref = "MidHip"
 
-    def need(name):
-        p = frame.point(name, confidence_threshold)
-        if p is None:
-            raise StructuralError(f"keypoint {name} missing or below confidence threshold")
-        return p
-
-    neck = need("Neck")
-    lsh, rsh = need("LShoulder"), need("RShoulder")
-    down = _unit(need(hip_ref) - neck, "torso")
+    thr = confidence_threshold
+    neck = frame.point("Neck", thr)
+    lsh, rsh = frame.point("LShoulder", thr), frame.point("RShoulder", thr)
+    down = _unit(frame.point(hip_ref, thr) - neck, "torso")
     lat_left = _unit(lsh - rsh, "shoulder line")
     fwd = _unit(np.cross(lat_left, down), "forward axis")
 
     out = {}
-    for side, prefix, sign in (("left", "L", -1.0), ("right", "R", 1.0)):
-        sh = need(prefix + "Shoulder")
-        el = need(prefix + "Elbow")
-        wr = need(wrist_names[side])
-        lat = lat_left if side == "left" else -lat_left
+    for side, prefix, sign, sh, lat in (("left", "L", -1.0, lsh, lat_left),
+                                        ("right", "R", 1.0, rsh, -lat_left)):
+        el = frame.point(prefix + "Elbow", thr)
+        wr = frame.point(wrist_names[side], thr)
         u = el - sh
         f = wr - el
         uh = _unit(u, f"{side} upper-arm")
@@ -317,124 +315,118 @@ def arm_angles(frame, confidence_threshold=0.0):
     return out
 
 
-def map_arms(frame, profile, confidence_threshold=0.0):
-    """Arm angles clamped into the profile's joint limits."""
-    raw = arm_angles(frame, confidence_threshold)
-    limits = dict(zip(JOINT_NAMES, profile.joint_limits))
-    return {name: float(np.clip(val, *limits[name])) for name, val in raw.items()}
-
-
 class StreamMapper:
     """Maps a sequence of skeleton frames to validated poses.
 
-    Owns the hold-last-value state for missing keypoints and the seeded
-    generator behind OpenNI's random finger openings. Frames must be fed
-    in stream order; each layout stream gets its own mapper.
+    Holds the last pose as one 14-value array (joints missing from a frame
+    keep their held value) and the seeded generator behind OpenNI's random
+    finger openings. Every frame's raw angles are clamped once, by
+    :func:`validate_pose`. Frames must be fed in stream order; each layout
+    stream gets its own mapper.
     """
 
     def __init__(self, params=None, profile=None, seed=0):
-        from .model import RobotProfile
-
         self.params = params or MappingParams()
         self.profile = profile or RobotProfile.default()
         self.rng = np.random.Generator(np.random.Philox(seed))
-        limits = self.profile.limits_array()
-        self._values = dict(zip(JOINT_NAMES, limits.mean(axis=1)))
+        self._values = self.profile.limits_array().mean(axis=1)
 
     def map_frame(self, frame):
-        params, profile = self.params, self.profile
-        values = self._values
-        thr = params.confidence_threshold
-
+        values = self._values.copy()
         try:
-            values.update(map_arms(frame, profile, thr))
+            for name, angle in arm_angles(frame, self.params.confidence_threshold).items():
+                values[_INDEX[name]] = angle
         except (StructuralError, DegenerateGeometryError):
             pass  # hold previous arm values
 
         if frame.layout == OPENNI_LAYOUT:
-            self._map_openni_extras(frame)
+            self._map_openni_extras(frame, values)
         else:
-            self._map_openpose_extras(frame)
+            self._map_openpose_extras(frame, values)
 
-        clamped, n_clamped = validate_pose([values[name] for name in JOINT_NAMES], profile)
-        self._values = dict(zip(JOINT_NAMES, clamped.tolist()))
-        return Pose(values=clamped, timestamp=frame.timestamp, n_clamped=int(n_clamped))
+        self._values, n_clamped = validate_pose(values, self.profile)
+        return Pose(values=self._values.copy(), timestamp=frame.timestamp,
+                    n_clamped=int(n_clamped))
 
-    def _map_openni_extras(self, frame):
-        params, profile, values = self.params, self.profile, self._values
+    def _map_openni_extras(self, frame, values):
+        params, thr = self.params, self.params.confidence_threshold
         if frame.head_orientation is not None:
-            head = frame.point("Head", params.confidence_threshold)
-            neck = frame.point("Neck", params.confidence_threshold)
-            if head is not None and neck is not None:
-                try:
-                    yaw, pitch = map_head_openni(
-                        frame.head_orientation, neck, head, params, profile)
-                    values["HeadYaw"], values["HeadPitch"] = yaw, pitch
-                except DegenerateGeometryError:
-                    pass
-        for side, prefix in (("left", "L"), ("right", "R")):
-            pixels = frame.left_pixels if side == "left" else frame.right_pixels
+            try:
+                values[_HEAD] = map_head_openni(frame.head_orientation, frame.point("Neck", thr),
+                                                frame.point("Head", thr), params)
+            except (StructuralError, DegenerateGeometryError):
+                pass  # hold previous head values
+        for prefix, pixels in (("L", frame.left_pixels), ("R", frame.right_pixels)):
             if pixels is not None:
                 try:
-                    values[prefix + "WristYaw"] = map_hand_yaw_openni(
+                    values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openni(
                         pixels[0], pixels[1], params)
                 except UnknownOrientationError:
                     pass  # keep previous wrist yaw
             # fingers are untracked: randomized per frame, seeded
-            values[prefix + "HandOpen"] = float(self.rng.uniform(0.0, 1.0))
+            values[_INDEX[prefix + "HandOpen"]] = self.rng.uniform(0.0, 1.0)
 
-    def _map_openpose_extras(self, frame):
-        params, profile, values = self.params, self.profile, self._values
-        nose = frame.point("Nose", params.confidence_threshold)
-        neck = frame.point("Neck", params.confidence_threshold)
-        if nose is not None and neck is not None:
-            try:
-                yaw, pitch = map_head_openpose(nose, neck, params, profile)
-                values["HeadYaw"], values["HeadPitch"] = yaw, pitch
-            except DegenerateGeometryError:
-                pass
-        for side, prefix in (("left", "L"), ("right", "R")):
-            hand = frame.left_hand if side == "left" else frame.right_hand
+    def _map_openpose_extras(self, frame, values):
+        params, profile, thr = self.params, self.profile, self.params.confidence_threshold
+        try:
+            values[_HEAD] = map_head_openpose(frame.point("Nose", thr), frame.point("Neck", thr),
+                                              params, profile)
+        except (StructuralError, DegenerateGeometryError):
+            pass  # hold previous head values
+        for side, prefix, hand in (("left", "L", frame.left_hand),
+                                   ("right", "R", frame.right_hand)):
             if hand is None:
                 continue  # hold previous hand values
             hand = np.asarray(hand, dtype=float)
             try:
                 if map_hand_side_openpose(hand, side) == PALM and params.palm_up_elbow_offset:
-                    values[prefix + "ElbowYaw"] += params.palm_up_elbow_offset
+                    values[_INDEX[prefix + "ElbowYaw"]] += params.palm_up_elbow_offset
                 wrist_height = float(hand[HAND_WRIST, 1])
-                values[prefix + "WristYaw"] = map_hand_yaw_openpose(
+                values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openpose(
                     hand, wrist_height, params, profile)
-                values[prefix + "HandOpen"] = map_hand_opening_openpose(hand, params)
+                values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand, params)
             except DegenerateGeometryError:
                 pass
 
 
+def _numbers(values, what, line, counts):
+    """The floats of the JSON list ``values``, which must hold ``counts`` finite numbers."""
+    if not isinstance(values, list) or len(values) not in counts:
+        raise ParseError(f"{what} must be a list of {' or '.join(map(str, counts))} numbers", line)
+    values = [float(v) for v in values]
+    if not all(map(math.isfinite, values)):
+        raise ParseError(f"{what} must be finite", line)
+    return values
+
+
 def _frame_from_record(rec, line):
+    """One validated frame; every malformed field is a ParseError naming ``line``."""
     try:
-        layout = rec["layout"]
         body = {}
         confidence = {}
         for name, coords in rec["body"].items():
-            if len(coords) not in (3, 4):
-                raise ParseError(f"keypoint {name} needs 3 or 4 numbers", line)
-            body[name] = tuple(float(c) for c in coords[:3])
+            coords = _numbers(coords, f"keypoint {name}", line, (3, 4))
+            body[name] = tuple(coords[:3])
             if len(coords) == 4:
-                confidence[name] = float(coords[3])
+                confidence[name] = coords[3]
         kwargs = {}
         for key in ("left_hand", "right_hand"):
             if rec.get(key) is not None:
                 kwargs[key] = np.asarray(rec[key], dtype=float)
+                if not np.isfinite(kwargs[key]).all():
+                    raise ParseError(f"{key} must be finite", line)
         for key in ("head_orientation", "left_pixels", "right_pixels"):
             if rec.get(key) is not None:
-                kwargs[key] = tuple(rec[key])
-        return SkeletonFrame(
-            layout=layout,
-            body=body,
-            confidence=confidence,
-            timestamp=float(rec.get("timestamp", 0.0)),
-            **kwargs,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+                kwargs[key] = tuple(_numbers(rec[key], key, line, (2,)))
+                if key.endswith("pixels") and min(kwargs[key]) < 0:
+                    raise ParseError(f"{key} must be non-negative counts", line)
+        timestamp = float(rec.get("timestamp", 0.0))
+        if not math.isfinite(timestamp):
+            raise ParseError("timestamp must be finite", line)
+        # SkeletonFrame checks the keypoint set and the 21 x 3 hand shape
+        return SkeletonFrame(layout=rec["layout"], body=body, confidence=confidence,
+                             timestamp=timestamp, **kwargs)
+    except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc
 
 

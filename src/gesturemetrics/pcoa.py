@@ -75,8 +75,8 @@ def correlation_distance(data, labels=None):
         raise StructuralError("need at least 3 samples for correlations")
     if labels is None:
         labels = [str(i) for i in range(n_cols)]
-    std = data.std(axis=0)
-    dead = np.flatnonzero(std == 0)
+    # ptp, not std: the std of a constant whose mean is inexact is ~1e-16
+    dead = np.flatnonzero(np.ptp(data, axis=0) == 0)
     if dead.size:
         warnings.warn(
             "zero-variance columns treated as uncorrelated (d=1): "

@@ -55,8 +55,8 @@ def resample(stream, target_hz):
     The grid starts at the first timestamp and ends at or before the last;
     endpoints of the source are preserved when they fall on the grid.
     """
-    if not target_hz > 0:
-        raise StructuralError("target rate must be positive")
+    if not (math.isfinite(target_hz) and target_hz > 0):
+        raise StructuralError("target rate must be finite and positive")
     ts = stream.timestamps
     if len(ts) == 1:
         raise StructuralError("cannot resample a single-pose stream")

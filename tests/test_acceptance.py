@@ -224,7 +224,7 @@ def test_criterion_08_mapping_suite():
         # head, depth-camera path: yaw gain and rotated-vector pitch
         neck = np.array([0.25, 1.5, 0.2])
         head = neck + np.array([0.03, 0.21, 0.05])
-        yaw, pitch = map_head_openni((0.4, 0.0), neck, head, params, profile)
+        yaw, pitch = map_head_openni((0.4, 0.0), neck, head, params)
         assert yaw == pytest.approx(params.k1 * 0.4, abs=1e-9)
         hn = head - neck
         rot = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]) @ hn

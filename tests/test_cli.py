@@ -92,6 +92,23 @@ class TestMap:
                      str(tmp_path / "mapped.csv")]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("body", {"LElbow": [0.2, float("nan"), 2.0]}),
+        ("left_pixels", ["a", 3]),
+        ("right_pixels", [-5, 3]),
+        ("head_orientation", [0.1]),
+    ])
+    def test_malformed_capture_is_input_failure(self, tmp_path, capsys, field, value):
+        src = tmp_path / "frames.jsonl"
+        write_openni_jsonl(src, n_frames=6)
+        records = [json.loads(line) for line in src.read_text().splitlines()]
+        records[4][field] = {**records[4][field], **value} if field == "body" else value
+        src.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "mapped.csv"
+        assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
+        assert "line 5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStreamCommands:
     def test_synth_corpus_windowed_directly(self, tmp_path):
@@ -109,6 +126,14 @@ class TestStreamCommands:
         resampled = load_stream(out)
         assert resampled.native_rate_hz == 2.0
         assert len(resampled) == 80  # 159 intervals at 4 Hz span 39.75 s
+
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+    def test_bad_resample_rate_is_input_failure(self, corpus, tmp_path, capsys, rate):
+        stream, _ = corpus
+        out = tmp_path / "resampled.csv"
+        assert main(["resample", "--rate", rate, str(stream), str(out)]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_window_floor_division(self, corpus):
         _, ds_path = corpus

@@ -28,7 +28,6 @@ from gesturemetrics.mapping import (
     StreamMapper,
     arm_angles,
     load_skeleton_frames,
-    map_arms,
     map_hand_opening_openpose,
     map_hand_side_openpose,
     map_hand_yaw_openni,
@@ -100,18 +99,18 @@ class TestRangeConv:
 
 
 class TestHeadOpenni:
-    def test_zero_beta_zero_yaw(self, params, profile):
-        yaw, _ = map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.7, 0), params, profile)
+    def test_zero_beta_zero_yaw(self, params):
+        yaw, _ = map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.7, 0), params)
         assert yaw == 0.0
 
-    def test_unit_gain_passes_beta(self, params, profile):
-        yaw, _ = map_head_openni((0.2, 0.0), (0, 1.5, 0), (0, 1.7, 0), params, profile)
+    def test_unit_gain_passes_beta(self, params):
+        yaw, _ = map_head_openni((0.2, 0.0), (0, 1.5, 0), (0, 1.7, 0), params)
         assert yaw == pytest.approx(0.2, abs=1e-12)
 
-    def test_head_above_neck_pitch_trig_oracle(self, params, profile):
+    def test_head_above_neck_pitch_trig_oracle(self, params):
         neck = np.array([0.3, 1.5, 0.1])
         head = neck + np.array([0.0, 0.2, 0.0])
-        _, pitch = map_head_openni((0.0, 0.0), neck, head, params, profile)
+        _, pitch = map_head_openni((0.0, 0.0), neck, head, params)
         # independent scalar-trig oracle: rotate (0, 0.2, 0) by -pi/2 about y,
         # pitch is atan2(forward component, vertical component)
         hn = head - neck
@@ -124,14 +123,14 @@ class TestHeadOpenni:
         assert pitch == pytest.approx(expected, abs=1e-12)
         assert pitch == pytest.approx(0.0, abs=1e-12)
 
-    def test_k2_term_added_absolutely(self, profile):
+    def test_k2_term_added_absolutely(self):
         params = MappingParams(k2=0.5)
-        _, pitch = map_head_openni((0.0, -0.4), (0, 1.5, 0), (0, 1.7, 0), params, profile)
+        _, pitch = map_head_openni((0.0, -0.4), (0, 1.5, 0), (0, 1.7, 0), params)
         assert pitch == pytest.approx(abs(0.5 * -0.4), abs=1e-12)
 
-    def test_coincident_points_rejected(self, params, profile):
+    def test_coincident_points_rejected(self, params):
         with pytest.raises(DegenerateGeometryError):
-            map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.5, 0), params, profile)
+            map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.5, 0), params)
 
 
 class TestHeadOpenpose:
@@ -342,20 +341,27 @@ class TestArms:
         for name, val in expected.items():
             assert angles[name] == pytest.approx(val, abs=1e-9), name
 
-    def test_map_arms_respects_limits(self, profile):
-        rng = np.random.default_rng(99)
-        frame = random_arm_frame(rng)
-        clamped = map_arms(frame, profile)
-        limits = dict(zip(JOINT_NAMES, profile.joint_limits))
-        for name, val in clamped.items():
-            lo, hi = limits[name]
-            assert lo <= val <= hi
-
     def test_zero_length_limb_rejected(self):
         body = make_openpose_body(LElbow=(0.2, 1.5, 0.0), LShoulder=(0.2, 1.5, 0.0))
         frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
         with pytest.raises(DegenerateGeometryError):
             arm_angles(frame)
+
+
+def n_outside_limits(angles, profile):
+    """How many of the named joint angles lie outside the profile's limits."""
+    limits = dict(zip(JOINT_NAMES, profile.joint_limits))
+    return sum(not limits[name][0] <= angle <= limits[name][1]
+               for name, angle in angles.items())
+
+
+def make_openni_body():
+    body = {name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}
+    body.update({"Head": (0, 1.7, 0), "Neck": (0, 1.5, 0), "Torso": (0, 1.2, 0),
+                 "LShoulder": (0.2, 1.5, 0), "LElbow": (0.45, 1.4, 0.1),
+                 "LHand": (0.6, 1.2, 0.1), "RShoulder": (-0.2, 1.5, 0),
+                 "RElbow": (-0.45, 1.4, 0.1), "RHand": (-0.6, 1.2, 0.1)})
+    return body
 
 
 def make_tpose_frame():
@@ -376,6 +382,60 @@ class TestStreamMapper:
             max(-math.pi / 2, profile.joint_limits[9][0]), abs=1e-6)
         assert values["LElbowRoll"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_poses_within_limits_and_clamps_counted(self, profile):
+        limits = profile.limits_array()
+        mapper = StreamMapper(profile=profile)
+        total = 0
+        for seed in range(20):
+            frame = random_arm_frame(np.random.default_rng(seed))
+            outside = n_outside_limits(arm_angles(frame), profile)
+            pose = mapper.map_frame(frame)
+            assert np.all((limits[:, 0] <= pose.values) & (pose.values <= limits[:, 1]))
+            assert pose.n_clamped == outside
+            total += outside
+        assert total > 0
+
+    def test_palm_up_offset_added_before_the_clamp(self, profile):
+        params = MappingParams(palm_up_elbow_offset=-1.0)
+        idx = JOINT_NAMES.index("LElbowYaw")
+        lo, hi = profile.joint_limits[idx]
+        beyond = 0
+        for seed in range(40):
+            body = random_arm_frame(np.random.default_rng(seed)).body
+            frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body, left_hand=make_hand())
+            assert map_hand_side_openpose(frame.left_hand, "left") == PALM
+            raw = arm_angles(frame)["LElbowYaw"]
+            beyond += raw > hi
+            pose = StreamMapper(params=params, profile=profile).map_frame(frame)
+            assert pose.values[idx] == np.clip(raw - 1.0, lo, hi)
+        assert beyond > 0
+
+    def test_mutating_a_returned_pose_leaves_the_held_values(self):
+        mapper = StreamMapper()
+        first = mapper.map_frame(make_tpose_frame())
+        held = first.values.copy()
+        first.values[:] = 0.5
+        # a neck below the confidence threshold holds arms and head; no hands
+        low = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_tpose_frame().body,
+                            confidence={"Neck": 0.0})
+        assert np.array_equal(mapper.map_frame(low).values, held)
+
+    def test_openni_head_yaw_clamped_once(self, params, profile):
+        body = make_openni_body()
+        yaw, _ = map_head_openni((3.0, 0.0), body["Neck"], body["Head"], params)
+        hi = profile.joint_limits[0][1]
+        assert yaw == pytest.approx(3.0) and yaw > hi
+        frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body, head_orientation=(3.0, 0.0))
+        pose = StreamMapper(profile=profile).map_frame(frame)
+        assert pose.values[0] == hi
+        assert pose.n_clamped == 1 + n_outside_limits(arm_angles(frame), profile)
+
+    def test_negative_pixel_count_raises(self):
+        body = {name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}
+        frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body, left_pixels=(-1, 5))
+        with pytest.raises(StructuralError):
+            StreamMapper().map_frame(frame)
+
     def test_identical_frames_identical_poses_openpose(self):
         mapper = StreamMapper(seed=5)
         p1 = mapper.map_frame(make_tpose_frame())
@@ -395,11 +455,7 @@ class TestStreamMapper:
         assert p2.values[idx] == p1.values[idx]
 
     def test_openni_seeded_fingers_deterministic(self):
-        body = {name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}
-        body.update({"Head": (0, 1.7, 0), "Neck": (0, 1.5, 0), "Torso": (0, 1.2, 0),
-                     "LShoulder": (0.2, 1.5, 0), "LElbow": (0.45, 1.4, 0.1),
-                     "LHand": (0.6, 1.2, 0.1), "RShoulder": (-0.2, 1.5, 0),
-                     "RElbow": (-0.45, 1.4, 0.1), "RHand": (-0.6, 1.2, 0.1)})
+        body = make_openni_body()
         frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body,
                               head_orientation=(0.1, 0.0), left_pixels=(500, 10),
                               right_pixels=(10, 500))
@@ -408,11 +464,7 @@ class TestStreamMapper:
         assert np.array_equal(run1, run2)
 
     def test_openni_non_finger_joints_seed_independent(self):
-        body = {name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}
-        body.update({"Head": (0, 1.7, 0), "Neck": (0, 1.5, 0), "Torso": (0, 1.2, 0),
-                     "LShoulder": (0.2, 1.5, 0), "LElbow": (0.45, 1.4, 0.1),
-                     "LHand": (0.6, 1.2, 0.1), "RShoulder": (-0.2, 1.5, 0),
-                     "RElbow": (-0.45, 1.4, 0.1), "RHand": (-0.6, 1.2, 0.1)})
+        body = make_openni_body()
         frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body,
                               head_orientation=(0.1, 0.0))
         a = StreamMapper(seed=1).map_frame(frame).values
@@ -436,6 +488,19 @@ class TestFrameValidation:
     def test_unknown_layout(self):
         with pytest.raises(StructuralError):
             SkeletonFrame(layout="kinect", body={})
+
+    def test_point_below_threshold_raises(self):
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
+                              confidence={"Nose": 0.05})
+        assert frame.point("Nose", 0.05)[1] == 1.65
+        with pytest.raises(StructuralError, match="Nose"):
+            frame.point("Nose", 0.1)
+
+    @pytest.mark.parametrize("field", ["head_pitch_src", "head_yaw_src",
+                                       "hand_yaw_src", "hand_open_src"])
+    def test_empty_source_interval_rejected(self, field):
+        with pytest.raises(StructuralError):
+            MappingParams(**{field: (0.2, 0.2)})
 
 
 class TestFrameIO:
@@ -461,3 +526,48 @@ class TestFrameIO:
         path.write_text(json.dumps({"timestamp": 0.0}) + "\n")
         with pytest.raises(ParseError):
             load_skeleton_frames(path)
+
+    @pytest.mark.parametrize("layout, field, value", [
+        (OPENNI_LAYOUT, "LElbow", [0.2, float("nan"), 2.0]),
+        (OPENNI_LAYOUT, "LElbow", [0.2, 1.2, 2.0, float("inf")]),
+        (OPENNI_LAYOUT, "LElbow", [0.2, 1.2]),
+        (OPENNI_LAYOUT, "LElbow", [0.2, 1.2, 2.0, 1.0, 1.0]),
+        (OPENNI_LAYOUT, "LElbow", [0.2, 10 ** 400, 2.0]),
+        (OPENNI_LAYOUT, "timestamp", float("nan")),
+        (OPENNI_LAYOUT, "timestamp", [0.25]),
+        (OPENNI_LAYOUT, "head_orientation", [0.1, float("-inf")]),
+        (OPENNI_LAYOUT, "head_orientation", [0.1]),
+        (OPENNI_LAYOUT, "head_orientation", [0.1, 0.0, 0.2]),
+        (OPENNI_LAYOUT, "left_pixels", [float("inf"), 3]),
+        (OPENNI_LAYOUT, "left_pixels", [3]),
+        (OPENNI_LAYOUT, "left_pixels", ["a", 3]),
+        (OPENNI_LAYOUT, "right_pixels", [-1, 3]),
+        (OPENNI_LAYOUT, "left_hand", np.zeros((21, 3)).tolist()),
+        (OPENPOSE_LAYOUT, "left_hand", np.zeros((20, 3)).tolist()),
+        (OPENPOSE_LAYOUT, "right_hand", np.zeros((21, 2)).tolist()),
+        (OPENPOSE_LAYOUT, "right_hand", [[float("nan")] * 3] * 21),
+        (OPENPOSE_LAYOUT, "Nose", [0.0, 1.6, 0.0, float("nan")]),
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, layout, field, value):
+        good = skeleton_record(layout, 0.0)
+        bad = skeleton_record(layout, 0.25)
+        if field in bad["body"]:
+            bad["body"][field] = value
+        else:
+            bad[field] = value
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_skeleton_frames(path)
+
+
+def skeleton_record(layout, timestamp):
+    """A valid capture record of either layout, as written to a JSONL file."""
+    if layout == OPENNI_LAYOUT:
+        body = {name: [0.0, 0.0, 0.0] for name in OPENNI_KEYPOINTS}
+        return {"layout": layout, "timestamp": timestamp, "body": body,
+                "head_orientation": [0.1, 0.0], "left_pixels": [300, 100],
+                "right_pixels": [100, 300]}
+    body = {name: [0.0, 0.0, 0.0] for name in OPENPOSE_KEYPOINTS}
+    return {"layout": layout, "timestamp": timestamp, "body": body,
+            "left_hand": make_hand().tolist(), "right_hand": make_hand().tolist()}

@@ -65,6 +65,19 @@ class TestCorrelationDistance:
                            rtol=0.0, atol=1e-12)
         assert np.all(dm.d[2, keep] == 1.0)
 
+    def test_constants_with_inexact_mean_are_dead(self):
+        # np.mean of 37 copies of 0.3 or 1.7 is not exact, so their std is ~1e-16
+        rng = np.random.default_rng(5)
+        data = np.column_stack([rng.normal(size=(37, 3)), np.full(37, 0.3),
+                                np.full(37, 1.7), np.full(37, 3.0)])
+        labels = ["a", "b", "c", "k03", "k17", "k30"]
+        with pytest.warns(UserWarning, match="zero-variance") as record:
+            dm = correlation_distance(data, labels=labels)
+        assert "k03, k17, k30" in str(record[0].message)
+        dead = [3, 4, 5]
+        off_diagonal = ~np.eye(6, dtype=bool)
+        assert np.all(dm.d[dead][off_diagonal[dead]] == 1.0)  # d is symmetric
+
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(25, 6))

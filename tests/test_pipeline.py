@@ -69,6 +69,11 @@ class TestResample:
         with pytest.raises(StructuralError):
             resample(stream, 4.0)
 
+    @pytest.mark.parametrize("rate", [0.0, -4.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(StructuralError, match="finite and positive"):
+            resample(make_stream(9, rate_hz=2.0), rate)
+
 
 class TestMatchLengths:
     def test_large_stream_truncation(self):
