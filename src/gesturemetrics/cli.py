@@ -84,8 +84,6 @@ def _cmd_map(args):
     if not frames:
         raise StructuralError("no frames in input")
     span = frames[-1].timestamp - frames[0].timestamp
-    if len(frames) > 1 and not span > 0:
-        raise StructuralError("frame timestamps must be strictly increasing")
     mapper = StreamMapper(params=MappingParams(), profile=_load_profile(args),
                           seed=args.seed)
     values = np.array([mapper.map_frame(frame).values for frame in frames])
@@ -147,10 +145,10 @@ def _cmd_pcoa(args):
 def _cmd_procrustes(args):
     reflections = not args.no_reflections
     if args.coordinates:
-        y_o = np.loadtxt(args.original, delimiter=",", ndmin=2)
-        y_g = np.loadtxt(args.generated, delimiter=",", ndmin=2)
         if args.mu is None:
             raise StructuralError("--mu is required with --coordinates")
+        y_o = pipeline.load_matrix(args.original)
+        y_g = pipeline.load_matrix(args.generated)
         result = procrustes(y_o, y_g, args.mu, allow_reflections=reflections)
     else:
         ds_o, ds_g = _load_pair(args)

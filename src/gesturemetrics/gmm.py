@@ -38,7 +38,6 @@ class GmmModel:
     mu: int
     dt: float
     log_likelihoods: list = field(default_factory=list)
-    covariance_floored: bool = False
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -100,7 +99,8 @@ def _log_gaussian(x, means, covariance):
 def _e_step(x, means, covariance, log_weights):
     """Responsibilities (N x K) and the log-likelihood of every row of x."""
     log_prob = _log_gaussian(x, means, covariance) + log_weights
-    log_norm = np.logaddexp.reduce(log_prob, axis=1)
+    top = log_prob.max(axis=1)
+    log_norm = top + np.log(np.sum(np.exp(log_prob - top[:, None]), axis=1))
     return np.exp(log_prob - log_norm[:, None]), log_norm
 
 
@@ -113,28 +113,20 @@ def _m_step(xc, gram, resp):
     return nk / len(xc), means, (scatter + scatter.T) / (2.0 * len(xc))
 
 
-def _regularize(cov):
-    floor = COV_REG * float(np.mean(np.diag(cov)))
-    if floor <= 0:
-        floor = COV_REG
-    cov = cov + floor * np.eye(cov.shape[0])
-    floored = False
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig < floor / 2:
-        cov = cov + (floor - min_eig) * np.eye(cov.shape[0])
-        floored = True
-    return cov, floored
-
-
 def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_TOL):
-    """EM fit of a K-component tied-covariance mixture to a dataset.
+    """MAP-EM fit of a K-component tied-covariance mixture to a dataset.
 
-    Initialization is k-means++ seeding on the given seed; iteration stops
-    when the per-step log-likelihood gain drops below ``rel_tol * |LL|``.
-    The recorded log-likelihood trace is non-decreasing.
+    k-means++ seeding on the given seed, refined by Lloyd, starts the fit.
+    Every covariance is the pooled scatter plus one ridge, fixed from the
+    initial within-cluster covariance (``COV_REG`` times its mean variance).
+    That is EM under a conjugate prior, whose penalized objective
+    ``sum_i log p(x_i) - (n * ridge / 2) tr(cov^-1)`` never decreases;
+    ``log_likelihoods`` traces it. A step that gains less than
+    ``rel_tol * |objective|`` ends the fit and is traced only if it did not
+    fall (a fall that small is round-off).
     """
     x = as_matrix(ds)
-    n = x.shape[0]
+    n, d = x.shape
     if n < k:
         raise StructuralError(f"need at least k={k} units, got {n}")
     rng = _rng(seed)
@@ -156,25 +148,23 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     # within-cluster scatter of the initial assignment; the total covariance
     # would swamp the between-cluster separation and merge the components
     centered = xc - means[assign]
-    covariance, floored = _regularize(centered.T @ centered / n)
+    covariance = centered.T @ centered / n
+    ridge = COV_REG * float(np.mean(np.diag(covariance))) or COV_REG
+    prior = ridge * np.eye(d)
+    covariance = covariance + prior
 
     lls = []
-    prev_params = None
     for _ in range(max_iter):
         resp, log_norm = _e_step(xc, means, covariance, np.log(weights))
-        ll = float(np.sum(log_norm))
-        if lls and ll < lls[-1]:
-            # the regularization floor can break exact EM monotonicity on
-            # tiny or degenerate data; keep the best parameters and stop
-            weights, means, covariance = prev_params
+        penalty = 0.5 * n * ridge * np.trace(np.linalg.inv(covariance))
+        objective = float(np.sum(log_norm)) - penalty
+        if lls and objective - lls[-1] < rel_tol * abs(objective):
+            if objective >= lls[-1]:
+                lls.append(objective)
             break
-        lls.append(ll)
-        if len(lls) > 1 and lls[-1] - lls[-2] < rel_tol * abs(lls[-1]):
-            break
-        prev_params = (weights, means, covariance)
+        lls.append(objective)
         weights, means, pooled = _m_step(xc, gram, resp)
-        covariance, step_floored = _regularize(pooled)
-        floored = floored or step_floored
+        covariance = pooled + prior
 
     return GmmModel(
         weights=weights,
@@ -183,7 +173,6 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
         mu=ds.mu,
         dt=ds.dt,
         log_likelihoods=lls,
-        covariance_floored=floored,
     )
 
 
@@ -217,7 +206,6 @@ def save_model(model, path):
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "covariance": model.covariance.tolist(),
-        "covariance_floored": model.covariance_floored,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -239,7 +227,6 @@ def load_model(path):
         covariance=np.array(doc["covariance"]),
         mu=int(doc["mu"]),
         dt=float(doc["dt"]),
-        covariance_floored=bool(doc.get("covariance_floored", False)),
     )
     if model.k != doc["k"] or model.d != doc["d"]:
         raise ParseError("model matrix shapes disagree with declared k/d")

@@ -431,7 +431,7 @@ def _frame_from_record(rec, line):
 
 
 def load_skeleton_frames(path):
-    """Read line-delimited JSON skeleton records (one frame per line)."""
+    """Read line-delimited JSON skeleton records (one frame per line, increasing timestamps)."""
     frames = []
     with open(path) as fh:
         for lineno, text in enumerate(fh, start=1):
@@ -442,5 +442,8 @@ def load_skeleton_frames(path):
                 rec = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc}", lineno) from exc
-            frames.append(_frame_from_record(rec, lineno))
+            frame = _frame_from_record(rec, lineno)
+            if frames and not frame.timestamp > frames[-1].timestamp:
+                raise ParseError("frame timestamps must be strictly increasing", lineno)
+            frames.append(frame)
     return frames

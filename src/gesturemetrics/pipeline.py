@@ -213,3 +213,12 @@ def load_stream(path):
         raise ParseError("stream file header row is malformed", consumed + 1)
     rows = _parse_rows(body[1:], consumed + 2, N_JOINTS + 1, "stream file contains no poses")
     return PoseStream(values=rows[:, 1:], timestamps=rows[:, 0], native_rate_hz=rate)
+
+
+def load_matrix(path):
+    """Comma-separated float rows (e.g. PCoA coordinates) after any leading ``#`` lines."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    _, consumed = _parse_meta(lines)
+    width = next((len(line.split(",")) for line in lines[consumed:] if line.strip()), 0)
+    return _parse_rows(lines[consumed:], consumed + 1, width, "matrix file contains no rows")

@@ -92,6 +92,18 @@ class TestMap:
                      str(tmp_path / "mapped.csv")]) == 2
         assert "strictly increasing" in capsys.readouterr().err
 
+    def test_repeated_middle_timestamp_is_input_failure(self, tmp_path, capsys):
+        src = tmp_path / "frames.jsonl"
+        write_openni_jsonl(src, n_frames=6)
+        records = [json.loads(line) for line in src.read_text().splitlines()]
+        records[3]["timestamp"] = records[2]["timestamp"]
+        src.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "mapped.csv"
+        assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4: frame timestamps must be strictly increasing" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("body", {"LElbow": [0.2, float("nan"), 2.0]}),
         ("left_pixels", ["a", 3]),
@@ -177,6 +189,21 @@ class TestMetricCommands:
         a = tmp_path / "a.csv"
         np.savetxt(a, np.random.default_rng(0).normal(size=(6, 2)), delimiter=",")
         assert main(["procrustes", "--coordinates", str(a), str(a)]) == 2
+
+    @pytest.mark.parametrize("cell, message", [("abc", "non-numeric cell"),
+                                               ("nan", "non-finite cell")])
+    def test_procrustes_bad_coordinate_is_input_failure(self, tmp_path, capsys, cell, message):
+        good = tmp_path / "good.csv"
+        np.savetxt(good, np.random.default_rng(0).normal(size=(6, 2)), delimiter=",")
+        lines = good.read_text().splitlines()
+        lines[3] = cell + lines[3][lines[3].index(","):]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "orig.json"
+        assert main(["procrustes", "--coordinates", "--mu", "1", str(good), str(bad),
+                     "--out", str(out)]) == 2
+        assert f"line 4: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_motion_stats(self, corpus, tmp_path):
         _, ds = corpus

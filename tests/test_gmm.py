@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.gmm import (
+    DEFAULT_REL_TOL,
     GmmModel,
     _kmeanspp_centers,
     _log_gaussian,
@@ -17,6 +20,7 @@ from gesturemetrics.gmm import (
     save_model,
 )
 from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
+from gesturemetrics.synth import beat_gesture_corpus
 
 D = N_JOINTS  # mu=1 keeps the tests fast
 
@@ -92,6 +96,16 @@ class TestFit:
         x = 1e6 * (as_matrix(two_cluster_dataset(rng, 100)) + 5.0)
         model = fit(GestureDataset(matrix=x, dt=0.25), k=3, seed=0)
         assert np.array_equal(model.covariance, model.covariance.T)
+
+    @pytest.mark.parametrize("mu", [8, 10])
+    def test_rank_deficient_corpus_converges(self, mu):
+        # 14*mu columns but rank about 85: only the fixed ridge keeps the
+        # covariance invertible, and EM must still converge monotonically
+        ds = beat_gesture_corpus(2400, mu, seed=0)
+        lls = np.array(fit(ds, k=24, seed=0).log_likelihoods)
+        assert lls.size > 7
+        assert np.all(np.diff(lls) >= 0)
+        assert lls[-1] - lls[-2] < DEFAULT_REL_TOL * abs(lls[-1])
 
     def test_too_few_units_rejected(self):
         rng = np.random.default_rng(5)
@@ -321,7 +335,19 @@ class TestModelIO:
         assert np.array_equal(back.covariance, model.covariance)
         assert back.mu == model.mu
         assert back.dt == model.dt
-        assert back.covariance_floored == model.covariance_floored
+
+    def test_file_with_covariance_floored_key_loads(self, tmp_path):
+        # models written before the fixed ridge carry a covariance_floored flag
+        rng = np.random.default_rng(14)
+        model = fit(gaussian_dataset(rng, 50), k=2, seed=0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["covariance_floored"] = True
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert np.array_equal(back.covariance, model.covariance)
+        assert np.array_equal(back.means, model.means)
 
     def test_truncated_file_rejected(self, tmp_path):
         rng = np.random.default_rng(11)
