@@ -9,7 +9,7 @@ originality is the Procrustes residual ss and its ss/(14 mu) normalization.
 import numpy as np
 
 from gesturemetrics.model import as_matrix
-from gesturemetrics.pcoa import fidelity_report
+from gesturemetrics.pcoa import analyze_dataset_structure, fidelity_report
 from gesturemetrics.report import originality
 from gesturemetrics.synth import beat_gesture_corpus
 
@@ -17,7 +17,9 @@ MU = 4
 
 
 def compare(name, matrix_o, matrix_g):
-    report, res_o, res_g = fidelity_report(matrix_o, matrix_g, MU)
+    res_o = analyze_dataset_structure(matrix_o, MU)
+    res_g = analyze_dataset_structure(matrix_g, MU)
+    report = fidelity_report(res_o, res_g)
     proc = originality(res_o, res_g, MU, report.dims)
     r2 = np.array(report.r2)
     print(f"\n== {name} ==")

@@ -116,12 +116,14 @@ def _cmd_match_lengths(args):
     return EXIT_OK
 
 
-def _load_pair(args):
+def _analyze_pair(args):
+    """Load both datasets, check that their ``mu`` agree and analyze each: (res_o, res_g, mu)."""
     ds_o = pipeline.load_dataset(args.original)
     ds_g = pipeline.load_dataset(args.generated)
     if ds_o.mu != ds_g.mu:
         raise StructuralError(f"mu mismatch: {ds_o.mu} vs {ds_g.mu}")
-    return ds_o, ds_g
+    return (analyze_dataset_structure(as_matrix(ds_o), ds_o.mu),
+            analyze_dataset_structure(as_matrix(ds_g), ds_g.mu), ds_o.mu)
 
 
 def _write_spectra(args, fidelity):
@@ -133,10 +135,8 @@ def _write_spectra(args, fidelity):
 
 
 def _cmd_pcoa(args):
-    ds_o, ds_g = _load_pair(args)
-    report, _, _ = fidelity_report(as_matrix(ds_o), as_matrix(ds_g),
-                                   ds_o.mu, dims=args.dims)
-    doc = report.to_dict()
+    res_o, res_g, _ = _analyze_pair(args)
+    doc = fidelity_report(res_o, res_g, dims=args.dims).to_dict()
     _write_output(doc, args.out, args.format)
     _write_spectra(args, doc)
     return EXIT_OK
@@ -151,10 +151,8 @@ def _cmd_procrustes(args):
         y_g = pipeline.load_matrix(args.generated)
         result = procrustes(y_o, y_g, args.mu, allow_reflections=reflections)
     else:
-        ds_o, ds_g = _load_pair(args)
-        result = originality(analyze_dataset_structure(as_matrix(ds_o), ds_o.mu),
-                             analyze_dataset_structure(as_matrix(ds_g), ds_g.mu),
-                             ds_o.mu, args.dims, allow_reflections=reflections)
+        res_o, res_g, mu = _analyze_pair(args)
+        result = originality(res_o, res_g, mu, args.dims, allow_reflections=reflections)
     _write_output(result.to_dict(), args.out, args.format)
     return EXIT_OK
 
@@ -193,12 +191,12 @@ def _cmd_evaluate(args):
     ds_o = pipeline.load_dataset(args.original)
     ds_g = pipeline.load_dataset(args.generated)
     model = gmm.load_model(args.model) if args.model else None
-    summary = evaluate(ds_o, ds_g, model, _load_profile(args),
-                       dims=args.dims, bootstrap=args.bootstrap, seed=args.seed)
-    _write_output(summary.to_dict(), args.out, args.format)
-    if summary.fidelity:
-        _write_spectra(args, summary.fidelity)
-    return EXIT_METRIC_FAILURE if summary.errors else EXIT_OK
+    doc = evaluate(ds_o, ds_g, model, _load_profile(args),
+                   dims=args.dims, bootstrap=args.bootstrap, seed=args.seed)
+    _write_output(doc, args.out, args.format)
+    if doc["fidelity"]:
+        _write_spectra(args, doc["fidelity"])
+    return EXIT_METRIC_FAILURE if doc["errors"] else EXIT_OK
 
 
 def _cmd_synth_corpus(args):

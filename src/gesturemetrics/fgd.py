@@ -15,7 +15,7 @@ get a tiny jitter when needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,11 +52,7 @@ class FgdResult:
     bootstrap_std: float | None = None
 
     def to_dict(self):
-        return {
-            "value": self.value,
-            "bootstrap_mean": self.bootstrap_mean,
-            "bootstrap_std": self.bootstrap_std,
-        }
+        return asdict(self)
 
 
 def stats_from_features(features):
@@ -107,6 +103,12 @@ def frechet_distance(a, b):
     return value
 
 
+def check_bootstrap(bootstrap):
+    """Reject a negative number of bootstrap draws."""
+    if bootstrap < 0:
+        raise StructuralError(f"bootstrap must be at least 0, got {bootstrap}")
+
+
 def fgd(model, ds_a, ds_b, bootstrap=0, seed=0):
     """FGD between two datasets through a reference mixture.
 
@@ -114,10 +116,11 @@ def fgd(model, ds_a, ds_b, bootstrap=0, seed=0):
     that many times and the returned result additionally carries the
     bootstrap mean and standard deviation of the distance.
     """
+    check_bootstrap(bootstrap)
     feats_a = posterior_matrix(model, ds_a)
     feats_b = posterior_matrix(model, ds_b)
     value = frechet_distance(stats_from_features(feats_a), stats_from_features(feats_b))
-    if bootstrap <= 0:
+    if bootstrap == 0:
         return FgdResult(value=value)
     rng = np.random.Generator(np.random.Philox(seed))
     draws = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .model import GestureDataset, as_matrix
+from .model import N_JOINTS, GestureDataset, as_matrix
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_K = 24
@@ -43,10 +43,15 @@ class GmmModel:
         self.weights = np.asarray(self.weights, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in
+                   (self.weights, self.means, self.covariance, self.dt)):
+            raise StructuralError("model weights, means, covariance and dt must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-10 or np.any(self.weights < 0):
             raise StructuralError("weights must be non-negative and sum to 1")
         if self.means.shape != (self.k, self.d):
             raise StructuralError("means must be K x d")
+        if self.d != N_JOINTS * self.mu:
+            raise StructuralError(f"model dimension d={self.d} is not 14 * mu (mu={self.mu})")
         if self.covariance.shape != (self.d, self.d):
             raise StructuralError("covariance must be d x d")
         if not np.allclose(self.covariance, self.covariance.T, atol=1e-10):
@@ -127,6 +132,8 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     """
     x = as_matrix(ds)
     n, d = x.shape
+    if k < 1:
+        raise StructuralError(f"k must be at least 1, got {k}")
     if n < k:
         raise StructuralError(f"need at least k={k} units, got {n}")
     rng = _rng(seed)

@@ -11,7 +11,7 @@ eigenvalues quoted anywhere depend on it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import DegenerateGeometryError, StructuralError
 from .model import column_labels
 
 EIG_TOL = 1e-10
+SPECTRUM_LEN = 28   # spectra are zero-padded or cut to this many eigenvalues
 
 
 @dataclass
@@ -26,7 +27,6 @@ class DistanceMatrix:
     """Symmetric non-negative distances with zero diagonal."""
 
     d: np.ndarray
-    labels: list = field(default_factory=list)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
@@ -39,8 +39,6 @@ class DistanceMatrix:
         if np.any(d < 0):
             raise StructuralError("distances must be non-negative")
         self.d = d
-        if not self.labels:
-            self.labels = [str(i) for i in range(d.shape[0])]
 
     @property
     def n(self):
@@ -90,7 +88,7 @@ def correlation_distance(data, labels=None):
     d = np.sqrt(np.clip(1.0 - r, 0.0, None))
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d=d, labels=list(labels))
+    return DistanceMatrix(d=d)
 
 
 def geometric_variability(dm):
@@ -104,7 +102,7 @@ def scale_to_unit_geometric_variability(dm):
     v = geometric_variability(dm)
     if v <= 0:
         raise DegenerateGeometryError("all-zero distance matrix cannot be scaled")
-    return DistanceMatrix(d=dm.d / np.sqrt(v), labels=list(dm.labels))
+    return DistanceMatrix(d=dm.d / np.sqrt(v))
 
 
 def pcoa(dm, eig_tol=EIG_TOL):
@@ -132,10 +130,8 @@ def pcoa(dm, eig_tol=EIG_TOL):
     keep = evals > cutoff
     evals, evecs = evals[keep], evecs[:, keep]
     # deterministic sign: largest-magnitude component of each axis positive
-    for j in range(evecs.shape[1]):
-        pivot = np.argmax(np.abs(evecs[:, j]))
-        if evecs[pivot, j] < 0:
-            evecs[:, j] = -evecs[:, j]
+    pivots = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])]
+    evecs = np.where(pivots < 0, -evecs, evecs)
     coords = evecs * np.sqrt(evals)
     return PcoaResult(coordinates=coords, eigenvalues=evals,
                       dropped_negative_mass=dropped)
@@ -163,8 +159,8 @@ def r2_recovery(y_o, y_g):
         raise StructuralError("configurations must have the same number of rows")
     n = y_o.shape[0]
     design = np.column_stack([np.ones(n), y_g])
-    rank_deficient = bool(np.linalg.matrix_rank(design) < design.shape[1])
-    coef, _, _, _ = np.linalg.lstsq(design, y_o, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, y_o, rcond=None)
+    rank_deficient = bool(rank < design.shape[1])
     resid = y_o - design @ coef
     ssr = np.sum(resid ** 2, axis=0)
     sst = np.sum((y_o - y_o.mean(axis=0)) ** 2, axis=0)
@@ -186,15 +182,7 @@ class FidelityReport:
     rank_deficient: bool = False
 
     def to_dict(self):
-        return {
-            "eigen_spectrum_original": self.eigen_spectrum_original,
-            "eigen_spectrum_generated": self.eigen_spectrum_generated,
-            "r2": self.r2,
-            "explained_variance_original_pct": self.explained_variance_original_pct,
-            "explained_variance_generated_pct": self.explained_variance_generated_pct,
-            "dims": self.dims,
-            "rank_deficient": self.rank_deficient,
-        }
+        return asdict(self)
 
 
 def analyze_dataset_structure(matrix, mu):
@@ -204,28 +192,42 @@ def analyze_dataset_structure(matrix, mu):
     return pcoa(dm)
 
 
-def fidelity_report(matrix_original, matrix_generated, mu, dims=10, spectrum_len=28):
-    """Full fidelity analysis between an original and a generated dataset.
+def check_dims(dims):
+    """Reject a requested number of principal coordinates below 1."""
+    if dims < 1:
+        raise StructuralError(f"dims must be at least 1, got {dims}")
 
-    Both matrices must be N x (14*mu). ``dims`` principal coordinates feed
-    the regressions; spectra are zero-padded to ``spectrum_len`` entries.
+
+def leading_coordinates(res_original, res_generated, dims):
+    """The first ``dims`` principal coordinates of both results, or fewer
+    when either result retained fewer dimensions."""
+    check_dims(dims)
+    d = min(dims, res_original.eigenvalues.size, res_generated.eigenvalues.size)
+    return res_original.coordinates[:, :d], res_generated.coordinates[:, :d]
+
+
+def fidelity_report(res_original, res_generated, dims=10):
+    """Fidelity of a generated dataset's structure to the original's.
+
+    Takes the two :func:`analyze_dataset_structure` results. Each of the
+    original's leading coordinates (see :func:`leading_coordinates`) is
+    regressed on all of the generated ones; spectra are zero-padded or cut
+    to ``SPECTRUM_LEN`` entries.
     """
-    res_o = analyze_dataset_structure(matrix_original, mu)
-    res_g = analyze_dataset_structure(matrix_generated, mu)
-    dims_avail = min(dims, res_o.eigenvalues.size, res_g.eigenvalues.size)
-    r2, rank_deficient = r2_recovery(
-        res_o.coordinates[:, :dims_avail], res_g.coordinates[:, :dims_avail])
+    y_o, y_g = leading_coordinates(res_original, res_generated, dims)
+    dims = y_o.shape[1]
+    r2, rank_deficient = r2_recovery(y_o, y_g)
 
     def spectrum(res):
-        lam = res.eigenvalues[:spectrum_len]
-        return np.pad(lam, (0, spectrum_len - lam.size)).tolist()
+        lam = res.eigenvalues[:SPECTRUM_LEN]
+        return np.pad(lam, (0, SPECTRUM_LEN - lam.size)).tolist()
 
     return FidelityReport(
-        eigen_spectrum_original=spectrum(res_o),
-        eigen_spectrum_generated=spectrum(res_g),
+        eigen_spectrum_original=spectrum(res_original),
+        eigen_spectrum_generated=spectrum(res_generated),
         r2=r2.tolist(),
-        explained_variance_original_pct=explained_variance(res_o, dims_avail),
-        explained_variance_generated_pct=explained_variance(res_g, dims_avail),
-        dims=dims_avail,
+        explained_variance_original_pct=explained_variance(res_original, dims),
+        explained_variance_generated_pct=explained_variance(res_generated, dims),
+        dims=dims,
         rank_deficient=rank_deficient,
-    ), res_o, res_g
+    )

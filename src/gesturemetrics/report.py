@@ -3,105 +3,83 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import GestureError, StructuralError
+from .fgd import check_bootstrap
 from .fgd import fgd as compute_fgd
 from .model import as_matrix
 from .motion import motion_report
-from .pcoa import fidelity_report
+from .pcoa import analyze_dataset_structure, check_dims, fidelity_report, leading_coordinates
 from .procrustes import procrustes
 
 
-@dataclass
-class EvaluationSummary:
-    """All evaluation signals for one original/generated dataset pair.
-
-    Any stage that fails is marked skipped with its error message; the
-    remaining stages still run.
-    """
-
-    fidelity: dict | None = None
-    originality: dict | None = None
-    motion_original: dict | None = None
-    motion_generated: dict | None = None
-    fgd: dict | None = None
-    errors: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "fidelity": self.fidelity,
-            "originality": self.originality,
-            "motion_original": self.motion_original,
-            "motion_generated": self.motion_generated,
-            "fgd": self.fgd,
-            "errors": self.errors,
-            "metadata": self.metadata,
-        }
-
-
 def originality(res_original, res_generated, mu, dims, allow_reflections=True):
-    """Procrustes statistic between the leading principal coordinates of two PCoA results.
-
-    Both coordinate sets are cut to ``dims`` columns, or fewer when either
-    result retained fewer dimensions.
-    """
-    d = min(dims, res_original.eigenvalues.size, res_generated.eigenvalues.size)
-    return procrustes(res_original.coordinates[:, :d], res_generated.coordinates[:, :d],
-                      mu, allow_reflections=allow_reflections)
+    """Procrustes statistic between the leading principal coordinates of two
+    :func:`analyze_dataset_structure` results, cut as by :func:`leading_coordinates`."""
+    y_o, y_g = leading_coordinates(res_original, res_generated, dims)
+    return procrustes(y_o, y_g, mu, allow_reflections=allow_reflections)
 
 
 def evaluate(ds_original, ds_generated, model, profile, dims=10,
              bootstrap=0, seed=0):
-    """Run fidelity, originality, motion and FGD analyses jointly."""
+    """Run fidelity, originality, motion and FGD analyses jointly.
+
+    Each dataset is analyzed once (:func:`analyze_dataset_structure`); the
+    fidelity and originality stages both read that pair. Returns the summary
+    document: one entry per stage, ``errors`` and ``metadata``. A stage that
+    fails is ``None`` and its message is kept under ``errors``; the remaining
+    stages still run. Bad arguments raise before any stage runs.
+    """
     if ds_original.mu != ds_generated.mu:
         raise StructuralError(
             f"mu mismatch: original has {ds_original.mu}, generated has {ds_generated.mu}")
-    summary = EvaluationSummary(metadata={
-        "mu": ds_original.mu,
-        "dt": ds_original.dt,
-        "n_original": len(ds_original),
-        "n_generated": len(ds_generated),
-        "dims": dims,
-        "bootstrap": bootstrap,
-        "seed": seed,
-        "toolkit_version": __version__,
-    })
+    check_dims(dims)
+    check_bootstrap(bootstrap)
+    mu = ds_original.mu
+    doc = {"fidelity": None, "originality": None, "motion_original": None,
+           "motion_generated": None, "fgd": None, "errors": {}, "metadata": {
+               "mu": mu,
+               "dt": ds_original.dt,
+               "n_original": len(ds_original),
+               "n_generated": len(ds_generated),
+               "dims": dims,
+               "bootstrap": bootstrap,
+               "seed": seed,
+               "toolkit_version": __version__,
+           }}
+    errors = doc["errors"]
 
-    coords = {}
+    pair = None
     try:
-        report, res_o, res_g = fidelity_report(
-            as_matrix(ds_original), as_matrix(ds_generated), ds_original.mu, dims=dims)
-        summary.fidelity = report.to_dict()
-        coords["o"], coords["g"] = res_o, res_g
+        pair = (analyze_dataset_structure(as_matrix(ds_original), mu),
+                analyze_dataset_structure(as_matrix(ds_generated), mu))
+        doc["fidelity"] = fidelity_report(*pair, dims=dims).to_dict()
     except Exception as exc:  # stage isolation: record and continue
-        summary.errors["fidelity"] = str(exc)
+        errors["fidelity"] = str(exc)
 
     try:
-        if not coords:
+        if pair is None:
             raise StructuralError("skipped: fidelity stage failed, no coordinates")
-        summary.originality = originality(coords["o"], coords["g"], ds_original.mu,
-                                          dims).to_dict()
+        doc["originality"] = originality(*pair, mu, dims).to_dict()
     except Exception as exc:
-        summary.errors["originality"] = str(exc)
+        errors["originality"] = str(exc)
 
     for name, ds in (("motion_original", ds_original), ("motion_generated", ds_generated)):
         try:
-            setattr(summary, name, motion_report(ds, profile).to_dict())
+            doc[name] = motion_report(ds, profile).to_dict()
         except Exception as exc:
-            summary.errors[name] = str(exc)
+            errors[name] = str(exc)
 
     try:
         if model is None:
             raise StructuralError("skipped: no reference model supplied")
-        summary.fgd = compute_fgd(model, ds_original, ds_generated,
-                                  bootstrap=bootstrap, seed=seed).to_dict()
+        doc["fgd"] = compute_fgd(model, ds_original, ds_generated,
+                                 bootstrap=bootstrap, seed=seed).to_dict()
     except Exception as exc:
-        summary.errors["fgd"] = str(exc)
+        errors["fgd"] = str(exc)
 
-    return summary
+    return doc
 
 
 def dump_json(doc, path=None):

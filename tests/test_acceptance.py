@@ -34,7 +34,7 @@ from gesturemetrics.model import (
     as_matrix,
 )
 from gesturemetrics.motion import jerk, path_length
-from gesturemetrics.pcoa import DistanceMatrix, fidelity_report, pcoa
+from gesturemetrics.pcoa import DistanceMatrix, analyze_dataset_structure, fidelity_report, pcoa
 from gesturemetrics.procrustes import procrustes
 from gesturemetrics.synth import beat_gesture_corpus
 
@@ -78,7 +78,9 @@ def test_criterion_01_metric_identity_suite():
         ds = beat_gesture_corpus(400, 4, seed=0)
         assert len(ds) == 100
         matrix = as_matrix(ds)
-        report, res_o, res_g = fidelity_report(matrix, matrix.copy(), 4)
+        res_o = analyze_dataset_structure(matrix, 4)
+        res_g = analyze_dataset_structure(matrix.copy(), 4)
+        report = fidelity_report(res_o, res_g)
         assert np.allclose(report.r2, 1.0, atol=1e-8)
         d = report.dims
         res = procrustes(res_o.coordinates[:, :d], res_g.coordinates[:, :d], 4)

@@ -354,6 +354,65 @@ class TestErrors:
         assert main(["motion-stats", str(tiny_dt)]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("dims", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["pcoa", "procrustes", "evaluate"])
+    def test_dims_below_one_is_input_failure(self, corpus, tmp_path, capsys, command, dims):
+        _, ds = corpus
+        out = tmp_path / "out.json"
+        assert main([command, "--dims", dims, str(ds), str(ds), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dims must be at least 1, got {dims}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_is_input_failure(self, corpus, tmp_path, capsys, k):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", k, str(ds), "--out", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: k must be at least 1, got {k}\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["fgd", "evaluate"])
+    def test_negative_bootstrap_is_input_failure(self, corpus, tmp_path, capsys, command):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        out = tmp_path / "out.json"
+        assert main([command, "--model", str(model), "--bootstrap", "-1", str(ds), str(ds),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bootstrap must be at least 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("weights", float("nan"), "must be finite"),
+        ("means", float("inf"), "must be finite"),
+        ("covariance", float("nan"), "must be finite"),
+        ("dt", float("inf"), "must be finite"),
+        ("mu", 3, "is not 14 * mu"),
+    ])
+    @pytest.mark.parametrize("command", ["generate", "fgd"])
+    def test_bad_model_file_is_input_failure(self, corpus, tmp_path, capsys, command,
+                                             key, value, message):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        if key in ("mu", "dt"):
+            doc[key] = value
+        else:
+            cells = np.array(doc[key])
+            cells.flat[0] = value
+            doc[key] = cells.tolist()
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        argv = (["generate", "--model", str(model), "-n", "10", "--out", str(out)]
+                if command == "generate" else
+                ["fgd", "--model", str(model), str(ds), str(ds), "--out", str(out)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_bad_usage_exit_two(self):
         assert main(["window"]) == 2
 

@@ -113,6 +113,12 @@ class TestFit:
         with pytest.raises(StructuralError):
             fit(ds, k=5, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_rejected(self, k):
+        ds = gaussian_dataset(np.random.default_rng(5), 20)
+        with pytest.raises(StructuralError, match="k must be at least 1"):
+            fit(ds, k=k, seed=0)
+
 
 def per_component_log_gaussian(x, means, covariance):
     """Reference E-step: one triangular solve per component."""
@@ -232,6 +238,23 @@ class TestModelValidation:
         with pytest.raises(StructuralError):
             GmmModel(weights=np.array([0.5, 0.5]), means=np.zeros((3, D)),
                      covariance=np.eye(D), mu=1, dt=0.25)
+
+    @pytest.mark.parametrize("field", ["weights", "means", "covariance", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        parts = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, D)),
+                 "covariance": np.eye(D), "dt": 0.25}
+        if field == "dt":
+            parts["dt"] = value
+        else:
+            parts[field].flat[-1] = value
+        with pytest.raises(StructuralError, match="must be finite"):
+            GmmModel(mu=1, **parts)
+
+    def test_dimension_must_be_fourteen_mu(self):
+        with pytest.raises(StructuralError, match="not 14 \\* mu"):
+            GmmModel(weights=np.array([1.0]), means=np.zeros((1, 4 * D)),
+                     covariance=np.eye(4 * D), mu=3, dt=0.25)
 
 
 def toy_model(separation=8.0):
