@@ -12,6 +12,7 @@ samples are reproducible from a seed alone.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,21 +221,24 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a :func:`save_model` file; a malformed one raises ``ParseError``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"corrupted model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("model file must hold a JSON object")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ParseError(f"unsupported model format version {version!r}")
-    model = GmmModel(
-        weights=np.array(doc["weights"]),
-        means=np.array(doc["means"]),
-        covariance=np.array(doc["covariance"]),
-        mu=int(doc["mu"]),
-        dt=float(doc["dt"]),
-    )
-    if model.k != doc["k"] or model.d != doc["d"]:
-        raise ParseError("model matrix shapes disagree with declared k/d")
+    try:
+        model = GmmModel(weights=doc["weights"], means=doc["means"], covariance=doc["covariance"],
+                         mu=operator.index(doc["mu"]), dt=float(doc["dt"]))
+        if (model.k, model.d) != (doc["k"], doc["d"]):
+            raise ParseError("model matrix shapes disagree with declared k/d")
+    except KeyError as exc:
+        raise ParseError(f"model file has no {exc} entry") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed model file: {exc}") from exc
     return model

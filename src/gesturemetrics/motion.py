@@ -10,12 +10,20 @@ x forward, y to the robot's left, z up; shoulders sit at
     R_elbow    = R_shoulder Rx(elbow_yaw) Rz(elbow_roll_signed)
     hand       = elbow + forearm * R_elbow ex
 
+``forward_kinematics`` evaluates it in closed form, in plain float arithmetic
+(no 3x3 products, so no BLAS kernel). With p = pitch and r, y, e the signed
+shoulder roll, elbow yaw and signed elbow roll,
+
+    R_shoulder ex = (cos p cos r, sin r, -sin(-p) cos r)
+    R_elbow ex    = R_shoulder (cos e, cos y sin e, sin y sin e)
+
 Head smoothness is computed on the pitch/yaw angle series directly; the
 head does not translate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,46 +35,33 @@ SITES = ("Lhand", "Rhand", "Lelbow", "Relbow")
 HEAD_ANGLES = ("yaw", "pitch")
 
 _J = {name: i for i, name in enumerate(JOINT_NAMES)}
-
-
-def _rx(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-
-
-def _ry(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-
-
-def _rz(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+_ARM = ("ShoulderPitch", "ShoulderRoll", "ElbowYaw", "ElbowRoll")
+_ARM_JOINTS = [[_J[side + joint] for joint in _ARM] for side in "LR"]
 
 
 def forward_kinematics(values, profile):
     """Elbow and hand positions of both arms for one pose of 14 joint values.
 
-    Returns a dict over ``SITES`` of length-3 arrays in the torso frame.
+    Returns a ``(4, 3)`` array of torso-frame positions in ``SITES`` order.
     """
-    ex = np.array([1.0, 0.0, 0.0])
-    out = {}
-    for prefix, side_sign, site_e, site_h in (
-        ("L", 1.0, "Lelbow", "Lhand"),
-        ("R", -1.0, "Relbow", "Rhand"),
-    ):
-        shoulder = np.array([0.0, side_sign * profile.shoulder_offset, 0.0])
-        pitch = values[_J[prefix + "ShoulderPitch"]]
-        roll = values[_J[prefix + "ShoulderRoll"]]
-        eyaw = values[_J[prefix + "ElbowYaw"]]
-        eroll = values[_J[prefix + "ElbowRoll"]]
-        r_sh = _ry(-pitch) @ _rz(roll)
-        elbow = shoulder + profile.upper_arm_length * (r_sh @ ex)
-        r_el = r_sh @ _rx(eyaw) @ _rz(eroll)
-        hand = elbow + profile.forearm_length * (r_el @ ex)
-        out[site_e] = elbow
-        out[site_h] = hand
-    return out
+    values = np.asarray(values, dtype=float)
+    if values.shape != (N_JOINTS,):
+        raise StructuralError(f"a pose is {N_JOINTS} joint values, got shape {values.shape}")
+    v = values.tolist()
+    upper, fore = profile.upper_arm_length, profile.forearm_length
+    hands, elbows = [], []
+    for sign, (pitch, roll, eyaw, eroll) in zip((1.0, -1.0), _ARM_JOINTS):
+        cp, sp = math.cos(-v[pitch]), math.sin(-v[pitch])
+        cr, sr = math.cos(v[roll]), math.sin(v[roll])
+        cy, sy = math.cos(v[eyaw]), math.sin(v[eyaw])
+        ce, se = math.cos(v[eroll]), math.sin(v[eroll])
+        ux, uy, uz = cp * cr, sr, -sp * cr          # R_shoulder ex
+        b, c = cy * se, sy * se                     # R_elbow ex = R_shoulder (ce, b, c)
+        ex, ey, ez = upper * ux, sign * profile.shoulder_offset + upper * uy, upper * uz
+        elbows += (ex, ey, ez)
+        hands += (ex + fore * (ux * ce - cp * sr * b + sp * c), ey + fore * (uy * ce + cr * b),
+                  ez + fore * (uz * ce + sp * sr * b + cp * c))
+    return np.array(hands + elbows).reshape(len(SITES), 3)
 
 
 def _tracks(points):
@@ -138,8 +133,7 @@ def motion_report(ds, profile):
     poses = ds.matrix.reshape(-1, N_JOINTS)
     sites = np.empty((len(poses), len(SITES), 3))
     for i, pose in enumerate(poses):
-        pos = forward_kinematics(pose, profile)
-        sites[i] = [pos[site] for site in SITES]
+        sites[i] = forward_kinematics(pose, profile)
     tracks = sites.reshape(len(ds), ds.mu, len(SITES), 3)
     heads = poses.reshape(len(ds), ds.mu, N_JOINTS)[:, :, [_J["HeadYaw"], _J["HeadPitch"]]]
     jerk_available = ds.mu >= 4

@@ -413,6 +413,29 @@ class TestErrors:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "weights"},
+         "model file has no 'weights' entry"),
+        (lambda doc: {**doc, "weights": "abc"}, "malformed model file"),
+        (lambda doc: {**doc, "mu": "four"}, "malformed model file"),
+        (lambda doc: {**doc, "mu": 4.5}, "malformed model file"),
+        (lambda doc: {**doc, "means": doc["means"][0]}, "malformed model file"),
+        (lambda doc: [doc], "model file must hold a JSON object"),
+    ], ids=["missing-key", "non-numeric-array", "non-integer-mu", "fractional-mu",
+            "one-dimensional-means", "not-an-object"])
+    def test_malformed_model_file_is_input_failure(self, corpus, tmp_path, capsys, edit,
+                                                   message):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        assert main(["generate", "--model", str(model), "-n", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     def test_bad_usage_exit_two(self):
         assert main(["window"]) == 2
 

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturemetrics.errors import InsufficientDataError, StructuralError
 from gesturemetrics.model import JOINT_NAMES, N_JOINTS, GestureDataset, RobotProfile
+from gesturemetrics import motion
 from gesturemetrics.motion import (
     SITES,
     angular_jerk,
@@ -13,6 +18,7 @@ from gesturemetrics.motion import (
 )
 
 J = {name: i for i, name in enumerate(JOINT_NAMES)}
+S = {site: i for i, site in enumerate(SITES)}
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +45,23 @@ def homogeneous(r, t):
     return m
 
 
+def rx(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
+
+
+def ry(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
+
+
+def rz(a):
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+
+
 def fk_oracle(pose, profile):
     """Independent chain evaluation with explicit 4x4 transforms."""
-    def rx(a):
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
-
-    def ry(a):
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]])
-
-    def rz(a):
-        c, s = np.cos(a), np.sin(a)
-        return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-
     vals = np.array(pose)
     out = {}
     for prefix, sign in (("L", 1.0), ("R", -1.0)):
@@ -70,15 +79,35 @@ def fk_oracle(pose, profile):
     return out
 
 
+def fk_chain(pose, profile):
+    """The chain as 3x3 matrix products, (4, 3) in SITES order.
+
+    The rotations take their trig from ``math``, as the closed form does, so
+    a comparison sees only the chain arithmetic.
+    """
+    vals = np.asarray(pose, dtype=float).tolist()
+    ex = np.array([1.0, 0.0, 0.0])
+    out = {}
+    for prefix, side_sign in (("L", 1.0), ("R", -1.0)):
+        shoulder = np.array([0.0, side_sign * profile.shoulder_offset, 0.0])
+        r_sh = ry(-vals[J[prefix + "ShoulderPitch"]]) @ rz(vals[J[prefix + "ShoulderRoll"]])
+        elbow = shoulder + profile.upper_arm_length * (r_sh @ ex)
+        r_el = r_sh @ rx(vals[J[prefix + "ElbowYaw"]]) @ rz(vals[J[prefix + "ElbowRoll"]])
+        out[prefix + "elbow"] = elbow
+        out[prefix + "hand"] = elbow + profile.forearm_length * (r_el @ ex)
+    return np.array([out[site] for site in SITES])
+
+
 class TestForwardKinematics:
     def test_rest_pose_points_forward(self, profile):
         pos = forward_kinematics(pose_with(), profile)
         lu, lf, off = (profile.upper_arm_length, profile.forearm_length,
                        profile.shoulder_offset)
-        assert np.allclose(pos["Lelbow"], [lu, off, 0.0], atol=1e-12)
-        assert np.allclose(pos["Lhand"], [lu + lf, off, 0.0], atol=1e-12)
-        assert np.allclose(pos["Relbow"], [lu, -off, 0.0], atol=1e-12)
-        assert np.allclose(pos["Rhand"], [lu + lf, -off, 0.0], atol=1e-12)
+        assert pos.shape == (len(SITES), 3)
+        assert np.allclose(pos[S["Lelbow"]], [lu, off, 0.0], atol=1e-12)
+        assert np.allclose(pos[S["Lhand"]], [lu + lf, off, 0.0], atol=1e-12)
+        assert np.allclose(pos[S["Relbow"]], [lu, -off, 0.0], atol=1e-12)
+        assert np.allclose(pos[S["Rhand"]], [lu + lf, -off, 0.0], atol=1e-12)
 
     def test_link_lengths_conserved(self, profile):
         rng = np.random.default_rng(0)
@@ -87,8 +116,8 @@ class TestForwardKinematics:
             pos = forward_kinematics(pose, profile)
             for prefix, sign in (("L", 1.0), ("R", -1.0)):
                 sh = np.array([0.0, sign * profile.shoulder_offset, 0.0])
-                d_upper = np.linalg.norm(pos[prefix + "elbow"] - sh)
-                d_fore = np.linalg.norm(pos[prefix + "hand"] - pos[prefix + "elbow"])
+                d_upper = np.linalg.norm(pos[S[prefix + "elbow"]] - sh)
+                d_fore = np.linalg.norm(pos[S[prefix + "hand"]] - pos[S[prefix + "elbow"]])
                 assert d_upper == pytest.approx(profile.upper_arm_length, abs=1e-12)
                 assert d_fore == pytest.approx(profile.forearm_length, abs=1e-12)
 
@@ -99,19 +128,19 @@ class TestForwardKinematics:
             got = forward_kinematics(pose, profile)
             want = fk_oracle(pose, profile)
             for site in SITES:
-                assert np.allclose(got[site], want[site], atol=1e-12)
+                assert np.allclose(got[S[site]], want[site], atol=1e-12)
 
     def test_positive_shoulder_roll_moves_left_arm_left(self, profile):
         pos = forward_kinematics(pose_with(LShoulderRoll=0.5), profile)
         rest = forward_kinematics(pose_with(), profile)
-        assert pos["Lelbow"][1] > rest["Lelbow"][1]
+        assert pos[S["Lelbow"]][1] > rest[S["Lelbow"]][1]
 
     def test_elbow_yaw_alone_leaves_straight_arm_hand_fixed(self, profile):
         # rotation about the upper-arm axis cannot move a collinear forearm
         a = forward_kinematics(pose_with(), profile)
         b = forward_kinematics(pose_with(LElbowYaw=1.0, RElbowYaw=-1.0), profile)
-        assert np.allclose(a["Lhand"], b["Lhand"], atol=1e-12)
-        assert np.allclose(a["Rhand"], b["Rhand"], atol=1e-12)
+        assert np.allclose(a[S["Lhand"]], b[S["Lhand"]], atol=1e-12)
+        assert np.allclose(a[S["Rhand"]], b[S["Rhand"]], atol=1e-12)
 
     def test_arms_mirror_for_mirrored_angles(self, profile):
         pose_l = pose_with(LShoulderPitch=0.7, LShoulderRoll=0.4,
@@ -121,8 +150,59 @@ class TestForwardKinematics:
         left = forward_kinematics(pose_l, profile)
         right = forward_kinematics(pose_r, profile)
         flip = np.array([1.0, -1.0, 1.0])
-        assert np.allclose(left["Lelbow"] * flip, right["Relbow"], atol=1e-12)
-        assert np.allclose(left["Lhand"] * flip, right["Rhand"], atol=1e-12)
+        assert np.allclose(left[S["Lelbow"]] * flip, right[S["Relbow"]], atol=1e-12)
+        assert np.allclose(left[S["Lhand"]] * flip, right[S["Rhand"]], atol=1e-12)
+
+
+ARM_ANGLE = st.floats(-2 * np.pi, 2 * np.pi)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("draw", ["limits", "two_pi"])
+    def test_matches_matrix_chain_oracle(self, profile, draw):
+        rng = np.random.default_rng(12)
+        if draw == "limits":
+            limits = profile.limits_array()
+            poses = rng.uniform(limits[:, 0], limits[:, 1], size=(10_000, N_JOINTS))
+        else:
+            poses = rng.uniform(-2 * np.pi, 2 * np.pi, size=(10_000, N_JOINTS))
+        got = np.array([forward_kinematics(pose, profile) for pose in poses])
+        want = np.array([fk_chain(pose, profile) for pose in poses])
+        elbows = [S["Lelbow"], S["Relbow"]]
+        hands = [S["Lhand"], S["Rhand"]]
+        assert np.array_equal(got[:, elbows], want[:, elbows])
+        # 4 ulp of the largest coordinate an arm can reach
+        reach = profile.shoulder_offset + profile.upper_arm_length + profile.forearm_length
+        assert np.max(np.abs(got[:, hands] - want[:, hands])) <= 4 * np.spacing(reach)
+
+    @pytest.mark.parametrize("shape", [(12,), (13,), (15,), (2, N_JOINTS), (N_JOINTS, 1), ()])
+    def test_pose_must_be_fourteen_values(self, profile, shape):
+        with pytest.raises(StructuralError, match="a pose is 14 joint values"):
+            forward_kinematics(np.zeros(shape), profile)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(angles=st.lists(ARM_ANGLE, min_size=N_JOINTS, max_size=N_JOINTS))
+    def test_link_lengths_conserved_everywhere(self, profile, angles):
+        pos = forward_kinematics(np.array(angles), profile)
+        for prefix, sign in (("L", 1.0), ("R", -1.0)):
+            sh = np.array([0.0, sign * profile.shoulder_offset, 0.0])
+            elbow, hand = pos[S[prefix + "elbow"]], pos[S[prefix + "hand"]]
+            assert np.linalg.norm(elbow - sh) == pytest.approx(profile.upper_arm_length,
+                                                               abs=1e-12)
+            assert np.linalg.norm(hand - elbow) == pytest.approx(profile.forearm_length,
+                                                                 abs=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pitch=ARM_ANGLE, roll=ARM_ANGLE, eyaw=ARM_ANGLE, eroll=ARM_ANGLE)
+    def test_mirrored_angles_mirror_the_arms_exactly(self, profile, pitch, roll, eyaw, eroll):
+        # the right arm's roll and yaw angles are the left arm's negated
+        pose = pose_with(LShoulderPitch=pitch, LShoulderRoll=roll, LElbowYaw=eyaw,
+                         LElbowRoll=eroll, RShoulderPitch=pitch, RShoulderRoll=-roll,
+                         RElbowYaw=-eyaw, RElbowRoll=-eroll)
+        pos = forward_kinematics(pose, profile)
+        flip = np.array([1.0, -1.0, 1.0])
+        assert np.array_equal(pos[S["Lelbow"]] * flip, pos[S["Relbow"]])
+        assert np.array_equal(pos[S["Lhand"]] * flip, pos[S["Rhand"]])
 
 
 class TestJerk:
@@ -213,8 +293,8 @@ def build_dataset(rng, profile, n_units, mu, dt=0.25):
 def unit_tracks(unit, profile):
     """mu x 3 track of every site of one dataset row, one FK call per pose."""
     poses = [unit[k:k + N_JOINTS] for k in range(0, unit.size, N_JOINTS)]
-    positions = [forward_kinematics(pose, profile) for pose in poses]
-    return {site: np.array([pos[site] for pos in positions]) for site in SITES}
+    positions = np.array([forward_kinematics(pose, profile) for pose in poses])
+    return {site: positions[:, s] for s, site in enumerate(SITES)}
 
 
 class TestUnitTracks:
@@ -241,13 +321,31 @@ class TestUnitTracks:
         tracks = unit_tracks(ds.matrix[0], profile)
         for site in SITES:
             for i, pose in enumerate(poses):
-                assert np.allclose(tracks[site][i], forward_kinematics(pose, profile)[site],
-                                   atol=1e-12)
+                assert np.allclose(tracks[site][i],
+                                   forward_kinematics(pose, profile)[S[site]], atol=1e-12)
             assert report.jerk_by_site[site] == jerk(tracks[site], 0.25)
             assert report.path_length_by_site[site] == path_length(tracks[site])
 
 
 class TestMotionReport:
+    def test_tracks_equal_stacked_per_pose_fk(self, profile, monkeypatch):
+        rng = np.random.default_rng(13)
+        ds = build_dataset(rng, profile, 6, 5)
+        seen = []
+
+        def recording_path_length(points):
+            seen.append(np.array(points))
+            return path_length(points)
+
+        monkeypatch.setattr(motion, "path_length", recording_path_length)
+        motion_report(ds, profile)
+        stacked = np.array([forward_kinematics(pose, profile)
+                            for pose in ds.matrix.reshape(-1, N_JOINTS)])
+        want = stacked.reshape(len(ds), ds.mu, len(SITES), 3)
+        assert len(seen) == len(SITES)
+        for s, track in enumerate(seen):
+            assert np.array_equal(track, want[:, :, s])
+
     def test_matches_per_unit_averaging_oracle(self, profile):
         rng = np.random.default_rng(6)
         ds = build_dataset(rng, profile, 7, 5)
