@@ -9,7 +9,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from gesturemetrics.mapping import MappingParams, StreamMapper, load_skeleton_frames
+from gesturemetrics.mapping import StreamMapper, load_skeleton_frames
 from gesturemetrics.model import JOINT_NAMES, RobotProfile
 from gesturemetrics.pipeline import PoseStream, resample, window
 
@@ -51,7 +51,7 @@ def main():
         frames = load_skeleton_frames(capture)
 
     profile = RobotProfile.default()
-    mapper = StreamMapper(params=MappingParams(), profile=profile, seed=0)
+    mapper = StreamMapper(profile=profile, seed=0)
     poses = [mapper.map_frame(f) for f in frames]
     stream = PoseStream(values=[p.values for p in poses],
                         timestamps=[p.timestamp for p in poses], native_rate_hz=10.0)

@@ -17,7 +17,6 @@ from .fgd import fgd as compute_fgd
 from .mapping import (
     OPENNI_LAYOUT,
     OPENPOSE_LAYOUT,
-    MappingParams,
     StreamMapper,
     load_skeleton_frames,
 )
@@ -84,8 +83,7 @@ def _cmd_map(args):
     if not frames:
         raise StructuralError("no frames in input")
     span = frames[-1].timestamp - frames[0].timestamp
-    mapper = StreamMapper(params=MappingParams(), profile=_load_profile(args),
-                          seed=args.seed)
+    mapper = StreamMapper(profile=_load_profile(args), seed=args.seed)
     values = np.array([mapper.map_frame(frame).values for frame in frames])
     rate = (len(frames) - 1) / span if len(frames) > 1 else 1.0
     stream = pipeline.PoseStream(values=values, timestamps=[f.timestamp for f in frames],

@@ -192,7 +192,7 @@ def posterior_matrix(model, ds):
     return _e_step(x, model.means, model.covariance, np.log(model.weights + 1e-300))[0]
 
 
-def sample(model, n, seed=0, source_tag="gmm-sample"):
+def sample(model, n, seed=0):
     """Draw n units of movement (component choice, then shared-cov Gaussian)."""
     if n < 1:
         raise StructuralError("need n >= 1 samples")
@@ -201,7 +201,7 @@ def sample(model, n, seed=0, source_tag="gmm-sample"):
     chol = np.linalg.cholesky(model.covariance)
     noise = rng.standard_normal((n, model.d))
     rows = model.means[comps] + noise @ chol.T
-    return GestureDataset(matrix=rows, dt=model.dt, source_tag=source_tag)
+    return GestureDataset(matrix=rows, dt=model.dt, source_tag="gmm-sample")
 
 
 def save_model(model, path):

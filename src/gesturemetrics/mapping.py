@@ -13,6 +13,11 @@ Arm mapping convention (authoritative for this repo):
                    sign follows the profile (left negative, right positive)
   elbow yaw      = rotation of the forearm around the upper-arm axis,
                    measured from the torso-down reference direction
+
+Calibration is fixed: the module constants below hold the capture-side source
+intervals of :func:`range_conv`, the OpenNI glove normalizer and wrist-yaw
+bound, and ``CONFIDENCE_THRESHOLD``, below which a keypoint counts as missing
+and its joint group holds its last value.
 """
 
 from __future__ import annotations
@@ -58,40 +63,19 @@ HAND_PINKY_TIP = 20
 PALM = "palm"
 BACK = "back"
 
+# Calibration constants of the retargeting equations. The source ranges are
+# capture-side intervals fed to range_conv, not robot properties.
+HEAD_PITCH_SRC = (0.10, 0.25)               # nose-neck distance (m)
+HEAD_YAW_SRC = (-math.pi / 2, math.pi / 2)  # nose-neck angle from vertical (rad)
+HAND_YAW_SRC = (0.05, 0.20)                 # thumb-pinky distance (m)
+HAND_OPEN_SRC = (0.05, 0.20)                # wrist-middle distance (m)
+N_PIXELS = 1000.0                           # glove pixel normalizer N
+MAX_WRIST_YAW = 1.8239
+CONFIDENCE_THRESHOLD = 0.1                  # keypoints below it count as missing
+
 # positions in the 14-joint pose vector
 _INDEX = {name: i for i, name in enumerate(JOINT_NAMES)}
 _HEAD = [_INDEX["HeadYaw"], _INDEX["HeadPitch"]]
-
-
-@dataclass(frozen=True)
-class MappingParams:
-    """Gains and source ranges of the retargeting equations.
-
-    Source ranges are capture-side intervals fed to :func:`range_conv`;
-    they are calibration constants, not robot properties.
-    """
-
-    k1: float = 1.0                     # head yaw gain
-    k2: float = 0.0                     # head pitch correction gain
-    n_pixels: float = 1000.0            # glove pixel normalizer N
-    max_wrist_yaw: float = 1.8239
-    head_pitch_src: tuple = (0.10, 0.25)    # nose-neck distance (m)
-    head_yaw_src: tuple = (-math.pi / 2, math.pi / 2)
-    hand_yaw_src: tuple = (0.05, 0.20)      # thumb-pinky distance (m)
-    hand_open_src: tuple = (0.05, 0.20)     # wrist-middle distance (m)
-    screen_height: float = 0.0          # chest-screen guard height (m)
-    wrist_range_gain: float = 0.0       # source-range shift per meter below guard
-    palm_up_elbow_offset: float = 0.0   # additive elbow-yaw offset when palm shows
-    confidence_threshold: float = 0.1
-
-    def __post_init__(self):
-        if not self.k1 > 0:
-            raise StructuralError("k1 must be positive")
-        if not self.n_pixels > 0:
-            raise StructuralError("n_pixels must be positive")
-        for src in (self.head_pitch_src, self.head_yaw_src, self.hand_yaw_src, self.hand_open_src):
-            if not src[1] > src[0]:
-                raise StructuralError("source intervals must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -123,9 +107,9 @@ class SkeletonFrame:
         else:
             raise StructuralError(f"unsupported layout {self.layout!r}")
 
-    def point(self, name, confidence_threshold=0.0):
-        """Keypoint as array; StructuralError if below the confidence threshold."""
-        if self.confidence.get(name, 1.0) < confidence_threshold:
+    def point(self, name):
+        """Keypoint as array; StructuralError if below ``CONFIDENCE_THRESHOLD``."""
+        if self.confidence.get(name, 1.0) < CONFIDENCE_THRESHOLD:
             raise StructuralError(f"keypoint {name} below confidence threshold")
         return np.asarray(self.body[name], dtype=float)
 
@@ -149,24 +133,22 @@ def _rotate_about_vertical(v, angle):
     return np.array([x * c + z * s, y, -x * s + z * c])
 
 
-def map_head_openni(head_orientation, neck, head, params):
+def map_head_openni(head_orientation, neck, head):
     """Raw (unclamped) head yaw/pitch from OpenNI tracker output.
 
     ``head_orientation`` carries the tracker's (beta, gamma) Euler angles.
-    Yaw is the gained beta angle; pitch is the arctangent of the head-neck
-    vector after a -pi/2 rotation about the vertical axis, plus |k2*gamma|.
+    Yaw is beta; gamma is unused. Pitch is the arctangent of the head-neck
+    vector after a -pi/2 rotation about the vertical axis.
     """
-    beta, gamma = head_orientation
+    beta, _ = head_orientation
     hn = np.asarray(head, dtype=float) - np.asarray(neck, dtype=float)
     if np.linalg.norm(hn) < 1e-12:
         raise DegenerateGeometryError("head and neck keypoints coincide")
-    yaw = params.k1 * beta
     r = _rotate_about_vertical(hn, -math.pi / 2)
-    pitch = math.atan2(r[2], r[1]) + abs(params.k2 * gamma)
-    return float(yaw), float(pitch)
+    return float(beta), float(math.atan2(r[2], r[1]))
 
 
-def map_head_openpose(nose, neck, params, profile):
+def map_head_openpose(nose, neck, profile):
     """Head yaw/pitch from the nose-neck vector.
 
     Pitch is proportional to the nose-neck distance; yaw comes from the
@@ -178,9 +160,9 @@ def map_head_openpose(nose, neck, params, profile):
     if norm < 1e-12:
         raise DegenerateGeometryError("nose and neck keypoints coincide")
     limits = profile.limits_array()
-    pitch = range_conv(norm, params.head_pitch_src, tuple(limits[1]))
+    pitch = range_conv(norm, HEAD_PITCH_SRC, tuple(limits[1]))
     yaw_angle = -math.asin(float(np.clip(nn[0] / norm, -1.0, 1.0)))
-    yaw = range_conv(yaw_angle, params.head_yaw_src, tuple(limits[0]))
+    yaw = range_conv(yaw_angle, HEAD_YAW_SRC, tuple(limits[0]))
     return float(yaw), float(pitch)
 
 
@@ -212,41 +194,33 @@ def map_hand_side_openpose(hand, side):
     raise StructuralError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def map_hand_yaw_openpose(hand, wrist_height, params, profile):
-    """Wrist yaw from the thumb-pinky fingertip distance.
-
-    The source interval is shifted upward when the wrist drops below the
-    chest-screen guard height, keeping the mapped yaw away from the screen.
-    """
+def map_hand_yaw_openpose(hand, profile):
+    """Wrist yaw from the thumb-pinky fingertip distance, through ``HAND_YAW_SRC``."""
     hand = np.asarray(hand, dtype=float)
     d = float(np.linalg.norm(hand[HAND_THUMB_TIP] - hand[HAND_PINKY_TIP]))
-    shift = params.wrist_range_gain * max(0.0, params.screen_height - wrist_height)
-    s0, s1 = params.hand_yaw_src
     limits = profile.limits_array()
-    yaw = range_conv(d, (s0 + shift, s1 + shift), tuple(limits[6]))
-    return float(yaw)
+    return float(range_conv(d, HAND_YAW_SRC, tuple(limits[6])))
 
 
-def map_hand_opening_openpose(hand, params):
+def map_hand_opening_openpose(hand):
     """Finger opening in [0, 1] from the wrist-to-middle-fingertip distance."""
     hand = np.asarray(hand, dtype=float)
     d = float(np.linalg.norm(hand[HAND_MIDDLE_TIP] - hand[HAND_WRIST]))
-    return float(range_conv(d, params.hand_open_src, (0.0, 1.0)))
+    return float(range_conv(d, HAND_OPEN_SRC, (0.0, 1.0)))
 
 
-def map_hand_yaw_openni(palm_pixels, back_pixels, params):
+def map_hand_yaw_openni(palm_pixels, back_pixels):
     """Wrist yaw from glove pixel counts (palm vs back dominance)."""
     if palm_pixels < 0 or back_pixels < 0:
         raise StructuralError("pixel counts must be non-negative")
     if palm_pixels == 0 and back_pixels == 0:
         raise UnknownOrientationError("no glove pixels visible")
-    n = params.n_pixels
     biggest = max(palm_pixels, back_pixels)
     if palm_pixels >= back_pixels:
-        yaw = biggest / n * params.max_wrist_yaw
+        yaw = biggest / N_PIXELS * MAX_WRIST_YAW
     else:
-        yaw = (biggest - n) / n * params.max_wrist_yaw
-    return float(np.clip(yaw, -params.max_wrist_yaw, params.max_wrist_yaw))
+        yaw = (biggest - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW
+    return float(np.clip(yaw, -MAX_WRIST_YAW, MAX_WRIST_YAW))
 
 
 def _cross(a, b):
@@ -263,12 +237,12 @@ def _unit(v, what):
     return v / norm
 
 
-def arm_angles(frame, confidence_threshold=0.0):
+def arm_angles(frame):
     """Raw (unclamped) shoulder pitch/roll and elbow yaw/roll for both arms.
 
     Returns a dict keyed by joint name covering the 8 arm joints. Raises
     DegenerateGeometryError on zero-length limb vectors and StructuralError
-    when a required keypoint is below the confidence threshold.
+    when a required keypoint is below ``CONFIDENCE_THRESHOLD``.
     """
     if frame.layout == OPENNI_LAYOUT:
         wrist_names = {"left": "LHand", "right": "RHand"}
@@ -277,18 +251,17 @@ def arm_angles(frame, confidence_threshold=0.0):
         wrist_names = {"left": "LWrist", "right": "RWrist"}
         hip_ref = "MidHip"
 
-    thr = confidence_threshold
-    neck = frame.point("Neck", thr)
-    lsh, rsh = frame.point("LShoulder", thr), frame.point("RShoulder", thr)
-    down = _unit(frame.point(hip_ref, thr) - neck, "torso")
+    neck = frame.point("Neck")
+    lsh, rsh = frame.point("LShoulder"), frame.point("RShoulder")
+    down = _unit(frame.point(hip_ref) - neck, "torso")
     lat_left = _unit(lsh - rsh, "shoulder line")
     fwd = _unit(_cross(lat_left, down), "forward axis")
 
     out = {}
     for side, prefix, sign, sh, lat in (("left", "L", -1.0, lsh, lat_left),
                                         ("right", "R", 1.0, rsh, -lat_left)):
-        el = frame.point(prefix + "Elbow", thr)
-        wr = frame.point(wrist_names[side], thr)
+        el = frame.point(prefix + "Elbow")
+        wr = frame.point(wrist_names[side])
         u = el - sh
         f = wr - el
         uh = _unit(u, f"{side} upper-arm")
@@ -332,8 +305,7 @@ class StreamMapper:
     stream gets its own mapper.
     """
 
-    def __init__(self, params=None, profile=None, seed=0):
-        self.params = params or MappingParams()
+    def __init__(self, profile=None, seed=0):
         self.profile = profile or RobotProfile.default()
         self.rng = np.random.Generator(np.random.Philox(seed))
         self._values = self.profile.limits_array().mean(axis=1)
@@ -341,7 +313,7 @@ class StreamMapper:
     def map_frame(self, frame):
         values = self._values.copy()
         try:
-            for name, angle in arm_angles(frame, self.params.confidence_threshold).items():
+            for name, angle in arm_angles(frame).items():
                 values[_INDEX[name]] = angle
         except (StructuralError, DegenerateGeometryError):
             pass  # hold previous arm values
@@ -356,44 +328,35 @@ class StreamMapper:
                     n_clamped=int(n_clamped))
 
     def _map_openni_extras(self, frame, values):
-        params, thr = self.params, self.params.confidence_threshold
         if frame.head_orientation is not None:
             try:
-                values[_HEAD] = map_head_openni(frame.head_orientation, frame.point("Neck", thr),
-                                                frame.point("Head", thr), params)
+                values[_HEAD] = map_head_openni(frame.head_orientation, frame.point("Neck"),
+                                                frame.point("Head"))
             except (StructuralError, DegenerateGeometryError):
                 pass  # hold previous head values
         for prefix, pixels in (("L", frame.left_pixels), ("R", frame.right_pixels)):
             if pixels is not None:
                 try:
-                    values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openni(
-                        pixels[0], pixels[1], params)
+                    values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openni(*pixels)
                 except UnknownOrientationError:
                     pass  # keep previous wrist yaw
             # fingers are untracked: randomized per frame, seeded
             values[_INDEX[prefix + "HandOpen"]] = self.rng.uniform(0.0, 1.0)
 
     def _map_openpose_extras(self, frame, values):
-        params, profile, thr = self.params, self.profile, self.params.confidence_threshold
         try:
-            values[_HEAD] = map_head_openpose(frame.point("Nose", thr), frame.point("Neck", thr),
-                                              params, profile)
+            values[_HEAD] = map_head_openpose(frame.point("Nose"), frame.point("Neck"),
+                                              self.profile)
         except (StructuralError, DegenerateGeometryError):
             pass  # hold previous head values
-        for side, prefix, hand in (("left", "L", frame.left_hand),
-                                   ("right", "R", frame.right_hand)):
+        for prefix, hand in (("L", frame.left_hand), ("R", frame.right_hand)):
             if hand is None:
                 continue  # hold previous hand values
             hand = np.asarray(hand, dtype=float)
-            try:
-                if map_hand_side_openpose(hand, side) == PALM and params.palm_up_elbow_offset:
-                    values[_INDEX[prefix + "ElbowYaw"]] += params.palm_up_elbow_offset
-                wrist_height = float(hand[HAND_WRIST, 1])
-                values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openpose(
-                    hand, wrist_height, params, profile)
-                values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand, params)
-            except DegenerateGeometryError:
-                pass
+            if np.linalg.norm(hand[HAND_PINKY_TIP, :2] - hand[HAND_THUMB_TIP, :2]) < 1e-12:
+                continue  # thumb and pinky tips coincide in the image: hold this hand
+            values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openpose(hand, self.profile)
+            values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
 
 
 def _numbers(values, what, line, counts):

@@ -13,7 +13,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ParseError, StructuralError
 
 N_JOINTS = 14
 
@@ -91,8 +91,20 @@ class RobotProfile:
 
     @classmethod
     def from_file(cls, path):
+        """Read a profile JSON file; a malformed one raises ``ParseError``."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ParseError(f"robot profile is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("robot profile must hold a JSON object")
+        try:
+            return cls.from_dict(doc)
+        except KeyError as exc:
+            raise ParseError(f"robot profile has no {exc} entry") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"malformed robot profile: {exc}") from exc
 
     @classmethod
     def default(cls):

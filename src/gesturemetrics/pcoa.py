@@ -105,12 +105,12 @@ def scale_to_unit_geometric_variability(dm):
     return DistanceMatrix(d=dm.d / np.sqrt(v))
 
 
-def pcoa(dm, eig_tol=EIG_TOL):
+def pcoa(dm):
     """Principal Coordinate Analysis of a distance matrix.
 
     Double-centers the squared distances into the Gram matrix
     B = -0.5 * (I - 11'/n) D2 (I - 11'/n), takes its symmetric
-    eigendecomposition, keeps eigenpairs above ``eig_tol * lambda_max``
+    eigendecomposition, keeps eigenpairs above ``EIG_TOL * lambda_max``
     and scales eigenvectors by sqrt(lambda). For Euclidean-embeddable
     distances the row distances of the result reproduce the input.
     """
@@ -126,7 +126,7 @@ def pcoa(dm, eig_tol=EIG_TOL):
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     dropped = float(np.sum(np.abs(evals[evals < 0])))
-    cutoff = eig_tol * max(evals[0], 0.0) if evals.size else 0.0
+    cutoff = EIG_TOL * max(evals[0], 0.0) if evals.size else 0.0
     keep = evals > cutoff
     evals, evecs = evals[keep], evecs[:, keep]
     # deterministic sign: largest-magnitude component of each axis positive

@@ -105,9 +105,9 @@ def write_spectra_csv(path, spectrum_original, spectrum_generated):
             fh.write(f"{i},{a!r},{b!r}\n")
 
 
-def write_spectrum_svg(path, spectrum_original, spectrum_generated,
-                       width=640, height=320):
+def write_spectrum_svg(path, spectrum_original, spectrum_generated):
     """Paired-bar chart of two eigenvalue spectra (static, no dependencies)."""
+    width, height = 640, 320
     n = len(spectrum_original)
     top = max(max(spectrum_original, default=0.0),
               max(spectrum_generated, default=0.0), 1e-12)

@@ -15,19 +15,23 @@ from .errors import StructuralError
 from .model import N_JOINTS, RobotProfile, validate_pose
 from .pipeline import PoseStream, window
 
+N_HARMONICS = 3    # randomized sinusoids mixed into each joint
+
 
 def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
-                        amplitude=0.3, n_harmonics=3):
+                        amplitude=0.3):
     """Generate a pose stream of sinusoidal beat gestures.
 
     ``amplitude`` is the fraction of each joint's half-range used by the
-    oscillation; each joint mixes ``n_harmonics`` randomized sinusoids.
+    oscillation; each joint mixes ``N_HARMONICS`` randomized sinusoids.
     Deterministic given the seed.
     """
     if n_poses < 1:
         raise StructuralError("need at least one pose")
     if not rate_hz > 0:
         raise StructuralError("rate must be positive")
+    if not np.isfinite(amplitude):
+        raise StructuralError(f"amplitude must be finite, got {amplitude}")
     profile = profile or RobotProfile.default()
     rng = np.random.Generator(np.random.Philox(seed))
     limits = profile.limits_array()
@@ -37,7 +41,7 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
     t = np.arange(n_poses) / rate_hz
     values = np.tile(center, (n_poses, 1))
     for j in range(N_JOINTS):
-        for _ in range(n_harmonics):
+        for _ in range(N_HARMONICS):
             freq = rng.uniform(0.2, 1.5)       # beat-gesture band, Hz
             phase = rng.uniform(0.0, 2.0 * np.pi)
             amp = amplitude * half_range[j] * rng.uniform(0.3, 1.0)
@@ -48,8 +52,8 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
 
 
 def beat_gesture_corpus(n_poses, mu, rate_hz=4.0, seed=0, profile=None,
-                        amplitude=0.3, source_tag="synthetic-beats"):
+                        amplitude=0.3):
     """Windowed synthetic corpus: ``floor(n_poses / mu)`` units of movement."""
     stream = beat_gesture_stream(n_poses, rate_hz=rate_hz, seed=seed,
                                  profile=profile, amplitude=amplitude)
-    return window(stream, mu, source_tag=source_tag)
+    return window(stream, mu, source_tag="synthetic-beats")

@@ -17,8 +17,12 @@ from gesturemetrics.fgd import FeatureStats, fgd, frechet_distance
 from gesturemetrics.gmm import GmmModel, fit, sample
 from gesturemetrics.mapping import (
     BACK,
+    HAND_OPEN_SRC,
+    HAND_YAW_SRC,
+    HEAD_PITCH_SRC,
+    MAX_WRIST_YAW,
+    N_PIXELS,
     PALM,
-    MappingParams,
     arm_angles,
     map_hand_opening_openpose,
     map_hand_side_openpose,
@@ -222,39 +226,37 @@ def test_criterion_07_fgd_ordering_experiment():
 def test_criterion_08_mapping_suite():
     def body():
         profile = RobotProfile.default()
-        params = MappingParams()
-        # head, depth-camera path: yaw gain and rotated-vector pitch
+        # head, depth-camera path: yaw is beta, pitch from the rotated vector
         neck = np.array([0.25, 1.5, 0.2])
         head = neck + np.array([0.03, 0.21, 0.05])
-        yaw, pitch = map_head_openni((0.4, 0.0), neck, head, params)
-        assert yaw == pytest.approx(params.k1 * 0.4, abs=1e-9)
+        yaw, pitch = map_head_openni((0.4, 0.0), neck, head)
+        assert yaw == pytest.approx(0.4, abs=1e-9)
         hn = head - neck
         rot = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]) @ hn
         assert pitch == pytest.approx(math.atan2(rot[2], rot[1]), abs=1e-9)
         # head, rgb path: affine pitch from the nose-neck distance
         nose = np.array([0.0, 1.5 + 0.175, 0.0])
-        _, pitch2 = map_head_openpose(nose, np.array([0.0, 1.5, 0.0]), params, profile)
-        s0, s1 = params.head_pitch_src
+        _, pitch2 = map_head_openpose(nose, np.array([0.0, 1.5, 0.0]), profile)
+        s0, s1 = HEAD_PITCH_SRC
         lo_p, hi_p = profile.joint_limits[1]
         assert pitch2 == pytest.approx(lo_p + (0.175 - s0) / (s1 - s0) * (hi_p - lo_p),
                                        abs=1e-9)
         # wrist yaw from thumb-pinky spread: affine oracle
         hand = make_hand(spread=0.06)
-        got = map_hand_yaw_openpose(hand, wrist_height=1.0, params=params,
-                                    profile=profile)
-        s0, s1 = params.hand_yaw_src
+        got = map_hand_yaw_openpose(hand, profile)
+        s0, s1 = HAND_YAW_SRC
         lo_y, hi_y = profile.joint_limits[6]
         assert got == pytest.approx(lo_y + (0.12 - s0) / (s1 - s0) * (hi_y - lo_y),
                                     abs=1e-9)
         # hand opening: affine oracle on the wrist-middle distance
-        opening = map_hand_opening_openpose(make_hand(opening=0.125), params)
-        s0, s1 = params.hand_open_src
+        opening = map_hand_opening_openpose(make_hand(opening=0.125))
+        s0, s1 = HAND_OPEN_SRC
         assert opening == pytest.approx((0.125 - s0) / (s1 - s0), abs=1e-9)
         # glove pixel counts: both branch formulas
-        assert map_hand_yaw_openni(800, 200, params) == pytest.approx(
-            800 / params.n_pixels * params.max_wrist_yaw, abs=1e-9)
-        assert map_hand_yaw_openni(200, 800, params) == pytest.approx(
-            (800 - params.n_pixels) / params.n_pixels * params.max_wrist_yaw, abs=1e-9)
+        assert map_hand_yaw_openni(800, 200) == pytest.approx(
+            800 / N_PIXELS * MAX_WRIST_YAW, abs=1e-9)
+        assert map_hand_yaw_openni(200, 800) == pytest.approx(
+            (800 - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW, abs=1e-9)
         # arm angles against the independent acos/atan2 oracle
         for seed in range(10):
             frame = random_arm_frame(np.random.default_rng(seed))

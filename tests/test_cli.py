@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -434,6 +435,46 @@ class TestErrors:
         assert main(["generate", "--model", str(model), "-n", "10", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "link_lengths"}),
+         "robot profile has no 'link_lengths' entry"),
+        (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": [1.0]}}),
+         "malformed robot profile"),
+        (lambda doc: json.dumps({**doc, "link_lengths": {**doc["link_lengths"],
+                                                         "forearm": "abc"}}),
+         "malformed robot profile"),
+        (lambda doc: json.dumps(doc)[:-1], "robot profile is not valid JSON"),
+        (lambda doc: json.dumps([doc]), "robot profile must hold a JSON object"),
+    ], ids=["missing-link-lengths", "one-value-limit", "non-numeric-length",
+            "invalid-json", "not-an-object"])
+    def test_malformed_profile_is_input_failure(self, corpus, tmp_path, capsys, write,
+                                                message):
+        _, ds = corpus
+        profile = tmp_path / "profile.json"
+        profile.write_text(write(json.loads(
+            resources.files("gesturemetrics.profiles").joinpath("pepper.json").read_text())))
+        capture = tmp_path / "frames.jsonl"
+        write_openni_jsonl(capture)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for argv in (["map", "--layout", "openni", str(capture), str(out)],
+                     ["motion-stats", str(ds), "--out", str(out)],
+                     ["evaluate", str(ds), str(ds), "--out", str(out)],
+                     ["synth-corpus", "--poses", "40", "--out", str(out)]):
+            assert main([*argv, "--profile", str(profile)]) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("mu", ["0", "4"])
+    def test_non_finite_amplitude_is_input_failure(self, tmp_path, capsys, amplitude, mu):
+        out = tmp_path / "corpus.csv"
+        assert main(["synth-corpus", f"--amplitude={amplitude}", "--mu", mu,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: amplitude must be finite, got {amplitude}\n"
         assert not out.exists()
 
     def test_bad_usage_exit_two(self):

@@ -12,18 +12,24 @@ from gesturemetrics.errors import (
 )
 from gesturemetrics.mapping import (
     BACK,
+    CONFIDENCE_THRESHOLD,
     HAND_INDEX_TIP,
     HAND_MIDDLE_TIP,
+    HAND_OPEN_SRC,
     HAND_PINKY_TIP,
     HAND_RING_TIP,
     HAND_THUMB_TIP,
     HAND_WRIST,
+    HAND_YAW_SRC,
+    HEAD_PITCH_SRC,
+    HEAD_YAW_SRC,
+    MAX_WRIST_YAW,
+    N_PIXELS,
     OPENNI_KEYPOINTS,
     OPENNI_LAYOUT,
     OPENPOSE_KEYPOINTS,
     OPENPOSE_LAYOUT,
     PALM,
-    MappingParams,
     SkeletonFrame,
     StreamMapper,
     arm_angles,
@@ -42,11 +48,6 @@ from gesturemetrics.model import JOINT_NAMES, RobotProfile
 @pytest.fixture(scope="module")
 def profile():
     return RobotProfile.default()
-
-
-@pytest.fixture(scope="module")
-def params():
-    return MappingParams()
 
 
 def make_openpose_body(**overrides):
@@ -97,20 +98,25 @@ class TestRangeConv:
         # affine: midpoint maps to midpoint
         assert range_conv(0.5, (0.0, 1.0), (3.0, 7.0)) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("src", [(0.2, 0.2), (0.3, 0.2)])
+    def test_empty_or_reversed_source_rejected(self, src):
+        with pytest.raises(StructuralError):
+            range_conv(0.25, src, (0.0, 1.0))
+
 
 class TestHeadOpenni:
-    def test_zero_beta_zero_yaw(self, params):
-        yaw, _ = map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.7, 0), params)
+    def test_zero_beta_zero_yaw(self):
+        yaw, _ = map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.7, 0))
         assert yaw == 0.0
 
-    def test_unit_gain_passes_beta(self, params):
-        yaw, _ = map_head_openni((0.2, 0.0), (0, 1.5, 0), (0, 1.7, 0), params)
+    def test_unit_gain_passes_beta(self):
+        yaw, _ = map_head_openni((0.2, 0.0), (0, 1.5, 0), (0, 1.7, 0))
         assert yaw == pytest.approx(0.2, abs=1e-12)
 
-    def test_head_above_neck_pitch_trig_oracle(self, params):
+    def test_head_above_neck_pitch_trig_oracle(self):
         neck = np.array([0.3, 1.5, 0.1])
         head = neck + np.array([0.0, 0.2, 0.0])
-        _, pitch = map_head_openni((0.0, 0.0), neck, head, params)
+        _, pitch = map_head_openni((0.0, 0.0), neck, head)
         # independent scalar-trig oracle: rotate (0, 0.2, 0) by -pi/2 about y,
         # pitch is atan2(forward component, vertical component)
         hn = head - neck
@@ -123,41 +129,35 @@ class TestHeadOpenni:
         assert pitch == pytest.approx(expected, abs=1e-12)
         assert pitch == pytest.approx(0.0, abs=1e-12)
 
-    def test_k2_term_added_absolutely(self):
-        params = MappingParams(k2=0.5)
-        _, pitch = map_head_openni((0.0, -0.4), (0, 1.5, 0), (0, 1.7, 0), params)
-        assert pitch == pytest.approx(abs(0.5 * -0.4), abs=1e-12)
-
-    def test_coincident_points_rejected(self, params):
+    def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateGeometryError):
-            map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.5, 0), params)
+            map_head_openni((0.0, 0.0), (0, 1.5, 0), (0, 1.5, 0))
 
 
 class TestHeadOpenpose:
-    def test_vertical_nose_gives_yaw_midpoint(self, params, profile):
-        yaw, _ = map_head_openpose((0.0, 1.65, 0.0), (0.0, 1.5, 0.0), params, profile)
+    def test_vertical_nose_gives_yaw_midpoint(self, profile):
+        yaw, _ = map_head_openpose((0.0, 1.65, 0.0), (0.0, 1.5, 0.0), profile)
         lo, hi = profile.joint_limits[0]
         assert yaw == pytest.approx((lo + hi) / 2, abs=1e-12)
 
-    def test_min_distance_gives_min_pitch(self, params, profile):
-        nn = params.head_pitch_src[0]
-        _, pitch = map_head_openpose((0.0, 1.5 + nn, 0.0), (0.0, 1.5, 0.0),
-                                     params, profile)
+    def test_min_distance_gives_min_pitch(self, profile):
+        nn = HEAD_PITCH_SRC[0]
+        _, pitch = map_head_openpose((0.0, 1.5 + nn, 0.0), (0.0, 1.5, 0.0), profile)
         assert pitch == pytest.approx(profile.joint_limits[1][0], abs=1e-12)
 
-    def test_arcsin_oracle(self, params, profile):
+    def test_arcsin_oracle(self, profile):
         # normalized x-component 0.5 -> source angle -pi/6
         nn = np.array([0.5, math.sqrt(1 - 0.25), 0.0]) * 0.18
         neck = np.array([0.1, 1.5, 0.2])
-        yaw, _ = map_head_openpose(neck + nn, neck, params, profile)
-        src_lo, src_hi = params.head_yaw_src
+        yaw, _ = map_head_openpose(neck + nn, neck, profile)
+        src_lo, src_hi = HEAD_YAW_SRC
         lo, hi = profile.joint_limits[0]
         t = (-math.pi / 6 - src_lo) / (src_hi - src_lo)
         assert yaw == pytest.approx(lo + t * (hi - lo), abs=1e-9)
 
-    def test_zero_vector_rejected(self, params, profile):
+    def test_zero_vector_rejected(self, profile):
         with pytest.raises(DegenerateGeometryError):
-            map_head_openpose((0.1, 1.5, 0.0), (0.1, 1.5, 0.0), params, profile)
+            map_head_openpose((0.1, 1.5, 0.0), (0.1, 1.5, 0.0), profile)
 
 
 class TestHandSide:
@@ -205,68 +205,56 @@ class TestHandSide:
 
 
 class TestHandYawOpenpose:
-    def test_source_min_maps_to_range_min(self, params, profile):
-        hand = make_hand(spread=params.hand_yaw_src[0] / 2)
-        yaw = map_hand_yaw_openpose(hand, wrist_height=1.0, params=params,
-                                    profile=profile)
+    def test_source_min_maps_to_range_min(self, profile):
+        hand = make_hand(spread=HAND_YAW_SRC[0] / 2)
+        yaw = map_hand_yaw_openpose(hand, profile=profile)
         assert yaw == pytest.approx(profile.joint_limits[6][0], abs=1e-12)
 
-    def test_source_midpoint_maps_to_range_midpoint(self, params, profile):
-        mid = (params.hand_yaw_src[0] + params.hand_yaw_src[1]) / 2
+    def test_source_midpoint_maps_to_range_midpoint(self, profile):
+        mid = (HAND_YAW_SRC[0] + HAND_YAW_SRC[1]) / 2
         hand = make_hand(spread=mid / 2)
-        yaw = map_hand_yaw_openpose(hand, wrist_height=1.0, params=params,
-                                    profile=profile)
+        yaw = map_hand_yaw_openpose(hand, profile=profile)
         lo, hi = profile.joint_limits[6]
         assert yaw == pytest.approx((lo + hi) / 2, abs=1e-12)
 
-    def test_affine_oracle_at_012(self, params, profile):
+    def test_affine_oracle_at_012(self, profile):
         hand = make_hand(spread=0.06)  # thumb-pinky distance 0.12 m
-        yaw = map_hand_yaw_openpose(hand, wrist_height=1.0, params=params,
-                                    profile=profile)
-        s0, s1 = params.hand_yaw_src
+        yaw = map_hand_yaw_openpose(hand, profile=profile)
+        s0, s1 = HAND_YAW_SRC
         lo, hi = profile.joint_limits[6]
         expected = lo + (0.12 - s0) / (s1 - s0) * (hi - lo)
         assert yaw == pytest.approx(expected, abs=1e-9)
 
-    def test_wrist_height_shifts_source_range(self, profile):
-        params = MappingParams(screen_height=1.0, wrist_range_gain=0.2)
-        hand = make_hand(spread=0.06)
-        high = map_hand_yaw_openpose(hand, wrist_height=1.5, params=params,
-                                     profile=profile)
-        low = map_hand_yaw_openpose(hand, wrist_height=0.5, params=params,
-                                    profile=profile)
-        assert low < high  # shifted source range maps the same distance lower
-
 
 class TestHandOpening:
-    def test_endpoints_and_midpoint(self, params):
-        s0, s1 = params.hand_open_src
-        assert map_hand_opening_openpose(make_hand(opening=s1), params) == 1.0
-        assert map_hand_opening_openpose(make_hand(opening=s0), params) == 0.0
+    def test_endpoints_and_midpoint(self):
+        s0, s1 = HAND_OPEN_SRC
+        assert map_hand_opening_openpose(make_hand(opening=s1)) == 1.0
+        assert map_hand_opening_openpose(make_hand(opening=s0)) == 0.0
         mid = (s0 + s1) / 2
-        assert map_hand_opening_openpose(make_hand(opening=mid), params) \
+        assert map_hand_opening_openpose(make_hand(opening=mid)) \
             == pytest.approx(0.5, abs=1e-12)
 
-    def test_clamped_beyond_max(self, params):
-        assert map_hand_opening_openpose(make_hand(opening=1.0), params) == 1.0
+    def test_clamped_beyond_max(self):
+        assert map_hand_opening_openpose(make_hand(opening=1.0)) == 1.0
 
 
 class TestHandYawOpenni:
-    def test_palm_dominant_full(self, params):
-        yaw = map_hand_yaw_openni(params.n_pixels, 0, params)
-        assert yaw == pytest.approx(params.max_wrist_yaw)
+    def test_palm_dominant_full(self):
+        yaw = map_hand_yaw_openni(N_PIXELS, 0)
+        assert yaw == pytest.approx(MAX_WRIST_YAW)
 
-    def test_back_dominant_full(self, params):
-        yaw = map_hand_yaw_openni(0, params.n_pixels, params)
+    def test_back_dominant_full(self):
+        yaw = map_hand_yaw_openni(0, N_PIXELS)
         assert yaw == pytest.approx(0.0)
 
-    def test_palm_dominant_half(self, params):
-        yaw = map_hand_yaw_openni(params.n_pixels / 2, 0, params)
-        assert yaw == pytest.approx(params.max_wrist_yaw / 2)
+    def test_palm_dominant_half(self):
+        yaw = map_hand_yaw_openni(N_PIXELS / 2, 0)
+        assert yaw == pytest.approx(MAX_WRIST_YAW / 2)
 
-    def test_no_pixels_rejected(self, params):
+    def test_no_pixels_rejected(self):
         with pytest.raises(UnknownOrientationError):
-            map_hand_yaw_openni(0, 0, params)
+            map_hand_yaw_openni(0, 0)
 
 
 def random_arm_frame(rng):
@@ -395,21 +383,6 @@ class TestStreamMapper:
             total += outside
         assert total > 0
 
-    def test_palm_up_offset_added_before_the_clamp(self, profile):
-        params = MappingParams(palm_up_elbow_offset=-1.0)
-        idx = JOINT_NAMES.index("LElbowYaw")
-        lo, hi = profile.joint_limits[idx]
-        beyond = 0
-        for seed in range(40):
-            body = random_arm_frame(np.random.default_rng(seed)).body
-            frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body, left_hand=make_hand())
-            assert map_hand_side_openpose(frame.left_hand, "left") == PALM
-            raw = arm_angles(frame)["LElbowYaw"]
-            beyond += raw > hi
-            pose = StreamMapper(params=params, profile=profile).map_frame(frame)
-            assert pose.values[idx] == np.clip(raw - 1.0, lo, hi)
-        assert beyond > 0
-
     def test_mutating_a_returned_pose_leaves_the_held_values(self):
         mapper = StreamMapper()
         first = mapper.map_frame(make_tpose_frame())
@@ -420,9 +393,9 @@ class TestStreamMapper:
                             confidence={"Neck": 0.0})
         assert np.array_equal(mapper.map_frame(low).values, held)
 
-    def test_openni_head_yaw_clamped_once(self, params, profile):
+    def test_openni_head_yaw_clamped_once(self, profile):
         body = make_openni_body()
-        yaw, _ = map_head_openni((3.0, 0.0), body["Neck"], body["Head"], params)
+        yaw, _ = map_head_openni((3.0, 0.0), body["Neck"], body["Head"])
         hi = profile.joint_limits[0][1]
         assert yaw == pytest.approx(3.0) and yaw > hi
         frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body, head_orientation=(3.0, 0.0))
@@ -453,6 +426,28 @@ class TestStreamMapper:
         assert p2.values[idx] == p1.values[idx]
         idx = JOINT_NAMES.index("RWristYaw")
         assert p2.values[idx] == p1.values[idx]
+
+    def test_coincident_thumb_pinky_holds_that_hand(self, profile):
+        mapper = StreamMapper(profile=profile)
+        body = make_tpose_frame().body
+        first = mapper.map_frame(SkeletonFrame(
+            layout=OPENPOSE_LAYOUT, body=body,
+            left_hand=make_hand(spread=0.06, opening=0.10),
+            right_hand=make_hand(spread=0.06, opening=0.10)))
+        left = make_hand(spread=0.08, opening=0.15)
+        right = make_hand(spread=0.08, opening=0.15)
+        # same x and y, 0.1 m apart in depth: the spread alone would move the wrist yaw
+        right[HAND_PINKY_TIP] = right[HAND_THUMB_TIP] + (0.0, 0.0, 0.1)
+        second = mapper.map_frame(SkeletonFrame(
+            layout=OPENPOSE_LAYOUT, body=body, left_hand=left, right_hand=right))
+        for name in ("RWristYaw", "RHandOpen"):
+            idx = JOINT_NAMES.index(name)
+            assert second.values[idx] == first.values[idx], name
+        left_only = StreamMapper(profile=profile).map_frame(SkeletonFrame(
+            layout=OPENPOSE_LAYOUT, body=body, left_hand=left))
+        for name in ("LWristYaw", "LHandOpen"):
+            idx = JOINT_NAMES.index(name)
+            assert second.values[idx] == left_only.values[idx] != first.values[idx], name
 
     def test_openni_seeded_fingers_deterministic(self):
         body = make_openni_body()
@@ -490,17 +485,14 @@ class TestFrameValidation:
             SkeletonFrame(layout="kinect", body={})
 
     def test_point_below_threshold_raises(self):
+        assert CONFIDENCE_THRESHOLD == 0.1
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
+                              confidence={"Nose": 0.1})
+        assert frame.point("Nose")[1] == 1.65
         frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
                               confidence={"Nose": 0.05})
-        assert frame.point("Nose", 0.05)[1] == 1.65
         with pytest.raises(StructuralError, match="Nose"):
-            frame.point("Nose", 0.1)
-
-    @pytest.mark.parametrize("field", ["head_pitch_src", "head_yaw_src",
-                                       "hand_yaw_src", "hand_open_src"])
-    def test_empty_source_interval_rejected(self, field):
-        with pytest.raises(StructuralError):
-            MappingParams(**{field: (0.2, 0.2)})
+            frame.point("Nose")
 
 
 class TestFrameIO:
