@@ -17,19 +17,19 @@ MU = 4
 
 
 def compare(name, matrix_o, matrix_g):
-    res_o = analyze_dataset_structure(matrix_o, MU)
-    res_g = analyze_dataset_structure(matrix_g, MU)
+    res_o = analyze_dataset_structure(matrix_o)
+    res_g = analyze_dataset_structure(matrix_g)
     report = fidelity_report(res_o, res_g)
-    proc = originality(res_o, res_g, MU, report.dims)
-    r2 = np.array(report.r2)
+    proc = originality(res_o, res_g, report["dims"])
+    r2 = np.array(report["r2"])
     print(f"\n== {name} ==")
     print(f"  R^2 per axis      : {np.round(r2, 3)}")
     print(f"  mean R^2          : {r2.mean():.4f}")
-    print(f"  explained var (%) : original {report.explained_variance_original_pct:.1f}"
-          f" / generated {report.explained_variance_generated_pct:.1f}")
-    print(f"  procrustes ss     : {proc.ss:.5f}  ss/(14 mu): {proc.ss_normalized:.7f}")
-    lam_o = np.array(report.eigen_spectrum_original[:5])
-    lam_g = np.array(report.eigen_spectrum_generated[:5])
+    print(f"  explained var (%) : original {report['explained_variance_original_pct']:.1f}"
+          f" / generated {report['explained_variance_generated_pct']:.1f}")
+    print(f"  procrustes ss     : {proc['ss']:.5f}  ss/(14 mu): {proc['ss_normalized']:.7f}")
+    lam_o = np.array(report["eigen_spectrum_original"][:5])
+    lam_g = np.array(report["eigen_spectrum_generated"][:5])
     print(f"  top eigenvalues   : original {np.round(lam_o, 3)}")
     print(f"                      generated {np.round(lam_g, 3)}")
 

@@ -46,9 +46,9 @@ def main():
     for name, ds in candidates.items():
         res = fgd(model, train, ds, bootstrap=30, seed=0)
         motion = motion_report(ds, profile)
-        print(f"{name:28s} {res.value:9.4f} {res.bootstrap_mean:9.4f} "
-              f"{res.bootstrap_std:8.4f} {motion.jerk_by_site['Rhand']:11.3f} "
-              f"{motion.path_length_by_site['Rhand']:12.4f}")
+        print(f"{name:28s} {res['value']:9.4f} {res['bootstrap_mean']:9.4f} "
+              f"{res['bootstrap_std']:8.4f} {motion['jerk_by_site']['Rhand']:11.3f} "
+              f"{motion['path_length_by_site']['Rhand']:12.4f}")
 
     print("\nsmaller FGD = feature distribution closer to the reference corpus;"
           "\njerk and path length expose unnaturally rough or hyperactive motion.")

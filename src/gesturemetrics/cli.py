@@ -115,13 +115,12 @@ def _cmd_match_lengths(args):
 
 
 def _analyze_pair(args):
-    """Load both datasets, check that their ``mu`` agree and analyze each: (res_o, res_g, mu)."""
+    """Load both datasets, check that their ``mu`` agree and analyze each: (res_o, res_g)."""
     ds_o = pipeline.load_dataset(args.original)
     ds_g = pipeline.load_dataset(args.generated)
     if ds_o.mu != ds_g.mu:
         raise StructuralError(f"mu mismatch: {ds_o.mu} vs {ds_g.mu}")
-    return (analyze_dataset_structure(as_matrix(ds_o), ds_o.mu),
-            analyze_dataset_structure(as_matrix(ds_g), ds_g.mu), ds_o.mu)
+    return analyze_dataset_structure(as_matrix(ds_o)), analyze_dataset_structure(as_matrix(ds_g))
 
 
 def _write_spectra(args, fidelity):
@@ -133,8 +132,7 @@ def _write_spectra(args, fidelity):
 
 
 def _cmd_pcoa(args):
-    res_o, res_g, _ = _analyze_pair(args)
-    doc = fidelity_report(res_o, res_g, dims=args.dims).to_dict()
+    doc = fidelity_report(*_analyze_pair(args), dims=args.dims)
     _write_output(doc, args.out, args.format)
     _write_spectra(args, doc)
     return EXIT_OK
@@ -147,18 +145,16 @@ def _cmd_procrustes(args):
             raise StructuralError("--mu is required with --coordinates")
         y_o = pipeline.load_matrix(args.original)
         y_g = pipeline.load_matrix(args.generated)
-        result = procrustes(y_o, y_g, args.mu, allow_reflections=reflections)
+        doc = procrustes(y_o, y_g, args.mu, allow_reflections=reflections).to_dict()
     else:
-        res_o, res_g, mu = _analyze_pair(args)
-        result = originality(res_o, res_g, mu, args.dims, allow_reflections=reflections)
-    _write_output(result.to_dict(), args.out, args.format)
+        doc = originality(*_analyze_pair(args), args.dims, allow_reflections=reflections)
+    _write_output(doc, args.out, args.format)
     return EXIT_OK
 
 
 def _cmd_motion_stats(args):
     ds = pipeline.load_dataset(args.dataset)
-    report = motion_report(ds, _load_profile(args))
-    _write_output(report.to_dict(), args.out, args.format)
+    _write_output(motion_report(ds, _load_profile(args)), args.out, args.format)
     return EXIT_OK
 
 
@@ -180,8 +176,8 @@ def _cmd_fgd(args):
     model = gmm.load_model(args.model)
     ds_a = pipeline.load_dataset(args.dataset_a)
     ds_b = pipeline.load_dataset(args.dataset_b)
-    result = compute_fgd(model, ds_a, ds_b, bootstrap=args.bootstrap, seed=args.seed)
-    _write_output(result.to_dict(), args.out, args.format)
+    doc = compute_fgd(model, ds_a, ds_b, bootstrap=args.bootstrap, seed=args.seed)
+    _write_output(doc, args.out, args.format)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ get a tiny jitter when needed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,16 +45,6 @@ class FeatureStats:
             raise StructuralError("covariance must be symmetric")
 
 
-@dataclass
-class FgdResult:
-    value: float
-    bootstrap_mean: float | None = None
-    bootstrap_std: float | None = None
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def stats_from_features(features):
     features = np.asarray(features, dtype=float)
     if features.shape[0] < 2:
@@ -64,11 +54,6 @@ def stats_from_features(features):
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = (cov + cov.T) / 2.0
     return FeatureStats(mean=mean, covariance=cov, n=features.shape[0])
-
-
-def feature_stats(model, ds):
-    """Posterior features of every unit, summarized by mean and covariance."""
-    return stats_from_features(posterior_matrix(model, ds))
 
 
 def _psd_sqrt(mat):
@@ -112,16 +97,17 @@ def check_bootstrap(bootstrap):
 def fgd(model, ds_a, ds_b, bootstrap=0, seed=0):
     """FGD between two datasets through a reference mixture.
 
+    Returns the document ``{"value", "bootstrap_mean", "bootstrap_std"}``.
     With ``bootstrap > 0`` both datasets are resampled with replacement
-    that many times and the returned result additionally carries the
-    bootstrap mean and standard deviation of the distance.
+    that many times, and the bootstrap entries hold the mean and standard
+    deviation of the distance over those draws; otherwise they are ``None``.
     """
     check_bootstrap(bootstrap)
     feats_a = posterior_matrix(model, ds_a)
     feats_b = posterior_matrix(model, ds_b)
     value = frechet_distance(stats_from_features(feats_a), stats_from_features(feats_b))
     if bootstrap == 0:
-        return FgdResult(value=value)
+        return {"value": value, "bootstrap_mean": None, "bootstrap_std": None}
     rng = np.random.Generator(np.random.Philox(seed))
     draws = []
     for _ in range(bootstrap):
@@ -132,8 +118,8 @@ def fgd(model, ds_a, ds_b, bootstrap=0, seed=0):
             stats_from_features(feats_b[idx_b]),
         ))
     draws = np.asarray(draws)
-    return FgdResult(
-        value=value,
-        bootstrap_mean=float(draws.mean()),
-        bootstrap_std=float(draws.std(ddof=1)) if bootstrap > 1 else 0.0,
-    )
+    return {
+        "value": value,
+        "bootstrap_mean": float(draws.mean()),
+        "bootstrap_std": float(draws.std(ddof=1)) if bootstrap > 1 else 0.0,
+    }

@@ -66,9 +66,6 @@ class GmmModel:
     def d(self):
         return self.means.shape[1]
 
-    def mixture_mean(self):
-        return self.weights @ self.means
-
 
 def _kmeanspp_centers(x, k, rng):
     n = x.shape[0]

@@ -194,12 +194,12 @@ def map_hand_side_openpose(hand, side):
     raise StructuralError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def map_hand_yaw_openpose(hand, profile):
-    """Wrist yaw from the thumb-pinky fingertip distance, through ``HAND_YAW_SRC``."""
+def map_hand_yaw_openpose(hand, dst):
+    """Wrist yaw from the thumb-pinky fingertip distance, mapped from
+    ``HAND_YAW_SRC`` onto that wrist's ``(lo, hi)`` limits ``dst``."""
     hand = np.asarray(hand, dtype=float)
     d = float(np.linalg.norm(hand[HAND_THUMB_TIP] - hand[HAND_PINKY_TIP]))
-    limits = profile.limits_array()
-    return float(range_conv(d, HAND_YAW_SRC, tuple(limits[6])))
+    return float(range_conv(d, HAND_YAW_SRC, dst))
 
 
 def map_hand_opening_openpose(hand):
@@ -355,7 +355,8 @@ class StreamMapper:
             hand = np.asarray(hand, dtype=float)
             if np.linalg.norm(hand[HAND_PINKY_TIP, :2] - hand[HAND_THUMB_TIP, :2]) < 1e-12:
                 continue  # thumb and pinky tips coincide in the image: hold this hand
-            values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openpose(hand, self.profile)
+            wrist = _INDEX[prefix + "WristYaw"]
+            values[wrist] = map_hand_yaw_openpose(hand, self.profile.joint_limits[wrist])
             values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
 
 

@@ -46,21 +46,15 @@ class RobotProfile:
     motion metrics.
     """
 
-    joint_names: tuple = JOINT_NAMES
     joint_limits: tuple = ()
     upper_arm_length: float = 0.1812
     forearm_length: float = 0.15
     shoulder_offset: float = 0.1497
-    name: str = "unnamed"
 
     def __post_init__(self):
-        if tuple(self.joint_names) != JOINT_NAMES:
-            raise StructuralError(
-                "profile must declare the canonical 14 joints in canonical order"
-            )
         if len(self.joint_limits) != N_JOINTS:
             raise StructuralError("profile needs one [min, max] pair per joint")
-        for name, (lo, hi) in zip(self.joint_names, self.joint_limits):
+        for name, (lo, hi) in zip(JOINT_NAMES, self.joint_limits):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise StructuralError(f"empty or invalid limit interval for {name}")
             if name in HAND_OPEN_JOINTS and (lo, hi) != (0.0, 1.0):
@@ -86,7 +80,6 @@ class RobotProfile:
             upper_arm_length=float(links["upper_arm"]),
             forearm_length=float(links["forearm"]),
             shoulder_offset=float(links["shoulder_offset"]),
-            name=doc.get("name", "unnamed"),
         )
 
     @classmethod

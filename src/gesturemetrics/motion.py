@@ -24,7 +24,6 @@ head does not translate.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,24 +108,13 @@ def angular_jerk(series, dt):
     return _per_track(np.mean(np.abs(third), axis=-1))
 
 
-@dataclass
-class MotionReport:
-    """Mean smoothness statistics per site over a dataset's units."""
-
-    jerk_by_site: dict
-    path_length_by_site: dict
-    head_jerk: dict
-    jerk_available: bool
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def motion_report(ds, profile):
     """Per-site mean jerk and path length, plus head angular jerks.
 
-    Statistics are computed per unit of movement and then averaged across
-    units (pairwise summation via numpy keeps the mean deterministic).
+    Returns the document ``{"jerk_by_site", "path_length_by_site",
+    "head_jerk", "jerk_available"}``, the first three keyed by site or head
+    angle. Statistics are computed per unit of movement and then averaged
+    across units (pairwise summation via numpy keeps the mean deterministic).
     When mu < 4 the jerk entries are flagged unavailable; path lengths are
     still reported.
     """
@@ -137,18 +125,18 @@ def motion_report(ds, profile):
     tracks = sites.reshape(len(ds), ds.mu, len(SITES), 3)
     heads = poses.reshape(len(ds), ds.mu, N_JOINTS)[:, :, [_J["HeadYaw"], _J["HeadPitch"]]]
     jerk_available = ds.mu >= 4
-    return MotionReport(
-        jerk_by_site={
+    return {
+        "jerk_by_site": {
             site: float(np.mean(jerk(tracks[:, :, s], ds.dt))) if jerk_available else None
             for s, site in enumerate(SITES)
         },
-        path_length_by_site={
+        "path_length_by_site": {
             site: float(np.mean(path_length(tracks[:, :, s]))) if ds.mu >= 2 else 0.0
             for s, site in enumerate(SITES)
         },
-        head_jerk={
+        "head_jerk": {
             angle: float(np.mean(angular_jerk(heads[:, :, a], ds.dt))) if jerk_available else None
             for a, angle in enumerate(HEAD_ANGLES)
         },
-        jerk_available=jerk_available,
-    )
+        "jerk_available": jerk_available,
+    }

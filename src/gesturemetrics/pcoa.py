@@ -11,12 +11,12 @@ eigenvalues quoted anywhere depend on it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, StructuralError
-from .model import column_labels
+from .model import N_JOINTS, column_labels
 
 EIG_TOL = 1e-10
 SPECTRUM_LEN = 28   # spectra are zero-padded or cut to this many eigenvalues
@@ -169,25 +169,13 @@ def r2_recovery(y_o, y_g):
     return np.clip(r2, 0.0, 1.0), rank_deficient
 
 
-@dataclass
-class FidelityReport:
-    """Side-by-side structure comparison of two datasets."""
-
-    eigen_spectrum_original: list
-    eigen_spectrum_generated: list
-    r2: list
-    explained_variance_original_pct: float
-    explained_variance_generated_pct: float
-    dims: int
-    rank_deficient: bool = False
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def analyze_dataset_structure(matrix, mu):
-    """Correlation-distance -> unit variability -> PCoA for one dataset."""
-    dm = correlation_distance(matrix, labels=column_labels(mu))
+def analyze_dataset_structure(matrix):
+    """Correlation-distance -> unit variability -> PCoA for one N x (14*mu)
+    dataset matrix; warnings name columns as ``Joint[k]``."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] % N_JOINTS:
+        raise StructuralError(f"expected an N x (14*mu) dataset matrix, got shape {matrix.shape}")
+    dm = correlation_distance(matrix, labels=column_labels(matrix.shape[1] // N_JOINTS))
     dm = scale_to_unit_geometric_variability(dm)
     return pcoa(dm)
 
@@ -209,10 +197,10 @@ def leading_coordinates(res_original, res_generated, dims):
 def fidelity_report(res_original, res_generated, dims=10):
     """Fidelity of a generated dataset's structure to the original's.
 
-    Takes the two :func:`analyze_dataset_structure` results. Each of the
-    original's leading coordinates (see :func:`leading_coordinates`) is
-    regressed on all of the generated ones; spectra are zero-padded or cut
-    to ``SPECTRUM_LEN`` entries.
+    Takes the two :func:`analyze_dataset_structure` results and returns the
+    report document. Each of the original's leading coordinates (see
+    :func:`leading_coordinates`) is regressed on all of the generated ones;
+    spectra are zero-padded or cut to ``SPECTRUM_LEN`` entries.
     """
     y_o, y_g = leading_coordinates(res_original, res_generated, dims)
     dims = y_o.shape[1]
@@ -222,12 +210,12 @@ def fidelity_report(res_original, res_generated, dims=10):
         lam = res.eigenvalues[:SPECTRUM_LEN]
         return np.pad(lam, (0, SPECTRUM_LEN - lam.size)).tolist()
 
-    return FidelityReport(
-        eigen_spectrum_original=spectrum(res_original),
-        eigen_spectrum_generated=spectrum(res_generated),
-        r2=r2.tolist(),
-        explained_variance_original_pct=explained_variance(res_original, dims),
-        explained_variance_generated_pct=explained_variance(res_generated, dims),
-        dims=dims,
-        rank_deficient=rank_deficient,
-    )
+    return {
+        "eigen_spectrum_original": spectrum(res_original),
+        "eigen_spectrum_generated": spectrum(res_generated),
+        "r2": r2.tolist(),
+        "explained_variance_original_pct": explained_variance(res_original, dims),
+        "explained_variance_generated_pct": explained_variance(res_generated, dims),
+        "dims": dims,
+        "rank_deficient": rank_deficient,
+    }

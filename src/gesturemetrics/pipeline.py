@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ParseError, StructuralError
 from .model import JOINT_NAMES, N_JOINTS, GestureDataset, column_labels
 
+MAX_RESAMPLED_POSES = 10_000_000   # about 1 GB of output values
+
 
 @dataclass
 class PoseStream:
@@ -53,7 +55,9 @@ def resample(stream, target_hz):
     """Linearly resample a stream to a uniform grid at ``target_hz``.
 
     The grid starts at the first timestamp and ends at or before the last;
-    endpoints of the source are preserved when they fall on the grid.
+    endpoints of the source are preserved when they fall on the grid. A rate
+    whose grid would exceed ``MAX_RESAMPLED_POSES`` is rejected before any
+    allocation.
     """
     if not (math.isfinite(target_hz) and target_hz > 0):
         raise StructuralError("target rate must be finite and positive")
@@ -61,7 +65,11 @@ def resample(stream, target_hz):
     if len(ts) == 1:
         raise StructuralError("cannot resample a single-pose stream")
     dt = 1.0 / target_hz
-    n_out = int(np.floor((ts[-1] - ts[0]) / dt + 1e-9)) + 1
+    steps = float(ts[-1] - ts[0]) / dt + 1e-9    # Python floats: inf, not a warning
+    if steps >= MAX_RESAMPLED_POSES:
+        raise StructuralError(f"target rate {target_hz} Hz gives more than "
+                              f"{MAX_RESAMPLED_POSES} poses over the stream")
+    n_out = math.floor(steps) + 1
     grid = ts[0] + dt * np.arange(n_out)
     vals = stream.values
     out_vals = np.column_stack([np.interp(grid, ts, vals[:, j]) for j in range(N_JOINTS)])

@@ -8,17 +8,20 @@ from . import __version__
 from .errors import GestureError, StructuralError
 from .fgd import check_bootstrap
 from .fgd import fgd as compute_fgd
-from .model import as_matrix
+from .model import N_JOINTS, as_matrix
 from .motion import motion_report
 from .pcoa import analyze_dataset_structure, check_dims, fidelity_report, leading_coordinates
 from .procrustes import procrustes
 
 
-def originality(res_original, res_generated, mu, dims, allow_reflections=True):
-    """Procrustes statistic between the leading principal coordinates of two
-    :func:`analyze_dataset_structure` results, cut as by :func:`leading_coordinates`."""
+def originality(res_original, res_generated, dims, allow_reflections=True):
+    """Procrustes document between the leading principal coordinates of two
+    :func:`analyze_dataset_structure` results, cut as by :func:`leading_coordinates`.
+
+    PCoA has one row per dataset column, so the rows number 14*mu."""
     y_o, y_g = leading_coordinates(res_original, res_generated, dims)
-    return procrustes(y_o, y_g, mu, allow_reflections=allow_reflections)
+    return procrustes(y_o, y_g, len(y_o) // N_JOINTS,
+                      allow_reflections=allow_reflections).to_dict()
 
 
 def evaluate(ds_original, ds_generated, model, profile, dims=10,
@@ -52,22 +55,22 @@ def evaluate(ds_original, ds_generated, model, profile, dims=10,
 
     pair = None
     try:
-        pair = (analyze_dataset_structure(as_matrix(ds_original), mu),
-                analyze_dataset_structure(as_matrix(ds_generated), mu))
-        doc["fidelity"] = fidelity_report(*pair, dims=dims).to_dict()
+        pair = (analyze_dataset_structure(as_matrix(ds_original)),
+                analyze_dataset_structure(as_matrix(ds_generated)))
+        doc["fidelity"] = fidelity_report(*pair, dims=dims)
     except Exception as exc:  # stage isolation: record and continue
         errors["fidelity"] = str(exc)
 
     try:
         if pair is None:
             raise StructuralError("skipped: fidelity stage failed, no coordinates")
-        doc["originality"] = originality(*pair, mu, dims).to_dict()
+        doc["originality"] = originality(*pair, dims)
     except Exception as exc:
         errors["originality"] = str(exc)
 
     for name, ds in (("motion_original", ds_original), ("motion_generated", ds_generated)):
         try:
-            doc[name] = motion_report(ds, profile).to_dict()
+            doc[name] = motion_report(ds, profile)
         except Exception as exc:
             errors[name] = str(exc)
 
@@ -75,7 +78,7 @@ def evaluate(ds_original, ds_generated, model, profile, dims=10,
         if model is None:
             raise StructuralError("skipped: no reference model supplied")
         doc["fgd"] = compute_fgd(model, ds_original, ds_generated,
-                                 bootstrap=bootstrap, seed=seed).to_dict()
+                                 bootstrap=bootstrap, seed=seed)
     except Exception as exc:
         errors["fgd"] = str(exc)
 

@@ -9,6 +9,8 @@ feature-extraction mixture and for end-to-end experiments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import StructuralError
@@ -24,12 +26,15 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
 
     ``amplitude`` is the fraction of each joint's half-range used by the
     oscillation; each joint mixes ``N_HARMONICS`` randomized sinusoids.
-    Deterministic given the seed.
+    Deterministic given the seed. A rate or amplitude that would overflow
+    the timestamps or the joint values is rejected.
     """
     if n_poses < 1:
         raise StructuralError("need at least one pose")
-    if not rate_hz > 0:
-        raise StructuralError("rate must be positive")
+    # the sine arguments 2 pi f t + phase (f <= 1.5 Hz) stay below 4 pi t_end
+    if not (math.isfinite(rate_hz) and rate_hz > 0
+            and math.isfinite(4.0 * math.pi * max(n_poses - 1, 1) / rate_hz)):
+        raise StructuralError(f"rate must be positive and keep timestamps finite, got {rate_hz}")
     if not np.isfinite(amplitude):
         raise StructuralError(f"amplitude must be finite, got {amplitude}")
     profile = profile or RobotProfile.default()
@@ -37,6 +42,9 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
     limits = profile.limits_array()
     center = limits.mean(axis=1)
     half_range = (limits[:, 1] - limits[:, 0]) / 2.0
+    peak = N_HARMONICS * abs(float(amplitude)) * float(half_range.max())
+    if not math.isfinite(peak + float(np.abs(center).max())):
+        raise StructuralError(f"amplitude {amplitude} overflows the joint values")
 
     t = np.arange(n_poses) / rate_hz
     values = np.tile(center, (n_poses, 1))

@@ -82,15 +82,15 @@ def test_criterion_01_metric_identity_suite():
         ds = beat_gesture_corpus(400, 4, seed=0)
         assert len(ds) == 100
         matrix = as_matrix(ds)
-        res_o = analyze_dataset_structure(matrix, 4)
-        res_g = analyze_dataset_structure(matrix.copy(), 4)
+        res_o = analyze_dataset_structure(matrix)
+        res_g = analyze_dataset_structure(matrix.copy())
         report = fidelity_report(res_o, res_g)
-        assert np.allclose(report.r2, 1.0, atol=1e-8)
-        d = report.dims
+        assert np.allclose(report["r2"], 1.0, atol=1e-8)
+        d = report["dims"]
         res = procrustes(res_o.coordinates[:, :d], res_g.coordinates[:, :d], 4)
         assert res.ss == pytest.approx(0.0, abs=1e-8)
         model = fit(ds, k=4, seed=0)
-        assert fgd(model, ds, ds).value == pytest.approx(0.0, abs=1e-8)
+        assert fgd(model, ds, ds)["value"] == pytest.approx(0.0, abs=1e-8)
         assert time.perf_counter() - start < 5.0
 
     _run(1, "metric identity suite", body)
@@ -212,9 +212,9 @@ def test_criterion_07_fgd_ordering_experiment():
             uniform = GestureDataset(matrix=rng.uniform(lo, hi, size=(2500, dim)),
                                      dt=0.25)
             model = fit(train, k=8, seed=seed)
-            d_held = fgd(model, train, heldout).value
-            d_noise = fgd(model, train, noisy).value
-            d_unif = fgd(model, train, uniform).value
+            d_held = fgd(model, train, heldout)["value"]
+            d_noise = fgd(model, train, noisy)["value"]
+            d_unif = fgd(model, train, uniform)["value"]
             if d_held < d_noise < d_unif:
                 successes += 1
         assert successes >= 19, f"strict ordering held in only {successes}/20 runs"
@@ -243,7 +243,7 @@ def test_criterion_08_mapping_suite():
                                        abs=1e-9)
         # wrist yaw from thumb-pinky spread: affine oracle
         hand = make_hand(spread=0.06)
-        got = map_hand_yaw_openpose(hand, profile)
+        got = map_hand_yaw_openpose(hand, profile.joint_limits[6])
         s0, s1 = HAND_YAW_SRC
         lo_y, hi_y = profile.joint_limits[6]
         assert got == pytest.approx(lo_y + (0.12 - s0) / (s1 - s0) * (hi_y - lo_y),

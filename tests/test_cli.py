@@ -6,6 +6,7 @@ import pytest
 
 from gesturemetrics.cli import main
 from gesturemetrics.pipeline import load_dataset, load_stream
+from gesturemetrics.report import dump_json
 
 OPENNI_BODY = {
     "Head": [0.0, 0.45, 2.0],
@@ -148,6 +149,16 @@ class TestStreamCommands:
         assert "finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rate", ["1e20", "1e300", "1.7e308"])
+    def test_resample_rate_with_oversized_grid_is_input_failure(self, corpus, tmp_path,
+                                                                capsys, rate):
+        stream, _ = corpus
+        out = tmp_path / "resampled.csv"
+        assert main(["resample", "--rate", rate, str(stream), str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: target rate {float(rate)} Hz gives "
+                                           "more than 10000000 poses over the stream\n")
+        assert not out.exists()
+
     def test_window_floor_division(self, corpus):
         _, ds_path = corpus
         ds = load_dataset(ds_path)
@@ -288,6 +299,26 @@ class TestEvaluate:
         assert main(["window", "--mu", "4", str(stream), str(ds4)]) == 0
         assert main(["window", "--mu", "8", str(stream), str(ds8)]) == 0
         assert main(["evaluate", str(ds4), str(ds8)]) == 2
+
+    def test_summary_blocks_equal_single_stage_documents(self, corpus, tmp_path):
+        _, ds = corpus
+        gen = tmp_path / "gen.csv"
+        model = tmp_path / "model.json"
+        assert main(["synth-corpus", "--poses", "160", "--mu", "4", "--seed", "1",
+                     "--out", str(gen)]) == 0
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        summary = tmp_path / "summary.json"
+        assert main(["evaluate", str(ds), str(gen), "--model", str(model), "--dims", "5",
+                     "--bootstrap", "3", "--seed", "2", "--out", str(summary)]) == 0
+        doc = json.loads(summary.read_text())
+        fgd = ["--model", str(model), "--bootstrap", "3", "--seed", "2"]
+        for block, argv in (("fidelity", ["pcoa", "--dims", "5", str(ds), str(gen)]),
+                            ("originality", ["procrustes", "--dims", "5", str(ds), str(gen)]),
+                            ("motion_generated", ["motion-stats", str(gen)]),
+                            ("fgd", ["fgd", *fgd, str(ds), str(gen)])):
+            out = tmp_path / f"{block}.json"
+            assert main([*argv, "--out", str(out)]) == 0, block
+            assert out.read_text() == dump_json(doc[block]), block
 
     def test_deterministic_output(self, corpus, tmp_path):
         _, ds = corpus
@@ -475,6 +506,21 @@ class TestErrors:
         assert main(["synth-corpus", f"--amplitude={amplitude}", "--mu", mu,
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: amplitude must be finite, got {amplitude}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--amplitude", "1e308"], "amplitude 1e+308 overflows the joint values"),
+        (["--amplitude=-1e308"], "amplitude -1e+308 overflows the joint values"),
+        (["--rate", "1e-320"], "rate must be positive and keep timestamps finite, got 1e-320"),
+        (["--rate", "inf"], "rate must be positive and keep timestamps finite, got inf"),
+    ], ids=["huge-amplitude", "huge-negative-amplitude", "subnormal-rate", "infinite-rate"])
+    @pytest.mark.parametrize("mu", ["0", "4"])
+    def test_overflowing_synth_argument_is_input_failure(self, tmp_path, capsys, argv,
+                                                         message, mu):
+        out = tmp_path / "corpus.csv"
+        assert main(["synth-corpus", "--poses", "40", *argv, "--mu", mu,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_bad_usage_exit_two(self):

@@ -314,7 +314,7 @@ class TestSampling:
         n = 100_000
         ds = sample(model, n, seed=0)
         x = as_matrix(ds)
-        mix_mean = model.mixture_mean()
+        mix_mean = model.weights @ model.means
         # per-dimension variance of the mixture with unit shared covariance
         second = model.weights @ (model.means ** 2 + 1.0)
         var = second - mix_mean ** 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -207,19 +208,19 @@ class TestHandSide:
 class TestHandYawOpenpose:
     def test_source_min_maps_to_range_min(self, profile):
         hand = make_hand(spread=HAND_YAW_SRC[0] / 2)
-        yaw = map_hand_yaw_openpose(hand, profile=profile)
+        yaw = map_hand_yaw_openpose(hand, profile.joint_limits[6])
         assert yaw == pytest.approx(profile.joint_limits[6][0], abs=1e-12)
 
     def test_source_midpoint_maps_to_range_midpoint(self, profile):
         mid = (HAND_YAW_SRC[0] + HAND_YAW_SRC[1]) / 2
         hand = make_hand(spread=mid / 2)
-        yaw = map_hand_yaw_openpose(hand, profile=profile)
+        yaw = map_hand_yaw_openpose(hand, profile.joint_limits[6])
         lo, hi = profile.joint_limits[6]
         assert yaw == pytest.approx((lo + hi) / 2, abs=1e-12)
 
     def test_affine_oracle_at_012(self, profile):
         hand = make_hand(spread=0.06)  # thumb-pinky distance 0.12 m
-        yaw = map_hand_yaw_openpose(hand, profile=profile)
+        yaw = map_hand_yaw_openpose(hand, profile.joint_limits[6])
         s0, s1 = HAND_YAW_SRC
         lo, hi = profile.joint_limits[6]
         expected = lo + (0.12 - s0) / (s1 - s0) * (hi - lo)
@@ -448,6 +449,20 @@ class TestStreamMapper:
         for name in ("LWristYaw", "LHandOpen"):
             idx = JOINT_NAMES.index(name)
             assert second.values[idx] == left_only.values[idx] != first.values[idx], name
+
+    def test_each_wrist_yaw_maps_onto_its_own_limits(self, profile):
+        limits = list(profile.joint_limits)
+        limits[JOINT_NAMES.index("RWristYaw")] = (-1.0, 1.0)
+        narrow = dataclasses.replace(profile, joint_limits=tuple(limits))
+        hand = make_hand(spread=0.06)  # thumb-pinky distance 0.12 m
+        pose = StreamMapper(profile=narrow).map_frame(SkeletonFrame(
+            layout=OPENPOSE_LAYOUT, body=make_tpose_frame().body,
+            left_hand=hand, right_hand=hand))
+        t = (0.12 - HAND_YAW_SRC[0]) / (HAND_YAW_SRC[1] - HAND_YAW_SRC[0])
+        for name in ("LWristYaw", "RWristYaw"):
+            lo, hi = narrow.joint_limits[JOINT_NAMES.index(name)]
+            assert pose.values[JOINT_NAMES.index(name)] == pytest.approx(
+                lo + t * (hi - lo), abs=1e-12), name
 
     def test_openni_seeded_fingers_deterministic(self):
         body = make_openni_body()

@@ -26,7 +26,6 @@ def midpoint_values(profile):
 
 class TestProfile:
     def test_default_profile_loads(self, profile):
-        assert profile.joint_names == JOINT_NAMES
         assert len(profile.joint_limits) == N_JOINTS
 
     def test_hand_open_limits_are_unit_interval(self, profile):

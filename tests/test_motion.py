@@ -309,8 +309,8 @@ class TestUnitTracks:
         assert isinstance(path_length(tracks[0]), float)
         # halving the rate multiplies the jerk by 2^-3
         slow = GestureDataset(matrix=ds.matrix, dt=2 * ds.dt)
-        fast_jerk = motion_report(ds, profile).jerk_by_site["Lhand"]
-        slow_jerk = motion_report(slow, profile).jerk_by_site["Lhand"]
+        fast_jerk = motion_report(ds, profile)["jerk_by_site"]["Lhand"]
+        slow_jerk = motion_report(slow, profile)["jerk_by_site"]["Lhand"]
         assert slow_jerk == pytest.approx(fast_jerk / 8.0, rel=1e-12)
 
     def test_rows_match_per_pose_fk(self, profile):
@@ -323,8 +323,8 @@ class TestUnitTracks:
             for i, pose in enumerate(poses):
                 assert np.allclose(tracks[site][i],
                                    forward_kinematics(pose, profile)[S[site]], atol=1e-12)
-            assert report.jerk_by_site[site] == jerk(tracks[site], 0.25)
-            assert report.path_length_by_site[site] == path_length(tracks[site])
+            assert report["jerk_by_site"][site] == jerk(tracks[site], 0.25)
+            assert report["path_length_by_site"][site] == path_length(tracks[site])
 
 
 class TestMotionReport:
@@ -357,8 +357,8 @@ class TestMotionReport:
                 track = unit_tracks(unit, profile)[site]
                 jerks.append(jerk(track, ds.dt))
                 paths.append(path_length(track))
-            assert report.jerk_by_site[site] == pytest.approx(np.mean(jerks), abs=1e-12)
-            assert report.path_length_by_site[site] == pytest.approx(
+            assert report["jerk_by_site"][site] == pytest.approx(np.mean(jerks), abs=1e-12)
+            assert report["path_length_by_site"][site] == pytest.approx(
                 np.mean(paths), abs=1e-12)
 
     def test_head_jerk_oracle(self, profile):
@@ -368,36 +368,36 @@ class TestMotionReport:
         for angle, joint in (("yaw", "HeadYaw"), ("pitch", "HeadPitch")):
             vals = [angular_jerk(unit.reshape(ds.mu, N_JOINTS)[:, J[joint]], ds.dt)
                     for unit in ds.matrix]
-            assert report.head_jerk[angle] == pytest.approx(np.mean(vals), abs=1e-12)
+            assert report["head_jerk"][angle] == pytest.approx(np.mean(vals), abs=1e-12)
 
     def test_short_units_flag_jerk_unavailable(self, profile):
         rng = np.random.default_rng(8)
         ds = build_dataset(rng, profile, 4, 2)
         report = motion_report(ds, profile)
-        assert not report.jerk_available
-        assert all(v is None for v in report.jerk_by_site.values())
-        assert all(v is None for v in report.head_jerk.values())
-        assert all(v >= 0.0 for v in report.path_length_by_site.values())
+        assert not report["jerk_available"]
+        assert all(v is None for v in report["jerk_by_site"].values())
+        assert all(v is None for v in report["head_jerk"].values())
+        assert all(v >= 0.0 for v in report["path_length_by_site"].values())
 
     def test_mu_one_paths_are_zero(self, profile):
         rng = np.random.default_rng(9)
         ds = build_dataset(rng, profile, 3, 1)
         report = motion_report(ds, profile)
-        assert all(v == 0.0 for v in report.path_length_by_site.values())
+        assert all(v == 0.0 for v in report["path_length_by_site"].values())
 
     def test_frozen_pose_dataset_all_zero(self, profile):
         pose = pose_with(LShoulderPitch=0.8, RShoulderPitch=0.8)
         ds = GestureDataset(matrix=np.tile(pose, (3, 6)), dt=0.25)
         report = motion_report(ds, profile)
         assert all(v == pytest.approx(0.0, abs=1e-12)
-                   for v in report.jerk_by_site.values())
+                   for v in report["jerk_by_site"].values())
         assert all(v == pytest.approx(0.0, abs=1e-12)
-                   for v in report.path_length_by_site.values())
+                   for v in report["path_length_by_site"].values())
 
-    def test_to_dict_keys(self, profile):
+    def test_document_keys(self, profile):
         rng = np.random.default_rng(10)
         ds = build_dataset(rng, profile, 2, 4)
-        d = motion_report(ds, profile).to_dict()
+        d = motion_report(ds, profile)
         assert set(d) == {"jerk_by_site", "path_length_by_site", "head_jerk",
                           "jerk_available"}
 

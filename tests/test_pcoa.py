@@ -266,33 +266,40 @@ class TestFidelityReport:
     def test_identity_comparison(self):
         rng = np.random.default_rng(16)
         data = rng.normal(size=(60, 28))
-        report = fidelity_report(analyze_dataset_structure(data, 2),
-                                 analyze_dataset_structure(data.copy(), 2))
-        assert np.allclose(report.r2, 1.0, atol=1e-8)
-        assert report.eigen_spectrum_original == report.eigen_spectrum_generated
-        assert 0 < report.explained_variance_original_pct <= 100.0
-        assert len(report.eigen_spectrum_original) == 28
+        report = fidelity_report(analyze_dataset_structure(data),
+                                 analyze_dataset_structure(data.copy()))
+        assert np.allclose(report["r2"], 1.0, atol=1e-8)
+        assert report["eigen_spectrum_original"] == report["eigen_spectrum_generated"]
+        assert 0 < report["explained_variance_original_pct"] <= 100.0
+        assert len(report["eigen_spectrum_original"]) == 28
 
     def test_spectrum_padding(self):
         rng = np.random.default_rng(17)
         data = rng.normal(size=(30, 14))
-        res = analyze_dataset_structure(data, 1)
+        res = analyze_dataset_structure(data)
         report = fidelity_report(res, res)
-        assert len(report.eigen_spectrum_original) == 28
-        assert report.eigen_spectrum_original[-1] == 0.0
+        assert len(report["eigen_spectrum_original"]) == 28
+        assert report["eigen_spectrum_original"][-1] == 0.0
 
     def test_dims_cut_to_retained(self):
         rng = np.random.default_rng(18)
-        res_o = analyze_dataset_structure(rng.normal(size=(30, 14)), 1)
-        res_g = analyze_dataset_structure(rng.normal(size=(30, 14)), 1)
+        res_o = analyze_dataset_structure(rng.normal(size=(30, 14)))
+        res_g = analyze_dataset_structure(rng.normal(size=(30, 14)))
         retained = min(res_o.eigenvalues.size, res_g.eigenvalues.size)
         y_o, y_g = leading_coordinates(res_o, res_g, 99)
         assert y_o.shape == y_g.shape == (14, retained)
-        assert fidelity_report(res_o, res_g, dims=99).dims == retained
-        assert fidelity_report(res_o, res_g, dims=3).dims == 3
+        assert fidelity_report(res_o, res_g, dims=99)["dims"] == retained
+        assert fidelity_report(res_o, res_g, dims=3)["dims"] == 3
+
+    @pytest.mark.parametrize("shape", [(30, 15), (30,)])
+    def test_matrix_width_must_be_a_multiple_of_fourteen(self, shape):
+        data = np.random.default_rng(20).normal(size=shape)
+        data[..., -1] = 1.0     # a dead last column is named in a warning
+        with pytest.raises(StructuralError, match="N x \\(14\\*mu\\) dataset matrix"):
+            analyze_dataset_structure(data)
 
     @pytest.mark.parametrize("dims", [0, -1])
     def test_dims_below_one_rejected(self, dims):
-        res = analyze_dataset_structure(np.random.default_rng(19).normal(size=(30, 14)), 1)
+        res = analyze_dataset_structure(np.random.default_rng(19).normal(size=(30, 14)))
         with pytest.raises(StructuralError, match="dims must be at least 1"):
             fidelity_report(res, res, dims=dims)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gesturemetrics import pipeline
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.model import N_JOINTS, as_matrix
 from gesturemetrics.pipeline import (
@@ -73,6 +74,13 @@ class TestResample:
     def test_rate_must_be_finite_and_positive(self, rate):
         with pytest.raises(StructuralError, match="finite and positive"):
             resample(make_stream(9, rate_hz=2.0), rate)
+
+    def test_grid_longer_than_the_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_RESAMPLED_POSES", 21)
+        stream = make_stream(9, rate_hz=2.0)        # spans 4 s
+        assert len(resample(stream, 5.0)) == 21     # 20 steps
+        with pytest.raises(StructuralError, match="target rate 5.25 Hz gives more than 21"):
+            resample(stream, 5.25)                  # 21 steps, 22 poses
 
 
 class TestMatchLengths:
