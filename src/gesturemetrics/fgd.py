@@ -63,9 +63,16 @@ def _psd_sqrt(mat):
 
 
 def frechet_distance(a, b):
-    """Squared Fréchet (2-Wasserstein) distance between two Gaussians."""
+    """Squared Fréchet (2-Wasserstein) distance between two Gaussians.
+
+    Statistics with equal mean and covariance arrays are at distance exactly
+    0.0; the eigen- and singular-value route would leave round-off whose size
+    depends on the BLAS kernel.
+    """
     if a.mean.shape != b.mean.shape:
         raise StructuralError("feature dimensions do not match")
+    if np.array_equal(a.mean, b.mean) and np.array_equal(a.covariance, b.covariance):
+        return 0.0
     cov_a, cov_b = a.covariance, b.covariance
     dim = cov_a.shape[0]
     scale = max(float(np.trace(cov_a)), float(np.trace(cov_b)), 1.0)

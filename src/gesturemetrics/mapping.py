@@ -75,12 +75,14 @@ CONFIDENCE_THRESHOLD = 0.1                  # keypoints below it count as missin
 
 # positions in the 14-joint pose vector
 _INDEX = {name: i for i, name in enumerate(JOINT_NAMES)}
-_HEAD = [_INDEX["HeadYaw"], _INDEX["HeadPitch"]]
+_HEAD = slice(_INDEX["HeadYaw"], _INDEX["HeadPitch"] + 1)
+_OPENNI_SET, _OPENPOSE_SET = frozenset(OPENNI_KEYPOINTS), frozenset(OPENPOSE_KEYPOINTS)
 
 
 @dataclass(frozen=True)
 class SkeletonFrame:
-    """One timestamped capture frame in either supported layout."""
+    """One timestamped capture frame: ``body`` maps keypoint names to (x, y, z)
+    float triples, hands are 21 x 3 float arrays."""
 
     layout: str
     body: dict
@@ -94,24 +96,24 @@ class SkeletonFrame:
 
     def __post_init__(self):
         if self.layout == OPENNI_LAYOUT:
-            if set(self.body) != set(OPENNI_KEYPOINTS):
+            if self.body.keys() != _OPENNI_SET:
                 raise StructuralError("openni15 frame must carry exactly the 15 OpenNI keypoints")
             if self.left_hand is not None or self.right_hand is not None:
                 raise StructuralError("openni15 frames carry no hand keypoints")
         elif self.layout == OPENPOSE_LAYOUT:
-            if set(self.body) != set(OPENPOSE_KEYPOINTS):
+            if self.body.keys() != _OPENPOSE_SET:
                 raise StructuralError("openpose25 frame must carry exactly the 25 body keypoints")
             for hand in (self.left_hand, self.right_hand):
-                if hand is not None and np.asarray(hand).shape != (21, 3):
+                if hand is not None and np.shape(hand) != (21, 3):
                     raise StructuralError("hand keypoint sets must be 21 x 3")
         else:
             raise StructuralError(f"unsupported layout {self.layout!r}")
 
     def point(self, name):
-        """Keypoint as array; StructuralError if below ``CONFIDENCE_THRESHOLD``."""
+        """The stored (x, y, z) triple; StructuralError if below ``CONFIDENCE_THRESHOLD``."""
         if self.confidence.get(name, 1.0) < CONFIDENCE_THRESHOLD:
             raise StructuralError(f"keypoint {name} below confidence threshold")
-        return np.asarray(self.body[name], dtype=float)
+        return self.body[name]
 
 
 def range_conv(x, src, dst):
@@ -127,10 +129,41 @@ def range_conv(x, src, dst):
     return d0 + t * (d1 - d0)
 
 
+# 3-vectors are float triples and a dot product is a0*b0 + a1*b1 + a2*b2 in
+# that order, so no result depends on which BLAS kernel the host selects.
+def _sub(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _norm(v):
+    return math.sqrt(_dot(v, v))
+
+
+def _minus_scaled(v, d, axis):
+    return (v[0] - d * axis[0], v[1] - d * axis[1], v[2] - d * axis[2])
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _unit(v, what):
+    norm = _norm(v)
+    if norm < 1e-12:
+        raise DegenerateGeometryError(f"zero-length {what} vector")
+    return (v[0] / norm, v[1] / norm, v[2] / norm)
+
+
 def _rotate_about_vertical(v, angle):
     c, s = math.cos(angle), math.sin(angle)
     x, y, z = v
-    return np.array([x * c + z * s, y, -x * s + z * c])
+    return (x * c + z * s, y, -x * s + z * c)
 
 
 def map_head_openni(head_orientation, neck, head):
@@ -141,11 +174,11 @@ def map_head_openni(head_orientation, neck, head):
     vector after a -pi/2 rotation about the vertical axis.
     """
     beta, _ = head_orientation
-    hn = np.asarray(head, dtype=float) - np.asarray(neck, dtype=float)
-    if np.linalg.norm(hn) < 1e-12:
+    hn = _sub(head, neck)
+    if _norm(hn) < 1e-12:
         raise DegenerateGeometryError("head and neck keypoints coincide")
     r = _rotate_about_vertical(hn, -math.pi / 2)
-    return float(beta), float(math.atan2(r[2], r[1]))
+    return float(beta), math.atan2(r[2], r[1])
 
 
 def map_head_openpose(nose, neck, profile):
@@ -155,15 +188,21 @@ def map_head_openpose(nose, neck, profile):
     angle between the nose-neck vector and the vertical axis, both pushed
     through :func:`range_conv` onto the robot's head ranges.
     """
-    nn = np.asarray(nose, dtype=float) - np.asarray(neck, dtype=float)
-    norm = np.linalg.norm(nn)
+    nn = _sub(nose, neck)
+    norm = _norm(nn)
     if norm < 1e-12:
         raise DegenerateGeometryError("nose and neck keypoints coincide")
-    limits = profile.limits_array()
-    pitch = range_conv(norm, HEAD_PITCH_SRC, tuple(limits[1]))
-    yaw_angle = -math.asin(float(np.clip(nn[0] / norm, -1.0, 1.0)))
-    yaw = range_conv(yaw_angle, HEAD_YAW_SRC, tuple(limits[0]))
+    limits = profile.joint_limits
+    pitch = range_conv(norm, HEAD_PITCH_SRC, limits[1])
+    yaw_angle = -math.asin(min(max(nn[0] / norm, -1.0), 1.0))
+    yaw = range_conv(yaw_angle, HEAD_YAW_SRC, limits[0])
     return float(yaw), float(pitch)
+
+
+def _thumb_pinky_gap(hand):
+    """Distance of the thumb and pinky tips in the image plane (x, y)."""
+    (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
+    return math.sqrt((px - tx) * (px - tx) + (py - ty) * (py - ty))
 
 
 def map_hand_side_openpose(hand, side):
@@ -174,19 +213,13 @@ def map_hand_side_openpose(hand, side):
     counts how many of the index/middle/ring tips sit above that line.
     Invariant under in-plane rotation and uniform scaling.
     """
-    hand = np.asarray(hand, dtype=float)
-    thumb = hand[HAND_THUMB_TIP, :2]
-    pinky = hand[HAND_PINKY_TIP, :2] - thumb
-    if np.linalg.norm(pinky) < 1e-12:
+    if _thumb_pinky_gap(hand) < 1e-12:
         raise DegenerateGeometryError("thumb and pinky fingertips coincide")
-    alpha = math.atan2(pinky[1], pinky[0])
+    (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
+    alpha = math.atan2(py - ty, px - tx)
     c, s = math.cos(alpha), math.sin(alpha)
-    above = 0
-    for idx in (HAND_INDEX_TIP, HAND_MIDDLE_TIP, HAND_RING_TIP):
-        ox, oy = hand[idx, :2] - thumb
-        y_rot = -ox * s + oy * c  # rotation by -alpha
-        if y_rot > 0:
-            above += 1
+    above = sum(-(hand[i][0] - tx) * s + (hand[i][1] - ty) * c > 0   # y rotated by -alpha
+                for i in (HAND_INDEX_TIP, HAND_MIDDLE_TIP, HAND_RING_TIP))
     if side == "right":
         return BACK if above >= 2 else PALM
     if side == "left":
@@ -197,15 +230,13 @@ def map_hand_side_openpose(hand, side):
 def map_hand_yaw_openpose(hand, dst):
     """Wrist yaw from the thumb-pinky fingertip distance, mapped from
     ``HAND_YAW_SRC`` onto that wrist's ``(lo, hi)`` limits ``dst``."""
-    hand = np.asarray(hand, dtype=float)
-    d = float(np.linalg.norm(hand[HAND_THUMB_TIP] - hand[HAND_PINKY_TIP]))
+    d = _norm(_sub(hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]))
     return float(range_conv(d, HAND_YAW_SRC, dst))
 
 
 def map_hand_opening_openpose(hand):
     """Finger opening in [0, 1] from the wrist-to-middle-fingertip distance."""
-    hand = np.asarray(hand, dtype=float)
-    d = float(np.linalg.norm(hand[HAND_MIDDLE_TIP] - hand[HAND_WRIST]))
+    d = _norm(_sub(hand[HAND_MIDDLE_TIP], hand[HAND_WRIST]))
     return float(range_conv(d, HAND_OPEN_SRC, (0.0, 1.0)))
 
 
@@ -220,21 +251,7 @@ def map_hand_yaw_openni(palm_pixels, back_pixels):
         yaw = biggest / N_PIXELS * MAX_WRIST_YAW
     else:
         yaw = (biggest - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW
-    return float(np.clip(yaw, -MAX_WRIST_YAW, MAX_WRIST_YAW))
-
-
-def _cross(a, b):
-    """Cross product of two 3-vectors, as np.cross computes it, at under a tenth of its cost."""
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
-def _unit(v, what):
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise DegenerateGeometryError(f"zero-length {what} vector")
-    return v / norm
+    return float(min(max(yaw, -MAX_WRIST_YAW), MAX_WRIST_YAW))
 
 
 def arm_angles(frame):
@@ -244,48 +261,45 @@ def arm_angles(frame):
     DegenerateGeometryError on zero-length limb vectors and StructuralError
     when a required keypoint is below ``CONFIDENCE_THRESHOLD``.
     """
-    if frame.layout == OPENNI_LAYOUT:
-        wrist_names = {"left": "LHand", "right": "RHand"}
-        hip_ref = "Torso"
-    else:
-        wrist_names = {"left": "LWrist", "right": "RWrist"}
-        hip_ref = "MidHip"
-
+    hip_ref, wrist = ("Torso", "Hand") if frame.layout == OPENNI_LAYOUT else ("MidHip", "Wrist")
     neck = frame.point("Neck")
     lsh, rsh = frame.point("LShoulder"), frame.point("RShoulder")
-    down = _unit(frame.point(hip_ref) - neck, "torso")
-    lat_left = _unit(lsh - rsh, "shoulder line")
+    down = _unit(_sub(frame.point(hip_ref), neck), "torso")
+    lat_left = _unit(_sub(lsh, rsh), "shoulder line")
     fwd = _unit(_cross(lat_left, down), "forward axis")
 
     out = {}
-    for side, prefix, sign, sh, lat in (("left", "L", -1.0, lsh, lat_left),
-                                        ("right", "R", 1.0, rsh, -lat_left)):
+    for side, prefix, sign, sh, lat in (
+            ("left", "L", -1.0, lsh, lat_left),
+            ("right", "R", 1.0, rsh, (-lat_left[0], -lat_left[1], -lat_left[2]))):
         el = frame.point(prefix + "Elbow")
-        wr = frame.point(wrist_names[side])
-        u = el - sh
-        f = wr - el
+        wr = frame.point(prefix + wrist)
+        u = _sub(el, sh)
+        f = _sub(wr, el)
         uh = _unit(u, f"{side} upper-arm")
         fh = _unit(f, f"{side} forearm")
 
-        roll = math.pi / 2 - math.acos(float(np.clip(np.dot(uh, lat), -1.0, 1.0)))
-        u_sag = uh - np.dot(uh, lat) * lat
-        if np.linalg.norm(u_sag) < 1e-9:
+        along = _dot(uh, lat)
+        roll = math.pi / 2 - math.acos(min(max(along, -1.0), 1.0))
+        u_sag = _minus_scaled(uh, along, lat)
+        norm = _norm(u_sag)
+        if norm < 1e-9:
             pitch = 0.0
         else:
-            u_sag /= np.linalg.norm(u_sag)
-            pitch = math.atan2(float(np.dot(u_sag, fwd)), float(np.dot(u_sag, down)))
-        elbow_roll = sign * math.acos(float(np.clip(np.dot(uh, fh), -1.0, 1.0)))
+            u_sag = (u_sag[0] / norm, u_sag[1] / norm, u_sag[2] / norm)
+            pitch = math.atan2(_dot(u_sag, fwd), _dot(u_sag, down))
+        elbow_roll = sign * math.acos(min(max(_dot(uh, fh), -1.0), 1.0))
 
-        ref = down - np.dot(down, uh) * uh
-        if np.linalg.norm(ref) < 1e-9:
-            ref = fwd - np.dot(fwd, uh) * uh
+        ref = _minus_scaled(down, _dot(down, uh), uh)
+        if _norm(ref) < 1e-9:
+            ref = _minus_scaled(fwd, _dot(fwd, uh), uh)
         e2 = _unit(ref, "elbow reference")
         e3 = _cross(uh, e2)
-        f_perp = f - np.dot(f, uh) * uh
-        if np.linalg.norm(f_perp) < 1e-9:
+        f_perp = _minus_scaled(f, _dot(f, uh), uh)
+        if _norm(f_perp) < 1e-9:
             elbow_yaw = 0.0  # forearm along upper arm: yaw undefined, hold zero
         else:
-            elbow_yaw = math.atan2(float(np.dot(f_perp, e3)), float(np.dot(f_perp, e2)))
+            elbow_yaw = math.atan2(_dot(f_perp, e3), _dot(f_perp, e2))
 
         out[prefix + "ShoulderPitch"] = float(pitch)
         # outward abduction is positive on the left, negative on the right
@@ -311,7 +325,7 @@ class StreamMapper:
         self._values = self.profile.limits_array().mean(axis=1)
 
     def map_frame(self, frame):
-        values = self._values.copy()
+        values = self._values.tolist()
         try:
             for name, angle in arm_angles(frame).items():
                 values[_INDEX[name]] = angle
@@ -352,34 +366,29 @@ class StreamMapper:
         for prefix, hand in (("L", frame.left_hand), ("R", frame.right_hand)):
             if hand is None:
                 continue  # hold previous hand values
-            hand = np.asarray(hand, dtype=float)
-            if np.linalg.norm(hand[HAND_PINKY_TIP, :2] - hand[HAND_THUMB_TIP, :2]) < 1e-12:
+            hand = np.asarray(hand, dtype=float).tolist()
+            if _thumb_pinky_gap(hand) < 1e-12:
                 continue  # thumb and pinky tips coincide in the image: hold this hand
             wrist = _INDEX[prefix + "WristYaw"]
             values[wrist] = map_hand_yaw_openpose(hand, self.profile.joint_limits[wrist])
             values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
 
 
-def _numbers(values, what, line, counts):
-    """The floats of the JSON list ``values``, which must hold ``counts`` finite numbers."""
-    if not isinstance(values, list) or len(values) not in counts:
-        raise ParseError(f"{what} must be a list of {' or '.join(map(str, counts))} numbers", line)
-    values = [float(v) for v in values]
-    if not all(map(math.isfinite, values)):
-        raise ParseError(f"{what} must be finite", line)
-    return values
-
-
 def _frame_from_record(rec, line):
     """One validated frame; every malformed field is a ParseError naming ``line``."""
+    isfinite = math.isfinite
     try:
         body = {}
         confidence = {}
         for name, coords in rec["body"].items():
-            coords = _numbers(coords, f"keypoint {name}", line, (3, 4))
-            body[name] = tuple(coords[:3])
-            if len(coords) == 4:
-                confidence[name] = coords[3]
+            if not isinstance(coords, list) or not 3 <= len(coords) <= 4:
+                raise ParseError(f"keypoint {name} must be a list of 3 or 4 numbers", line)
+            x, y, z, *rest = map(float, coords)
+            if not (isfinite(x) and isfinite(y) and isfinite(z) and all(map(isfinite, rest))):
+                raise ParseError(f"keypoint {name} must be finite", line)
+            body[name] = (x, y, z)
+            if rest:
+                confidence[name] = rest[0]
         kwargs = {}
         for key in ("left_hand", "right_hand"):
             if rec.get(key) is not None:
@@ -387,17 +396,23 @@ def _frame_from_record(rec, line):
                 if not np.isfinite(kwargs[key]).all():
                     raise ParseError(f"{key} must be finite", line)
         for key in ("head_orientation", "left_pixels", "right_pixels"):
-            if rec.get(key) is not None:
-                kwargs[key] = tuple(_numbers(rec[key], key, line, (2,)))
-                if key.endswith("pixels") and min(kwargs[key]) < 0:
+            pair = rec.get(key)
+            if pair is not None:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise ParseError(f"{key} must be a list of 2 numbers", line)
+                a, b = kwargs[key] = tuple(map(float, pair))
+                if not (isfinite(a) and isfinite(b)):
+                    raise ParseError(f"{key} must be finite", line)
+                if key.endswith("pixels") and min(a, b) < 0:
                     raise ParseError(f"{key} must be non-negative counts", line)
         timestamp = float(rec.get("timestamp", 0.0))
-        if not math.isfinite(timestamp):
+        if not isfinite(timestamp):
             raise ParseError("timestamp must be finite", line)
         # SkeletonFrame checks the keypoint set and the 21 x 3 hand shape
         return SkeletonFrame(layout=rec["layout"], body=body, confidence=confidence,
                              timestamp=timestamp, **kwargs)
-    except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc
 
 

@@ -8,6 +8,7 @@ unit-of-movement vectors and GMM feature dimensions.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -62,9 +63,13 @@ class RobotProfile:
         for length in (self.upper_arm_length, self.forearm_length, self.shoulder_offset):
             if not (np.isfinite(length) and length > 0):
                 raise StructuralError("link lengths must be strictly positive")
+        limits = np.array(self.joint_limits, dtype=float)
+        limits.flags.writeable = False
+        object.__setattr__(self, "_limits", limits)
 
     def limits_array(self):
-        return np.asarray(self.joint_limits, dtype=float)
+        """The (14, 2) joint limits as a read-only float array, built once per profile."""
+        return self._limits
 
     @classmethod
     def from_dict(cls, doc):
@@ -131,9 +136,24 @@ def validate_pose(values, profile):
     the number of clamped joints per pose. Idempotent.
     """
     values = np.asarray(values, dtype=float)
-    limits = profile.limits_array()
-    clipped = np.clip(values, limits[:, 0], limits[:, 1])
-    return clipped, np.count_nonzero(clipped != values, axis=-1)
+    lo, hi = profile.limits_array().T
+    clipped = values.clip(lo, hi)
+    return clipped, (clipped != values).sum(axis=-1)
+
+
+def check_dt(dt):
+    """``dt`` as a float; ``StructuralError`` unless it is finite and positive and
+    ``dt ** 3`` (the scale of every jerk) neither underflows to 0 nor overflows."""
+    dt = float(dt)
+    if not (math.isfinite(dt) and dt > 0):
+        raise StructuralError("dt must be finite and positive")
+    try:
+        scale = dt ** 3
+    except OverflowError:
+        scale = math.inf
+    if not 0 < scale < math.inf:
+        raise StructuralError(f"dt={dt!r} cubed (the jerk's scale) is not a positive finite number")
+    return dt
 
 
 def column_labels(mu):
@@ -161,9 +181,7 @@ class GestureDataset:
             raise StructuralError("dataset matrix must be 2-D, its width a multiple of 14")
         if self.matrix.shape[0] == 0 or self.matrix.shape[1] == 0:
             raise StructuralError("dataset needs at least one unit of movement of mu >= 1 poses")
-        self.dt = float(self.dt)
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise StructuralError("dt must be finite and positive")
+        self.dt = check_dt(self.dt)
         self.sample_rate_hz = float(self.sample_rate_hz or 1.0 / self.dt)
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise StructuralError("sample rate must be finite and positive")

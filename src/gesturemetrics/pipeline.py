@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .model import JOINT_NAMES, N_JOINTS, GestureDataset, column_labels
+from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels
 
 MAX_RESAMPLED_POSES = 10_000_000   # about 1 GB of output values
 
@@ -184,12 +184,9 @@ def load_dataset(path):
         raise ParseError(f"missing or invalid #mu header: {exc}") from exc
     dt = _positive_header(meta, "dt")
     try:
-        scale = dt ** 3
-    except OverflowError:
-        scale = math.inf
-    if not 0 < scale < math.inf:
-        raise ParseError(f"#dt={dt!r} cubed (the jerk's scale) is not a positive finite number",
-                         meta["dt"][1])
+        check_dt(dt)
+    except StructuralError as exc:
+        raise ParseError(f"#{exc}", meta["dt"][1]) from exc
     rate = _positive_header(meta, "rate_hz") if "rate_hz" in meta else 1.0 / dt
     source = meta.get("source", ("", None))[0]
     body = lines[consumed:]

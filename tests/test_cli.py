@@ -1,9 +1,14 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import gesturemetrics
 from gesturemetrics.cli import main
 from gesturemetrics.pipeline import load_dataset, load_stream
 from gesturemetrics.report import dump_json
@@ -122,6 +127,32 @@ class TestMap:
         assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
         assert "line 5" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    def test_output_does_not_depend_on_the_blas_kernel(self, gen_inputs, tmp_path):
+        # Prescott is the SSE3 kernel every x86-64 host can run; by default
+        # OpenBLAS picks the host's own (Haswell, SkylakeX, ...)
+        for layout in ("openpose", "openni"):
+            getattr(gen_inputs, f"write_{layout}_capture")(tmp_path / f"{layout}.jsonl", 300,
+                                                           seed=1)
+        script = ("import sys; from gesturemetrics.cli import main\n"
+                  "for layout in ('openpose', 'openni'):\n"
+                  "    src, out = sys.argv[1] + '/' + layout + '.jsonl', sys.argv[2] + '/' + layout\n"
+                  "    assert main(['map', '--layout', layout, src, out]) == 0\n")
+        src_dir = os.path.dirname(os.path.dirname(gesturemetrics.__file__))
+        for kernel in ("default", "Prescott"):
+            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+            if kernel != "default":
+                env["OPENBLAS_CORETYPE"] = kernel
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+            (tmp_path / kernel).mkdir()
+            subprocess.run([sys.executable, "-c", script, str(tmp_path), str(tmp_path / kernel)],
+                           env=env, check=True, timeout=300)
+        for layout in ("openpose", "openni"):
+            default = (tmp_path / "default" / layout).read_bytes()
+            assert len(default.splitlines()) == 302
+            assert (tmp_path / "Prescott" / layout).read_bytes() == default, layout
 
 
 class TestStreamCommands:
@@ -521,6 +552,22 @@ class TestErrors:
         assert main(["synth-corpus", "--poses", "40", *argv, "--mu", mu,
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth-corpus", "window"])
+    def test_rate_whose_dt_cubed_underflows_is_input_failure(self, tmp_path, capsys, command):
+        out = tmp_path / "corpus.csv"
+        if command == "synth-corpus":
+            argv = ["synth-corpus", "--poses", "40", "--mu", "4", "--rate", "1e308",
+                    "--out", str(out)]
+        else:
+            stream = tmp_path / "stream.csv"
+            assert main(["synth-corpus", "--poses", "40", "--out", str(stream)]) == 0
+            stream.write_text(stream.read_text().replace("#rate_hz=4.0\n", "#rate_hz=1e308\n"))
+            argv = ["window", "--mu", "4", str(stream), str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: dt=1e-308 cubed (the jerk's scale) is not a positive finite number\n")
         assert not out.exists()
 
     def test_bad_usage_exit_two(self):

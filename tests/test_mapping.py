@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gesturemetrics.errors import (
     DegenerateGeometryError,
@@ -554,6 +556,7 @@ class TestFrameIO:
         (OPENPOSE_LAYOUT, "right_hand", np.zeros((21, 2)).tolist()),
         (OPENPOSE_LAYOUT, "right_hand", [[float("nan")] * 3] * 21),
         (OPENPOSE_LAYOUT, "Nose", [0.0, 1.6, 0.0, float("nan")]),
+        (OPENPOSE_LAYOUT, "body", [0.0, 1.6, 0.0]),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, layout, field, value):
         good = skeleton_record(layout, 0.0)
@@ -578,3 +581,208 @@ def skeleton_record(layout, timestamp):
     body = {name: [0.0, 0.0, 0.0] for name in OPENPOSE_KEYPOINTS}
     return {"layout": layout, "timestamp": timestamp, "body": body,
             "left_hand": make_hand().tolist(), "right_hand": make_hand().tolist()}
+
+
+# The numpy implementation that the scalar mappers replaced, kept as their
+# oracle. Its 3-vector dot products and norms go through BLAS, whose kernel
+# may round differently from the scalar sums in the last bits.
+ULPS = 8
+
+
+def numpy_unit(v):
+    norm = np.linalg.norm(v)
+    if norm < 1e-12:
+        raise DegenerateGeometryError("zero-length vector")
+    return v / norm
+
+
+def numpy_arm_angles(frame):
+    hip_ref, wrist = ("Torso", "Hand") if frame.layout == OPENNI_LAYOUT else ("MidHip", "Wrist")
+    get = lambda name: np.asarray(frame.point(name), dtype=float)
+    neck, lsh, rsh = get("Neck"), get("LShoulder"), get("RShoulder")
+    down = numpy_unit(get(hip_ref) - neck)
+    lat_left = numpy_unit(lsh - rsh)
+    fwd = numpy_unit(np.cross(lat_left, down))
+    out = {}
+    for prefix, sign, sh, lat in (("L", -1.0, lsh, lat_left), ("R", 1.0, rsh, -lat_left)):
+        el, wr = get(prefix + "Elbow"), get(prefix + wrist)
+        u, f = el - sh, wr - el
+        uh, fh = numpy_unit(u), numpy_unit(f)
+        roll = math.pi / 2 - math.acos(float(np.clip(np.dot(uh, lat), -1.0, 1.0)))
+        u_sag = uh - np.dot(uh, lat) * lat
+        if np.linalg.norm(u_sag) < 1e-9:
+            pitch = 0.0
+        else:
+            u_sag /= np.linalg.norm(u_sag)
+            pitch = math.atan2(float(np.dot(u_sag, fwd)), float(np.dot(u_sag, down)))
+        ref = down - np.dot(down, uh) * uh
+        if np.linalg.norm(ref) < 1e-9:
+            ref = fwd - np.dot(fwd, uh) * uh
+        e2 = numpy_unit(ref)
+        e3 = np.cross(uh, e2)
+        f_perp = f - np.dot(f, uh) * uh
+        if np.linalg.norm(f_perp) < 1e-9:
+            yaw = 0.0
+        else:
+            yaw = math.atan2(float(np.dot(f_perp, e3)), float(np.dot(f_perp, e2)))
+        out[prefix + "ShoulderPitch"] = pitch
+        out[prefix + "ShoulderRoll"] = roll if prefix == "L" else -roll
+        out[prefix + "ElbowYaw"] = yaw
+        out[prefix + "ElbowRoll"] = sign * math.acos(float(np.clip(np.dot(uh, fh), -1.0, 1.0)))
+    return out
+
+
+def numpy_head_openni(head_orientation, neck, head):
+    hn = np.asarray(head, dtype=float) - np.asarray(neck, dtype=float)
+    if np.linalg.norm(hn) < 1e-12:
+        raise DegenerateGeometryError("head and neck keypoints coincide")
+    c, s = math.cos(-math.pi / 2), math.sin(-math.pi / 2)
+    r = np.array([hn[0] * c + hn[2] * s, hn[1], -hn[0] * s + hn[2] * c])
+    return float(head_orientation[0]), float(math.atan2(r[2], r[1]))
+
+
+def numpy_head_openpose(nose, neck, profile):
+    nn = np.asarray(nose, dtype=float) - np.asarray(neck, dtype=float)
+    norm = np.linalg.norm(nn)
+    if norm < 1e-12:
+        raise DegenerateGeometryError("nose and neck keypoints coincide")
+    limits = np.asarray(profile.joint_limits, dtype=float)
+    pitch = range_conv(norm, HEAD_PITCH_SRC, tuple(limits[1]))
+    yaw_angle = -math.asin(float(np.clip(nn[0] / norm, -1.0, 1.0)))
+    return float(range_conv(yaw_angle, HEAD_YAW_SRC, tuple(limits[0]))), float(pitch)
+
+
+def numpy_hand_yaw_openpose(hand, dst):
+    d = float(np.linalg.norm(hand[HAND_THUMB_TIP] - hand[HAND_PINKY_TIP]))
+    return float(range_conv(d, HAND_YAW_SRC, dst))
+
+
+def numpy_hand_opening_openpose(hand):
+    d = float(np.linalg.norm(hand[HAND_MIDDLE_TIP] - hand[HAND_WRIST]))
+    return float(range_conv(d, HAND_OPEN_SRC, (0.0, 1.0)))
+
+
+def numpy_hand_yaw_openni(palm_pixels, back_pixels):
+    biggest = max(palm_pixels, back_pixels)
+    if palm_pixels >= back_pixels:
+        yaw = biggest / N_PIXELS * MAX_WRIST_YAW
+    else:
+        yaw = (biggest - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW
+    return float(np.clip(yaw, -MAX_WRIST_YAW, MAX_WRIST_YAW))
+
+
+def assert_within_ulps(got, want, what):
+    assert abs(got - want) <= ULPS * math.ulp(1.0), (what, got, want)
+
+
+def assert_arm_angles_match(got, want):
+    assert got.keys() == want.keys()
+    for name, angle in want.items():
+        # acos turns an input rounding near +-1 into a large angle error, so
+        # the roll angles are compared through the cosine (elbow) or sine
+        # (shoulder) that acos inverted
+        if name.endswith("ElbowRoll"):
+            assert_within_ulps(math.cos(got[name]), math.cos(angle), name)
+        elif name.endswith("ShoulderRoll"):
+            assert_within_ulps(math.sin(got[name]), math.sin(angle), name)
+        else:
+            assert_within_ulps(got[name], angle, name)
+
+
+class TestScalarMatchesNumpyOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arm_angles_on_random_arms(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(40):
+            frame = random_arm_frame(rng)
+            assert_arm_angles_match(arm_angles(frame), numpy_arm_angles(frame))
+
+    @pytest.mark.parametrize("layout", ["openpose", "openni"])
+    def test_every_mapper_on_a_capture(self, gen_inputs, tmp_path, profile, layout):
+        path = tmp_path / "capture.jsonl"
+        getattr(gen_inputs, f"write_{layout}_capture")(path, 200, seed=5)
+        limits = profile.joint_limits
+        for frame in load_skeleton_frames(path):
+            try:
+                want = numpy_arm_angles(frame)
+            except (StructuralError, DegenerateGeometryError):
+                with pytest.raises((StructuralError, DegenerateGeometryError)):
+                    arm_angles(frame)
+            else:
+                assert_arm_angles_match(arm_angles(frame), want)
+            if frame.layout == OPENNI_LAYOUT:
+                head = (frame.head_orientation, frame.body["Neck"], frame.body["Head"])
+                assert map_head_openni(*head) == pytest.approx(numpy_head_openni(*head),
+                                                               abs=ULPS * math.ulp(1.0))
+                for pixels in (frame.left_pixels, frame.right_pixels):
+                    if pixels is not None and max(pixels) > 0:
+                        assert map_hand_yaw_openni(*pixels) == numpy_hand_yaw_openni(*pixels)
+                continue
+            nose_neck = (frame.body["Nose"], frame.body["Neck"])
+            for got, want in zip(map_head_openpose(*nose_neck, profile),
+                                 numpy_head_openpose(*nose_neck, profile)):
+                assert_within_ulps(got, want, "head")
+            for hand, dst in ((frame.left_hand, limits[6]), (frame.right_hand, limits[12])):
+                if hand is not None:
+                    assert_within_ulps(map_hand_yaw_openpose(hand, dst),
+                                       numpy_hand_yaw_openpose(hand, dst), "wrist yaw")
+                    assert_within_ulps(map_hand_opening_openpose(hand),
+                                       numpy_hand_opening_openpose(hand), "opening")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_head_and_hands_on_random_points(self, profile, seed):
+        rng = np.random.default_rng(200 + seed)
+        for _ in range(50):
+            neck = rng.uniform(-1.0, 1.0, 3)
+            offset = rng.normal(size=3)
+            head = neck + rng.uniform(0.05, 0.3) * offset / np.linalg.norm(offset)
+            beta = (rng.uniform(-1.5, 1.5), 0.0)
+            for got, want in zip(map_head_openni(beta, tuple(neck), tuple(head)),
+                                 numpy_head_openni(beta, neck, head)):
+                assert_within_ulps(got, want, "openni head")
+            for got, want in zip(map_head_openpose(tuple(head), tuple(neck), profile),
+                                 numpy_head_openpose(head, neck, profile)):
+                assert_within_ulps(got, want, "openpose head")
+            hand = rng.uniform(-0.15, 0.15, (21, 3)) + neck
+            dst = profile.joint_limits[6]
+            assert_within_ulps(map_hand_yaw_openpose(hand.tolist(), dst),
+                               numpy_hand_yaw_openpose(hand, dst), "wrist yaw")
+            assert_within_ulps(map_hand_opening_openpose(hand.tolist()),
+                               numpy_hand_opening_openpose(hand), "opening")
+
+
+TRANSLATION_FRAMES = 120
+OFFSET = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@pytest.fixture(scope="module")
+def captures(gen_inputs, tmp_path_factory):
+    """Frames of one seeded capture per layout, with dropouts and missing hands."""
+    out = {}
+    for layout in ("openpose", "openni"):
+        path = tmp_path_factory.mktemp("captures") / f"{layout}.jsonl"
+        getattr(gen_inputs, f"write_{layout}_capture")(path, TRANSLATION_FRAMES, seed=11)
+        out[layout] = load_skeleton_frames(path)
+    return out
+
+
+def shifted(frame, offset):
+    """The frame with every body and hand keypoint moved by ``offset``."""
+    dx, dy, dz = offset
+    body = {name: (x + dx, y + dy, z + dz) for name, (x, y, z) in frame.body.items()}
+    hands = {key: None if hand is None else hand + np.array(offset)
+             for key, hand in (("left_hand", frame.left_hand), ("right_hand", frame.right_hand))}
+    return dataclasses.replace(frame, body=body, **hands)
+
+
+class TestMetamorphic:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(layout=st.sampled_from(["openpose", "openni"]),
+           offset=st.tuples(OFFSET, OFFSET, OFFSET))
+    def test_capture_translation_leaves_mapping_unchanged(self, captures, layout, offset):
+        frames = captures[layout]
+        mapper, moved_mapper = StreamMapper(seed=4), StreamMapper(seed=4)
+        for frame in frames:
+            pose = mapper.map_frame(frame)
+            moved = moved_mapper.map_frame(shifted(frame, offset))
+            assert np.abs(moved.values - pose.values).max() <= 1e-13
