@@ -9,7 +9,7 @@ import math
 import tempfile
 from pathlib import Path
 
-from gesturemetrics.mapping import StreamMapper, load_skeleton_frames
+from gesturemetrics.mapping import OPENNI_LAYOUT, StreamMapper, load_skeleton_frames
 from gesturemetrics.model import JOINT_NAMES, RobotProfile
 from gesturemetrics.pipeline import PoseStream, resample, window
 
@@ -48,7 +48,7 @@ def main():
         capture = Path(workdir) / "capture.jsonl"
         wave_frames(capture)
         print(f"capture: {capture} (40 frames at 10 Hz)")
-        frames = load_skeleton_frames(capture)
+        frames = load_skeleton_frames(capture, OPENNI_LAYOUT)
 
     profile = RobotProfile.default()
     mapper = StreamMapper(profile=profile, seed=0)

@@ -25,6 +25,7 @@ from .motion import motion_report
 from .pcoa import analyze_dataset_structure, fidelity_report
 from .procrustes import procrustes
 from .report import (
+    check_same_mu,
     dump_json,
     evaluate,
     originality,
@@ -74,12 +75,8 @@ def _load_profile(args):
 
 
 def _cmd_map(args):
-    frames = load_skeleton_frames(args.input)
-    layout = OPENNI_LAYOUT if args.layout == "openni" else OPENPOSE_LAYOUT
-    for frame in frames:
-        if frame.layout != layout:
-            raise StructuralError(
-                f"frame layout {frame.layout!r} does not match --layout {args.layout}")
+    frames = load_skeleton_frames(
+        args.input, OPENNI_LAYOUT if args.layout == "openni" else OPENPOSE_LAYOUT)
     if not frames:
         raise StructuralError("no frames in input")
     span = frames[-1].timestamp - frames[0].timestamp
@@ -118,8 +115,7 @@ def _analyze_pair(args):
     """Load both datasets, check that their ``mu`` agree and analyze each: (res_o, res_g)."""
     ds_o = pipeline.load_dataset(args.original)
     ds_g = pipeline.load_dataset(args.generated)
-    if ds_o.mu != ds_g.mu:
-        raise StructuralError(f"mu mismatch: {ds_o.mu} vs {ds_g.mu}")
+    check_same_mu(ds_o, ds_g)
     return analyze_dataset_structure(as_matrix(ds_o)), analyze_dataset_structure(as_matrix(ds_g))
 
 
@@ -145,7 +141,7 @@ def _cmd_procrustes(args):
             raise StructuralError("--mu is required with --coordinates")
         y_o = pipeline.load_matrix(args.original)
         y_g = pipeline.load_matrix(args.generated)
-        doc = procrustes(y_o, y_g, args.mu, allow_reflections=reflections).to_dict()
+        doc = procrustes(y_o, y_g, args.mu, allow_reflections=reflections)
     else:
         doc = originality(*_analyze_pair(args), args.dims, allow_reflections=reflections)
     _write_output(doc, args.out, args.format)

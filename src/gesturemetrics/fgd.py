@@ -15,8 +15,6 @@ get a tiny jitter when needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
@@ -26,26 +24,8 @@ JITTER = 1e-10
 NEG_CLAMP = 1e-8
 
 
-@dataclass
-class FeatureStats:
-    """Mean and unbiased covariance of a set of feature vectors."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        if self.n < 2:
-            raise InsufficientDataError("need at least 2 samples for feature stats")
-        if self.covariance.shape != (self.mean.size, self.mean.size):
-            raise StructuralError("covariance shape does not match mean")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-12):
-            raise StructuralError("covariance must be symmetric")
-
-
 def stats_from_features(features):
+    """``(mean, covariance)`` of the rows of ``features``; the covariance is unbiased."""
     features = np.asarray(features, dtype=float)
     if features.shape[0] < 2:
         raise InsufficientDataError("need at least 2 feature vectors")
@@ -53,7 +33,7 @@ def stats_from_features(features):
     centered = features - mean
     cov = centered.T @ centered / (features.shape[0] - 1)
     cov = (cov + cov.T) / 2.0
-    return FeatureStats(mean=mean, covariance=cov, n=features.shape[0])
+    return mean, cov
 
 
 def _psd_sqrt(mat):
@@ -65,15 +45,24 @@ def _psd_sqrt(mat):
 def frechet_distance(a, b):
     """Squared Fréchet (2-Wasserstein) distance between two Gaussians.
 
+    ``a`` and ``b`` are ``(mean, covariance)`` pairs as from
+    :func:`stats_from_features`; mismatched dimensions and covariances that are
+    not square or not symmetric (``np.allclose`` with ``atol=1e-12``) raise
+    ``StructuralError``.
     Statistics with equal mean and covariance arrays are at distance exactly
     0.0; the eigen- and singular-value route would leave round-off whose size
     depends on the BLAS kernel.
     """
-    if a.mean.shape != b.mean.shape:
+    mean_a, cov_a, mean_b, cov_b = (np.asarray(x, dtype=float) for x in (*a, *b))
+    if mean_a.shape != mean_b.shape:
         raise StructuralError("feature dimensions do not match")
-    if np.array_equal(a.mean, b.mean) and np.array_equal(a.covariance, b.covariance):
+    for cov in (cov_a, cov_b):
+        if cov.shape != (mean_a.size, mean_a.size):
+            raise StructuralError("covariance shape does not match mean")
+        if not np.allclose(cov, cov.T, atol=1e-12):
+            raise StructuralError("covariance must be symmetric")
+    if np.array_equal(mean_a, mean_b) and np.array_equal(cov_a, cov_b):
         return 0.0
-    cov_a, cov_b = a.covariance, b.covariance
     dim = cov_a.shape[0]
     scale = max(float(np.trace(cov_a)), float(np.trace(cov_b)), 1.0)
     min_eig = min(float(np.linalg.eigvalsh(cov_a)[0]), float(np.linalg.eigvalsh(cov_b)[0]))
@@ -85,7 +74,7 @@ def frechet_distance(a, b):
     # Tr((S_b^1/2 S_a S_b^1/2)^1/2) equals the nuclear norm of S_a^1/2 S_b^1/2,
     # which avoids square roots of near-zero sandwich eigenvalues
     cross_trace = float(np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False)))
-    mean_term = float(np.sum((a.mean - b.mean) ** 2))
+    mean_term = float(np.sum((mean_a - mean_b) ** 2))
     trace_term = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross_trace)
     value = mean_term + trace_term
     if value < 0:

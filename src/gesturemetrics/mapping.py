@@ -82,7 +82,7 @@ _OPENNI_SET, _OPENPOSE_SET = frozenset(OPENNI_KEYPOINTS), frozenset(OPENPOSE_KEY
 @dataclass(frozen=True)
 class SkeletonFrame:
     """One timestamped capture frame: ``body`` maps keypoint names to (x, y, z)
-    float triples, hands are 21 x 3 float arrays."""
+    float triples, hands are 21 x 3 float arrays; every value must be finite."""
 
     layout: str
     body: dict
@@ -104,10 +104,21 @@ class SkeletonFrame:
             if self.body.keys() != _OPENPOSE_SET:
                 raise StructuralError("openpose25 frame must carry exactly the 25 body keypoints")
             for hand in (self.left_hand, self.right_hand):
-                if hand is not None and np.shape(hand) != (21, 3):
-                    raise StructuralError("hand keypoint sets must be 21 x 3")
+                if hand is not None and (np.shape(hand) != (21, 3) or not np.isfinite(hand).all()):
+                    raise StructuralError("hand keypoint sets must be 21 x 3 finite values")
         else:
             raise StructuralError(f"unsupported layout {self.layout!r}")
+        isfinite, confidence = math.isfinite, self.confidence
+        for name, (x, y, z) in self.body.items():
+            if not (isfinite(x) and isfinite(y) and isfinite(z)
+                    and isfinite(confidence.get(name, 1.0))):
+                raise StructuralError(f"keypoint {name} must be finite")
+        for key in ("head_orientation", "left_pixels", "right_pixels"):
+            pair = getattr(self, key)
+            if pair is not None and not all(map(isfinite, pair)):
+                raise StructuralError(f"{key} must be finite")
+        if not isfinite(self.timestamp):
+            raise StructuralError("timestamp must be finite")
 
     def point(self, name):
         """The stored (x, y, z) triple; StructuralError if below ``CONFIDENCE_THRESHOLD``."""
@@ -374,18 +385,17 @@ class StreamMapper:
             values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
 
 
-def _frame_from_record(rec, line):
-    """One validated frame; every malformed field is a ParseError naming ``line``."""
-    isfinite = math.isfinite
+def _frame_from_record(rec, line, layout):
+    """One validated frame of ``layout``; every malformed field is a ParseError naming ``line``."""
     try:
+        if rec["layout"] != layout:
+            raise ParseError(f"frame layout {rec['layout']!r} does not match {layout!r}", line)
         body = {}
         confidence = {}
         for name, coords in rec["body"].items():
             if not isinstance(coords, list) or not 3 <= len(coords) <= 4:
                 raise ParseError(f"keypoint {name} must be a list of 3 or 4 numbers", line)
             x, y, z, *rest = map(float, coords)
-            if not (isfinite(x) and isfinite(y) and isfinite(z) and all(map(isfinite, rest))):
-                raise ParseError(f"keypoint {name} must be finite", line)
             body[name] = (x, y, z)
             if rest:
                 confidence[name] = rest[0]
@@ -393,31 +403,25 @@ def _frame_from_record(rec, line):
         for key in ("left_hand", "right_hand"):
             if rec.get(key) is not None:
                 kwargs[key] = np.asarray(rec[key], dtype=float)
-                if not np.isfinite(kwargs[key]).all():
-                    raise ParseError(f"{key} must be finite", line)
         for key in ("head_orientation", "left_pixels", "right_pixels"):
             pair = rec.get(key)
             if pair is not None:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise ParseError(f"{key} must be a list of 2 numbers", line)
                 a, b = kwargs[key] = tuple(map(float, pair))
-                if not (isfinite(a) and isfinite(b)):
-                    raise ParseError(f"{key} must be finite", line)
                 if key.endswith("pixels") and min(a, b) < 0:
                     raise ParseError(f"{key} must be non-negative counts", line)
-        timestamp = float(rec.get("timestamp", 0.0))
-        if not isfinite(timestamp):
-            raise ParseError("timestamp must be finite", line)
-        # SkeletonFrame checks the keypoint set and the 21 x 3 hand shape
-        return SkeletonFrame(layout=rec["layout"], body=body, confidence=confidence,
-                             timestamp=timestamp, **kwargs)
+        # SkeletonFrame checks the keypoint set, the hand shapes and finiteness
+        return SkeletonFrame(layout=layout, body=body, confidence=confidence,
+                             timestamp=float(rec.get("timestamp", 0.0)), **kwargs)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
             StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc
 
 
-def load_skeleton_frames(path):
-    """Read line-delimited JSON skeleton records (one frame per line, increasing timestamps)."""
+def load_skeleton_frames(path, layout):
+    """Read line-delimited JSON skeleton records (one frame per line, increasing
+    timestamps); a record whose layout is not ``layout`` is a ParseError."""
     frames = []
     with open(path) as fh:
         for lineno, text in enumerate(fh, start=1):
@@ -428,7 +432,7 @@ def load_skeleton_frames(path):
                 rec = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc}", lineno) from exc
-            frame = _frame_from_record(rec, lineno)
+            frame = _frame_from_record(rec, lineno, layout)
             if frames and not frame.timestamp > frames[-1].timestamp:
                 raise ParseError("frame timestamps must be strictly increasing", lineno)
             frames.append(frame)

@@ -23,29 +23,6 @@ SPECTRUM_LEN = 28   # spectra are zero-padded or cut to this many eigenvalues
 
 
 @dataclass
-class DistanceMatrix:
-    """Symmetric non-negative distances with zero diagonal."""
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise StructuralError("distance matrix must be square")
-        if not np.allclose(d, d.T, atol=1e-12):
-            raise StructuralError("distance matrix must be symmetric")
-        if np.any(np.diag(d) != 0):
-            raise StructuralError("distance matrix diagonal must be zero")
-        if np.any(d < 0):
-            raise StructuralError("distances must be non-negative")
-        self.d = d
-
-    @property
-    def n(self):
-        return self.d.shape[0]
-
-
-@dataclass
 class PcoaResult:
     """Principal coordinates with their eigenvalue spectrum.
 
@@ -60,7 +37,7 @@ class PcoaResult:
 
 
 def correlation_distance(data, labels=None):
-    """Pairwise sqrt(1 - Pearson r) distances between data columns.
+    """The p x p array of sqrt(1 - Pearson r) distances between data columns.
 
     Zero-variance columns get r = 0 (d = 1) against everything else, with
     a warning naming them.
@@ -88,34 +65,43 @@ def correlation_distance(data, labels=None):
     d = np.sqrt(np.clip(1.0 - r, 0.0, None))
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d=d)
+    return d
 
 
-def geometric_variability(dm):
-    """V = sum d_ij^2 / (2 n^2), the dispersion of the distance matrix."""
-    d = dm.d
-    return float(np.sum(d ** 2) / (2.0 * dm.n ** 2))
+def geometric_variability(d):
+    """V = sum d_ij^2 / (2 n^2), the dispersion of an n x n distance matrix."""
+    return float(np.sum(d ** 2) / (2.0 * d.shape[0] ** 2))
 
 
-def scale_to_unit_geometric_variability(dm):
+def scale_to_unit_geometric_variability(d):
     """Rescale distances so the geometric variability equals 1 (idempotent)."""
-    v = geometric_variability(dm)
+    v = geometric_variability(d)
     if v <= 0:
         raise DegenerateGeometryError("all-zero distance matrix cannot be scaled")
-    return DistanceMatrix(d=dm.d / np.sqrt(v))
+    return d / np.sqrt(v)
 
 
-def pcoa(dm):
-    """Principal Coordinate Analysis of a distance matrix.
+def pcoa(d):
+    """Principal Coordinate Analysis of an n x n distance matrix.
 
-    Double-centers the squared distances into the Gram matrix
-    B = -0.5 * (I - 11'/n) D2 (I - 11'/n), takes its symmetric
+    Distances that are not square, symmetric (``np.allclose`` with
+    ``atol=1e-12``), non-negative and zero on the diagonal raise
+    ``StructuralError``. Double-centers the squared distances into the Gram
+    matrix B = -0.5 * (I - 11'/n) D2 (I - 11'/n), takes its symmetric
     eigendecomposition, keeps eigenpairs above ``EIG_TOL * lambda_max``
     and scales eigenvectors by sqrt(lambda). For Euclidean-embeddable
     distances the row distances of the result reproduce the input.
     """
-    d = dm.d
-    n = dm.n
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise StructuralError("distance matrix must be square")
+    if not np.allclose(d, d.T, atol=1e-12):
+        raise StructuralError("distance matrix must be symmetric")
+    if np.any(np.diag(d) != 0):
+        raise StructuralError("distance matrix diagonal must be zero")
+    if np.any(d < 0):
+        raise StructuralError("distances must be non-negative")
+    n = d.shape[0]
     if n < 2:
         raise StructuralError("need at least 2 units")
     d2 = d ** 2
@@ -175,9 +161,8 @@ def analyze_dataset_structure(matrix):
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[1] % N_JOINTS:
         raise StructuralError(f"expected an N x (14*mu) dataset matrix, got shape {matrix.shape}")
-    dm = correlation_distance(matrix, labels=column_labels(matrix.shape[1] // N_JOINTS))
-    dm = scale_to_unit_geometric_variability(dm)
-    return pcoa(dm)
+    d = correlation_distance(matrix, labels=column_labels(matrix.shape[1] // N_JOINTS))
+    return pcoa(scale_to_unit_geometric_variability(d))
 
 
 def check_dims(dims):

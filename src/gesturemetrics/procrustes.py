@@ -9,8 +9,6 @@ differ more, i.e. the generator is more original. ss is normalized by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateGeometryError, StructuralError
@@ -20,26 +18,10 @@ SCALE_EPS = 1e-12
 CENTER_TOL = 1e-6
 
 
-@dataclass
-class ProcrustesResult:
-    ss: float
-    scale: float
-    rotation: np.ndarray
-    ss_normalized: float
-    anti_correlated: bool = False
-
-    def to_dict(self):
-        return {
-            "ss": self.ss,
-            "scale": self.scale,
-            "ss_normalized": self.ss_normalized,
-            "anti_correlated": self.anti_correlated,
-        }
-
-
 def procrustes(y_o, y_g, mu, allow_reflections=True):
     """Align ``y_g`` onto ``y_o`` by scale and orthogonal rotation.
 
+    Returns the document ``{"ss", "scale", "ss_normalized", "anti_correlated"}``.
     Both configurations must be column-centered already (PCoA output is);
     this is asserted rather than silently re-centered. With
     ``allow_reflections=False`` Q is restricted to proper rotations.
@@ -71,10 +53,9 @@ def procrustes(y_o, y_g, mu, allow_reflections=True):
     else:
         scale = trace / norm_g2
     ss = float(np.sum((y_o - scale * y_g @ q) ** 2))
-    return ProcrustesResult(
-        ss=ss,
-        scale=float(scale),
-        rotation=q,
-        ss_normalized=ss / (N_JOINTS * mu),
-        anti_correlated=anti_correlated,
-    )
+    return {
+        "ss": ss,
+        "scale": float(scale),
+        "ss_normalized": ss / (N_JOINTS * mu),
+        "anti_correlated": anti_correlated,
+    }

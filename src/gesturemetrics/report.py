@@ -20,8 +20,14 @@ def originality(res_original, res_generated, dims, allow_reflections=True):
 
     PCoA has one row per dataset column, so the rows number 14*mu."""
     y_o, y_g = leading_coordinates(res_original, res_generated, dims)
-    return procrustes(y_o, y_g, len(y_o) // N_JOINTS,
-                      allow_reflections=allow_reflections).to_dict()
+    return procrustes(y_o, y_g, len(y_o) // N_JOINTS, allow_reflections=allow_reflections)
+
+
+def check_same_mu(ds_original, ds_generated):
+    """Reject two datasets whose units of movement differ in length."""
+    if ds_original.mu != ds_generated.mu:
+        raise StructuralError(
+            f"mu mismatch: original has {ds_original.mu}, generated has {ds_generated.mu}")
 
 
 def evaluate(ds_original, ds_generated, model, profile, dims=10,
@@ -34,9 +40,7 @@ def evaluate(ds_original, ds_generated, model, profile, dims=10,
     fails is ``None`` and its message is kept under ``errors``; the remaining
     stages still run. Bad arguments raise before any stage runs.
     """
-    if ds_original.mu != ds_generated.mu:
-        raise StructuralError(
-            f"mu mismatch: original has {ds_original.mu}, generated has {ds_generated.mu}")
+    check_same_mu(ds_original, ds_generated)
     check_dims(dims)
     check_bootstrap(bootstrap)
     mu = ds_original.mu

@@ -13,7 +13,7 @@ import pytest
 from test_mapping import arm_oracle, make_hand, random_arm_frame
 
 from gesturemetrics.cli import main
-from gesturemetrics.fgd import FeatureStats, fgd, frechet_distance
+from gesturemetrics.fgd import fgd, frechet_distance
 from gesturemetrics.gmm import GmmModel, fit, sample
 from gesturemetrics.mapping import (
     BACK,
@@ -38,7 +38,7 @@ from gesturemetrics.model import (
     as_matrix,
 )
 from gesturemetrics.motion import jerk, path_length
-from gesturemetrics.pcoa import DistanceMatrix, analyze_dataset_structure, fidelity_report, pcoa
+from gesturemetrics.pcoa import analyze_dataset_structure, fidelity_report, pcoa
 from gesturemetrics.procrustes import procrustes
 from gesturemetrics.synth import beat_gesture_corpus
 
@@ -88,7 +88,7 @@ def test_criterion_01_metric_identity_suite():
         assert np.allclose(report["r2"], 1.0, atol=1e-8)
         d = report["dims"]
         res = procrustes(res_o.coordinates[:, :d], res_g.coordinates[:, :d], 4)
-        assert res.ss == pytest.approx(0.0, abs=1e-8)
+        assert res["ss"] == pytest.approx(0.0, abs=1e-8)
         model = fit(ds, k=4, seed=0)
         assert fgd(model, ds, ds)["value"] == pytest.approx(0.0, abs=1e-8)
         assert time.perf_counter() - start < 5.0
@@ -104,7 +104,7 @@ def test_criterion_02_pcoa_embedding_oracle():
             dim = int(rng.integers(2, 6))
             pts = rng.normal(size=(n, dim))
             d = euclidean_distances(pts)
-            res = pcoa(DistanceMatrix(d=d))
+            res = pcoa(d)
             rebuilt = euclidean_distances(res.coordinates)
             assert np.allclose(rebuilt, d, rtol=1e-8, atol=1e-9)
 
@@ -120,7 +120,7 @@ def test_criterion_03_procrustes_grid_oracle():
             y_g = rng.normal(size=(4, 2))
             y_g -= y_g.mean(axis=0)
             res = procrustes(y_o, y_g, mu=4)
-            assert res.ss == pytest.approx(grid_search_ss(y_o, y_g), abs=1e-4)
+            assert res["ss"] == pytest.approx(grid_search_ss(y_o, y_g), abs=1e-4)
 
     _run(3, "procrustes grid oracle", body)
 
@@ -131,17 +131,14 @@ def test_criterion_04_frechet_closed_forms():
         for _ in range(1000):
             m1, m2 = rng.normal(size=2)
             s1, s2 = rng.uniform(0.1, 3.0, size=2)
-            got = frechet_distance(
-                FeatureStats(mean=np.array([m1]), covariance=np.array([[s1 ** 2]]), n=5),
-                FeatureStats(mean=np.array([m2]), covariance=np.array([[s2 ** 2]]), n=5))
+            got = frechet_distance((np.array([m1]), np.array([[s1 ** 2]])),
+                                   (np.array([m2]), np.array([[s2 ** 2]])))
             assert got == pytest.approx((m1 - m2) ** 2 + (s1 - s2) ** 2, abs=1e-10)
         for _ in range(1000):
             dim = int(rng.integers(2, 7))
             mu1, mu2 = rng.normal(size=(2, dim))
             v1, v2 = rng.uniform(0.1, 2.0, size=(2, dim))
-            got = frechet_distance(
-                FeatureStats(mean=mu1, covariance=np.diag(v1), n=5),
-                FeatureStats(mean=mu2, covariance=np.diag(v2), n=5))
+            got = frechet_distance((mu1, np.diag(v1)), (mu2, np.diag(v2)))
             want = np.sum((mu1 - mu2) ** 2) + np.sum((np.sqrt(v1) - np.sqrt(v2)) ** 2)
             assert got == pytest.approx(want, abs=1e-8)
 

@@ -10,6 +10,7 @@ import pytest
 
 import gesturemetrics
 from gesturemetrics.cli import main
+from gesturemetrics.mapping import OPENPOSE_KEYPOINTS
 from gesturemetrics.pipeline import load_dataset, load_stream
 from gesturemetrics.report import dump_json
 
@@ -73,6 +74,18 @@ class TestMap:
         write_openni_jsonl(src)
         out = tmp_path / "mapped.csv"
         assert main(["map", "--layout", "openpose", str(src), str(out)]) == 2
+
+    def test_record_of_another_layout_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "frames.jsonl"
+        write_openni_jsonl(src, n_frames=6)
+        records = [json.loads(line) for line in src.read_text().splitlines()]
+        records[3] = {"layout": "openpose25", "timestamp": records[3]["timestamp"],
+                      "body": {name: [0.0, 0.0, 0.0] for name in OPENPOSE_KEYPOINTS}}
+        src.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "mapped.csv"
+        assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
+        assert "line 4: frame layout 'openpose25'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_json_is_input_failure(self, tmp_path):
         src = tmp_path / "frames.jsonl"

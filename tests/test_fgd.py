@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gesturemetrics.errors import InsufficientDataError, StructuralError
-from gesturemetrics.fgd import (
-    FeatureStats,
-    fgd,
-    frechet_distance,
-    stats_from_features,
-)
+from gesturemetrics.fgd import fgd, frechet_distance, stats_from_features
 from gesturemetrics.gmm import GmmModel, posterior_matrix
 from gesturemetrics.model import N_JOINTS, GestureDataset
 
@@ -34,23 +32,22 @@ def toy_model(separation=8.0):
 def gauss_stats(mean, cov):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    return FeatureStats(mean=mean, covariance=cov, n=10)
+    return mean, cov
 
 
-class TestFeatureStats:
+class TestStatsFromFeatures:
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(size=(40, 6))
-        stats = stats_from_features(feats)
-        mean, cov = two_pass_stats(feats)
-        assert np.allclose(stats.mean, mean, atol=1e-12)
-        assert np.allclose(stats.covariance, cov, atol=1e-12)
-        assert stats.n == 40
+        mean, cov = stats_from_features(feats)
+        want_mean, want_cov = two_pass_stats(feats)
+        assert np.allclose(mean, want_mean, atol=1e-12)
+        assert np.allclose(cov, want_cov, atol=1e-12)
 
     def test_covariance_is_unbiased(self):
         feats = np.array([[0.0], [2.0]])
-        stats = stats_from_features(feats)
-        assert stats.covariance[0, 0] == pytest.approx(2.0)  # n-1 denominator
+        _, cov = stats_from_features(feats)
+        assert cov[0, 0] == pytest.approx(2.0)  # n-1 denominator
 
     def test_single_row_rejected(self):
         with pytest.raises(InsufficientDataError):
@@ -60,9 +57,9 @@ class TestFeatureStats:
         rng = np.random.default_rng(1)
         model = toy_model()
         ds = GestureDataset(matrix=rng.normal(size=(30, N_JOINTS)), dt=0.25)
-        stats = stats_from_features(posterior_matrix(model, ds))
-        assert stats.mean.shape == (2,)
-        assert stats.mean.sum() == pytest.approx(1.0, abs=1e-10)
+        mean, _ = stats_from_features(posterior_matrix(model, ds))
+        assert mean.shape == (2,)
+        assert mean.sum() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestFrechetClosedForms:
@@ -127,9 +124,50 @@ class TestFrechetClosedForms:
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError, match="feature dimensions do not match"):
             frechet_distance(gauss_stats([0.0], [[1.0]]),
                              gauss_stats([0.0, 0.0], np.eye(2)))
+
+    @pytest.mark.parametrize("cov", [np.ones((2, 3)), np.eye(3), np.ones(2)])
+    def test_covariance_not_square_of_mean_size_rejected(self, cov):
+        for a, b in (((np.zeros(2), cov), gauss_stats([0.0, 0.0], np.eye(2))),
+                     (gauss_stats([0.0, 0.0], np.eye(2)), (np.zeros(2), cov))):
+            with pytest.raises(StructuralError, match="covariance shape does not match mean"):
+                frechet_distance(a, b)
+
+    def test_asymmetric_covariance_rejected(self):
+        skewed = np.array([[1.0, 0.2], [0.3, 1.0]])
+        for a, b in (((np.zeros(2), skewed), gauss_stats([0.0, 0.0], np.eye(2))),
+                     (gauss_stats([0.0, 0.0], np.eye(2)), (np.zeros(2), skewed))):
+            with pytest.raises(StructuralError, match="covariance must be symmetric"):
+                frechet_distance(a, b)
+
+
+def gaussians(dim):
+    """(mean, covariance) with any positive semi-definite covariance, singular ones too."""
+    values = st.floats(-3.0, 3.0, allow_subnormal=False)
+    return st.tuples(arrays(np.float64, dim, elements=values),
+                     arrays(np.float64, (dim, dim), elements=values)).map(
+        lambda mf: (mf[0], mf[1] @ mf[1].T))
+
+
+GAUSSIAN_PAIRS = st.integers(1, 4).flatmap(lambda dim: st.tuples(gaussians(dim), gaussians(dim)))
+
+
+class TestFrechetProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=GAUSSIAN_PAIRS)
+    def test_symmetric_and_non_negative(self, pair):
+        a, b = pair
+        ab, ba = frechet_distance(a, b), frechet_distance(b, a)
+        assert min(ab, ba) >= 0.0
+        assert ab == pytest.approx(ba, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pair=GAUSSIAN_PAIRS)
+    def test_equal_pairs_are_exactly_zero(self, pair):
+        (mean, cov), _ = pair
+        assert frechet_distance((mean, cov), (mean.copy(), cov.copy())) == 0.0
 
 
 class TestFgdPipeline:

@@ -497,6 +497,22 @@ class TestFrameValidation:
             SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
                           left_hand=np.zeros((20, 3)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("body", {"LElbow": (math.nan, 1.5, 0.0)}),
+        ("body", {"Neck": (0.0, math.inf, 0.0)}),
+        ("confidence", {"Nose": math.nan}),
+        ("left_hand", np.full((21, 3), math.inf)),
+        ("head_orientation", (0.1, math.nan)),
+        ("right_pixels", (math.inf, 3.0)),
+        ("timestamp", math.nan),
+    ])
+    def test_non_finite_value_rejected_when_built(self, field, value):
+        frame = make_tpose_frame()
+        if field == "body":
+            value = {**frame.body, **value}
+        with pytest.raises(StructuralError, match="finite"):
+            dataclasses.replace(frame, **{field: value})
+
     def test_unknown_layout(self):
         with pytest.raises(StructuralError):
             SkeletonFrame(layout="kinect", body={})
@@ -519,7 +535,7 @@ class TestFrameIO:
         rec["body"]["Nose"] = [0.0, 1.6, 0.0, 0.9]
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        frames = load_skeleton_frames(path)
+        frames = load_skeleton_frames(path, OPENPOSE_LAYOUT)
         assert len(frames) == 1
         assert frames[0].timestamp == 0.5
         assert frames[0].confidence["Nose"] == 0.9
@@ -528,13 +544,13 @@ class TestFrameIO:
         path = tmp_path / "frames.jsonl"
         path.write_text("{not json}\n")
         with pytest.raises(ParseError, match="line 1"):
-            load_skeleton_frames(path)
+            load_skeleton_frames(path, OPENPOSE_LAYOUT)
 
     def test_missing_field_is_parse_error(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps({"timestamp": 0.0}) + "\n")
         with pytest.raises(ParseError):
-            load_skeleton_frames(path)
+            load_skeleton_frames(path, OPENPOSE_LAYOUT)
 
     @pytest.mark.parametrize("layout, field, value", [
         (OPENNI_LAYOUT, "LElbow", [0.2, float("nan"), 2.0]),
@@ -568,7 +584,22 @@ class TestFrameIO:
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_skeleton_frames(path)
+            load_skeleton_frames(path, layout)
+
+    @pytest.mark.parametrize("expected, other", [(OPENNI_LAYOUT, OPENPOSE_LAYOUT),
+                                                 (OPENPOSE_LAYOUT, OPENNI_LAYOUT)])
+    def test_record_of_another_layout_names_its_line(self, tmp_path, expected, other):
+        records = [skeleton_record(expected, 0.0), skeleton_record(expected, 0.25),
+                   skeleton_record(other, 0.5)]
+        path = tmp_path / "frames.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        message = f"line 3: frame layout '{other}' does not match '{expected}'"
+        with pytest.raises(ParseError, match=message):
+            load_skeleton_frames(path, expected)
+
+
+# perfbench capture writers by name -> the layout of the records they write
+CAPTURE_LAYOUTS = {"openpose": OPENPOSE_LAYOUT, "openni": OPENNI_LAYOUT}
 
 
 def skeleton_record(layout, timestamp):
@@ -702,7 +733,7 @@ class TestScalarMatchesNumpyOracle:
         path = tmp_path / "capture.jsonl"
         getattr(gen_inputs, f"write_{layout}_capture")(path, 200, seed=5)
         limits = profile.joint_limits
-        for frame in load_skeleton_frames(path):
+        for frame in load_skeleton_frames(path, CAPTURE_LAYOUTS[layout]):
             try:
                 want = numpy_arm_angles(frame)
             except (StructuralError, DegenerateGeometryError):
@@ -762,7 +793,7 @@ def captures(gen_inputs, tmp_path_factory):
     for layout in ("openpose", "openni"):
         path = tmp_path_factory.mktemp("captures") / f"{layout}.jsonl"
         getattr(gen_inputs, f"write_{layout}_capture")(path, TRANSLATION_FRAMES, seed=11)
-        out[layout] = load_skeleton_frames(path)
+        out[layout] = load_skeleton_frames(path, CAPTURE_LAYOUTS[layout])
     return out
 
 

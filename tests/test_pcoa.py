@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gesturemetrics.errors import DegenerateGeometryError, StructuralError
 from gesturemetrics.pcoa import (
-    DistanceMatrix,
     analyze_dataset_structure,
     correlation_distance,
     explained_variance,
@@ -26,14 +28,14 @@ class TestCorrelationDistance:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(20, 4))
         dm = correlation_distance(data)
-        assert np.all(np.diag(dm.d) == 0)
+        assert np.all(np.diag(dm) == 0)
 
     def test_negated_column_sqrt_two(self):
         rng = np.random.default_rng(1)
         col = rng.normal(size=30)
         data = np.column_stack([col, -col])
         dm = correlation_distance(data)
-        assert dm.d[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert dm[0, 1] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_half_correlation_pearson_oracle(self):
         # construct a 5-sample pair with Pearson r exactly 0.5
@@ -47,14 +49,14 @@ class TestCorrelationDistance:
         r = (xc @ (y - y.mean())) / np.sqrt((xc @ xc) * ((y - y.mean()) @ (y - y.mean())))
         assert r == pytest.approx(0.5, abs=1e-12)
         dm = correlation_distance(np.column_stack([x, y]))
-        assert dm.d[0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-12)
+        assert dm[0, 1] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_zero_variance_column_warns_and_gets_unit_distance(self):
         rng = np.random.default_rng(2)
         data = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
         with pytest.warns(UserWarning, match="zero-variance"):
             dm = correlation_distance(data, labels=["a", "b"])
-        assert dm.d[0, 1] == pytest.approx(1.0)
+        assert dm[0, 1] == pytest.approx(1.0)
 
     def test_dead_column_leaves_live_block_unchanged(self):
         rng = np.random.default_rng(4)
@@ -63,9 +65,9 @@ class TestCorrelationDistance:
         with pytest.warns(UserWarning, match="zero-variance"):
             dm = correlation_distance(data)
         keep = [0, 1, 3, 4, 5]
-        assert np.allclose(dm.d[np.ix_(keep, keep)], correlation_distance(live).d,
+        assert np.allclose(dm[np.ix_(keep, keep)], correlation_distance(live),
                            rtol=0.0, atol=1e-12)
-        assert np.all(dm.d[2, keep] == 1.0)
+        assert np.all(dm[2, keep] == 1.0)
 
     def test_constants_with_inexact_mean_are_dead(self):
         # np.mean of 37 copies of 0.3 or 1.7 is not exact, so their std is ~1e-16
@@ -78,7 +80,7 @@ class TestCorrelationDistance:
         assert "k03, k17, k30" in str(record[0].message)
         dead = [3, 4, 5]
         off_diagonal = ~np.eye(6, dtype=bool)
-        assert np.all(dm.d[dead][off_diagonal[dead]] == 1.0)  # d is symmetric
+        assert np.all(dm[dead][off_diagonal[dead]] == 1.0)  # d is symmetric
 
     def test_affine_rescaling_invariance(self):
         rng = np.random.default_rng(3)
@@ -87,7 +89,7 @@ class TestCorrelationDistance:
         shifts = rng.normal(size=6)
         dm1 = correlation_distance(data)
         dm2 = correlation_distance(data * scales + shifts)
-        assert np.allclose(dm1.d, dm2.d, atol=1e-10)
+        assert np.allclose(dm1, dm2, atol=1e-10)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(StructuralError):
@@ -96,37 +98,35 @@ class TestCorrelationDistance:
 
 class TestGeometricVariability:
     def test_two_by_two_formula(self):
-        dm = DistanceMatrix(d=np.array([[0.0, 2.0], [2.0, 0.0]]))
+        dm = np.array([[0.0, 2.0], [2.0, 0.0]])
         assert geometric_variability(dm) == pytest.approx(1.0)
         scaled = scale_to_unit_geometric_variability(dm)
-        assert scaled.d[0, 1] == pytest.approx(2.0)
+        assert scaled[0, 1] == pytest.approx(2.0)
 
     def test_scaling_divides_by_sqrt_v(self):
-        d = np.array([[0.0, 2.0], [2.0, 0.0]]) * np.sqrt(2.0)
-        dm = DistanceMatrix(d=d)
+        dm = np.array([[0.0, 2.0], [2.0, 0.0]]) * np.sqrt(2.0)
         assert geometric_variability(dm) == pytest.approx(2.0)
         scaled = scale_to_unit_geometric_variability(dm)
-        assert scaled.d[0, 1] == pytest.approx(2.0)
+        assert scaled[0, 1] == pytest.approx(2.0)
         assert geometric_variability(scaled) == pytest.approx(1.0, abs=1e-9)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(8, 3))
-        dm = DistanceMatrix(d=euclidean_distances(pts))
+        dm = euclidean_distances(pts)
         once = scale_to_unit_geometric_variability(dm)
         twice = scale_to_unit_geometric_variability(once)
-        assert np.allclose(once.d, twice.d, atol=1e-12)
+        assert np.allclose(once, twice, atol=1e-12)
 
     def test_fixed_point_unchanged(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(6, 2))
-        dm = scale_to_unit_geometric_variability(
-            DistanceMatrix(d=euclidean_distances(pts)))
+        dm = scale_to_unit_geometric_variability(euclidean_distances(pts))
         again = scale_to_unit_geometric_variability(dm)
-        assert np.allclose(dm.d, again.d, atol=1e-12)
+        assert np.allclose(dm, again, atol=1e-12)
 
     def test_all_zero_rejected(self):
-        dm = DistanceMatrix(d=np.zeros((3, 3)))
+        dm = np.zeros((3, 3))
         with pytest.raises(DegenerateGeometryError):
             scale_to_unit_geometric_variability(dm)
 
@@ -136,24 +136,24 @@ class TestPcoa:
         d = np.array([[0.0, 3.0, 4.0],
                       [3.0, 0.0, 5.0],
                       [4.0, 5.0, 0.0]])
-        res = pcoa(DistanceMatrix(d=d))
+        res = pcoa(d)
         assert res.eigenvalues.size == 2
         rebuilt = euclidean_distances(res.coordinates)
         assert np.allclose(rebuilt, d, atol=1e-8)
 
     def test_zero_distances_zero_dimensions(self):
-        res = pcoa(DistanceMatrix(d=np.zeros((4, 4))))
+        res = pcoa(np.zeros((4, 4)))
         assert res.eigenvalues.size == 0
 
     def test_collinear_points_one_dominant_axis(self):
         pts = np.column_stack([np.arange(4.0), np.zeros(4), np.zeros(4)])
-        res = pcoa(DistanceMatrix(d=euclidean_distances(pts)))
+        res = pcoa(euclidean_distances(pts))
         assert res.eigenvalues[0] / res.eigenvalues.sum() >= 0.9999
 
     def test_eigenvalues_sorted_and_column_norms(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(12, 4))
-        res = pcoa(DistanceMatrix(d=euclidean_distances(pts)))
+        res = pcoa(euclidean_distances(pts))
         lam = res.eigenvalues
         assert np.all(np.diff(lam) <= 1e-12)
         norms2 = np.sum(res.coordinates ** 2, axis=0)
@@ -162,7 +162,7 @@ class TestPcoa:
     def test_columns_orthogonal(self):
         rng = np.random.default_rng(7)
         pts = rng.normal(size=(10, 3))
-        res = pcoa(DistanceMatrix(d=euclidean_distances(pts)))
+        res = pcoa(euclidean_distances(pts))
         gram = res.coordinates.T @ res.coordinates
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-8 * np.max(np.diag(gram))
@@ -171,7 +171,7 @@ class TestPcoa:
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(9, 3))
         d = euclidean_distances(pts)
-        res = pcoa(DistanceMatrix(d=d))
+        res = pcoa(d)
         n = d.shape[0]
         h = np.eye(n) - np.ones((n, n)) / n
         gram = -0.5 * h @ (d ** 2) @ h
@@ -181,16 +181,52 @@ class TestPcoa:
         rng = np.random.default_rng(9)
         pts = rng.normal(size=(7, 2))
         d = euclidean_distances(pts)
-        res1 = pcoa(DistanceMatrix(d=d))
-        res2 = pcoa(DistanceMatrix(d=d.copy()))
+        res1 = pcoa(d)
+        res2 = pcoa(d.copy())
         assert np.array_equal(res1.coordinates, res2.coordinates)
+
+    @pytest.mark.parametrize("d, message", [
+        (np.zeros((3, 2)), "must be square"),
+        (np.zeros(3), "must be square"),
+        (np.array([[0.0, 1.0], [1.001, 0.0]]), "must be symmetric"),
+        (np.array([[1e-3, 1.0], [1.0, 0.0]]), "diagonal must be zero"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), "must be non-negative"),
+    ])
+    def test_malformed_distances_rejected(self, d, message):
+        with pytest.raises(StructuralError, match=message):
+            pcoa(d)
+
+    def test_asymmetry_below_tolerance_accepted(self):
+        d = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+        assert pcoa(d).eigenvalues.size == 1
+
+
+POINT_SETS = st.tuples(st.integers(3, 8), st.integers(1, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape,
+                         elements=st.floats(-10.0, 10.0, allow_subnormal=False)))
+
+
+class TestGowerEmbedding:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pts=POINT_SETS)
+    def test_row_distances_reproduce_euclidean_distances(self, pts):
+        """Gower (1966): PCoA of Euclidean distances embeds the points exactly.
+
+        The eigenvalue cut drops at most n eigenvalues of at most
+        ``EIG_TOL * lambda_max`` each, and lambda_max is below n * max(d^2),
+        so squared distances agree to 1e-8 of the largest one.
+        """
+        d = euclidean_distances(pts)
+        rebuilt = euclidean_distances(pcoa(d).coordinates)
+        assert np.allclose(rebuilt ** 2, d ** 2, rtol=0.0,
+                           atol=1e-8 * np.max(d ** 2) + 1e-12)
 
 
 class TestExplainedVariance:
     def test_all_dims_is_hundred(self):
         rng = np.random.default_rng(10)
         pts = rng.normal(size=(8, 3))
-        res = pcoa(DistanceMatrix(d=euclidean_distances(pts)))
+        res = pcoa(euclidean_distances(pts))
         assert explained_variance(res, res.eigenvalues.size) == pytest.approx(100.0)
 
     def test_nine_to_one_split(self):

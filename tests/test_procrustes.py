@@ -15,9 +15,10 @@ def random_orthogonal(rng, dim):
     return q
 
 
-def grid_search_ss(y_o, y_g, angle_step=1e-3, scale_step=1e-3):
+def grid_search_ss(y_o, y_g, angle_step=1e-3, scale_step=1e-3, reflections=True):
     """Brute-force minimum of ||Y_O - s Y_G Q||^2 over a dense grid of 2-D
-    rotations/reflections and positive scales. Independent of the SVD path."""
+    rotations (and reflections, unless ``reflections`` is false) and positive
+    scales. Independent of the SVD path."""
     m = y_g.T @ y_o
     c_oo = float(np.sum(y_o ** 2))
     g = float(np.sum(y_g ** 2))
@@ -26,7 +27,7 @@ def grid_search_ss(y_o, y_g, angle_step=1e-3, scale_step=1e-3):
     # trace(Q^T M) for proper rotations and for reflections
     t_rot = cos * (m[0, 0] + m[1, 1]) + sin * (m[0, 1] - m[1, 0])
     t_ref = cos * (m[0, 0] - m[1, 1]) + sin * (m[0, 1] + m[1, 0])
-    traces = np.concatenate([t_rot, t_ref])
+    traces = np.concatenate([t_rot, t_ref]) if reflections else t_rot
     s_max = max(2.0 * float(traces.max()) / g, 10.0 * scale_step)
     scales = np.arange(scale_step, s_max + scale_step, scale_step)
     best = np.inf
@@ -41,9 +42,8 @@ class TestExactCases:
         rng = np.random.default_rng(0)
         y = centered(rng, 8, 3)
         res = procrustes(y, y, mu=4)
-        assert res.ss == pytest.approx(0.0, abs=1e-18)
-        assert res.scale == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(res.rotation, np.eye(3), atol=1e-10)
+        assert res["ss"] == pytest.approx(0.0, abs=1e-18)
+        assert res["scale"] == pytest.approx(1.0, abs=1e-12)
 
     def test_scaled_rotated_copy_recovered(self):
         rng = np.random.default_rng(1)
@@ -51,21 +51,15 @@ class TestExactCases:
         r = random_orthogonal(rng, 4)
         y_g = (1.0 / 3.0) * y_o @ r
         res = procrustes(y_o, y_g, mu=4)
-        assert res.ss == pytest.approx(0.0, abs=1e-18)
-        assert res.scale == pytest.approx(3.0, abs=1e-10)
-        assert np.allclose(res.rotation, r.T, atol=1e-8)
+        assert res["ss"] == pytest.approx(0.0, abs=1e-18)
+        assert res["scale"] == pytest.approx(3.0, abs=1e-10)
 
     def test_normalization_is_exact_division(self):
         rng = np.random.default_rng(2)
         y_o = centered(rng, 12, 5)
         y_g = centered(rng, 12, 5)
         res = procrustes(y_o, y_g, mu=6)
-        assert res.ss_normalized == res.ss / (14 * 6)
-
-    def test_rotation_is_orthogonal(self):
-        rng = np.random.default_rng(3)
-        res = procrustes(centered(rng, 15, 6), centered(rng, 15, 6), mu=4)
-        assert np.allclose(res.rotation.T @ res.rotation, np.eye(6), atol=1e-10)
+        assert res["ss_normalized"] == res["ss"] / (14 * 6)
 
 
 class TestGridOracle:
@@ -76,8 +70,8 @@ class TestGridOracle:
         y_g = centered(rng, 4, 2)
         res = procrustes(y_o, y_g, mu=4)
         oracle = grid_search_ss(y_o, y_g)
-        assert res.ss == pytest.approx(oracle, abs=1e-4)
-        assert res.ss <= oracle + 1e-12  # SVD result is the true minimum
+        assert res["ss"] == pytest.approx(oracle, abs=1e-4)
+        assert res["ss"] <= oracle + 1e-12  # SVD result is the true minimum
 
 
 class TestInvariances:
@@ -85,18 +79,18 @@ class TestInvariances:
         rng = np.random.default_rng(4)
         y_o = centered(rng, 9, 3)
         y_g = centered(rng, 9, 3)
-        base = procrustes(y_o, y_g, mu=4).ss
+        base = procrustes(y_o, y_g, mu=4)["ss"]
         r1 = random_orthogonal(rng, 3)
         r2 = random_orthogonal(rng, 3)
-        assert procrustes(y_o @ r1, y_g, mu=4).ss == pytest.approx(base, rel=1e-8)
-        assert procrustes(y_o, y_g @ r2, mu=4).ss == pytest.approx(base, rel=1e-8)
+        assert procrustes(y_o @ r1, y_g, mu=4)["ss"] == pytest.approx(base, rel=1e-8)
+        assert procrustes(y_o, y_g @ r2, mu=4)["ss"] == pytest.approx(base, rel=1e-8)
 
     def test_positive_rescaling_of_generated(self):
         rng = np.random.default_rng(5)
         y_o = centered(rng, 9, 3)
         y_g = centered(rng, 9, 3)
-        base = procrustes(y_o, y_g, mu=4).ss
-        assert procrustes(y_o, 7.3 * y_g, mu=4).ss == pytest.approx(base, rel=1e-8)
+        base = procrustes(y_o, y_g, mu=4)["ss"]
+        assert procrustes(y_o, 7.3 * y_g, mu=4)["ss"] == pytest.approx(base, rel=1e-8)
 
     def test_upper_bound_norm_of_target(self):
         rng = np.random.default_rng(6)
@@ -104,7 +98,7 @@ class TestInvariances:
             y_o = centered(rng, 6, 3)
             y_g = centered(rng, 6, 3)
             res = procrustes(y_o, y_g, mu=4)
-            assert res.ss <= np.sum(y_o ** 2) + 1e-10
+            assert res["ss"] <= np.sum(y_o ** 2) + 1e-10
 
     def test_noise_monotonicity_spearman(self):
         rng = np.random.default_rng(7)
@@ -114,7 +108,7 @@ class TestInvariances:
         for _ in range(100):
             z = rng.normal(size=y_o.shape)
             z -= z.mean(axis=0)
-            curves.append([procrustes(y_o, y_o + e * z, mu=4).ss for e in eps])
+            curves.append([procrustes(y_o, y_o + e * z, mu=4)["ss"] for e in eps])
         mean_ss = np.mean(curves, axis=0)
         ranks_e = np.argsort(np.argsort(eps))
         ranks_s = np.argsort(np.argsort(mean_ss))
@@ -128,15 +122,17 @@ class TestReflections:
         y_o = centered(rng, 8, 3)
         flip = np.diag([1.0, 1.0, -1.0])
         res = procrustes(y_o, y_o @ flip, mu=4)
-        assert res.ss == pytest.approx(0.0, abs=1e-16)
+        assert res["ss"] == pytest.approx(0.0, abs=1e-16)
 
     def test_proper_rotation_flag_costs_residual(self):
         rng = np.random.default_rng(9)
-        y_o = centered(rng, 8, 3)
-        flip = np.diag([1.0, 1.0, -1.0])
-        res = procrustes(y_o, y_o @ flip, mu=4, allow_reflections=False)
-        assert np.linalg.det(res.rotation) == pytest.approx(1.0, abs=1e-8)
-        assert res.ss > 0
+        y_o = centered(rng, 8, 2)
+        y_g = y_o @ np.diag([1.0, -1.0])
+        ss = procrustes(y_o, y_g, mu=4, allow_reflections=False)["ss"]
+        oracle = grid_search_ss(y_o, y_g, reflections=False)
+        assert ss == pytest.approx(oracle, abs=1e-4)
+        assert ss <= oracle + 1e-12
+        assert ss > 0
 
 
 class TestErrors:
@@ -159,4 +155,4 @@ class TestErrors:
     def test_anti_correlated_flagged(self):
         y_o = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         res = procrustes(y_o, y_o, mu=4)
-        assert not res.anti_correlated
+        assert not res["anti_correlated"]
