@@ -13,65 +13,23 @@ import numpy as np
 
 from . import __version__, gmm, pipeline, synth
 from .errors import GestureError, ParseError, StructuralError
-from .fgd import fgd as compute_fgd
 from .mapping import (
     OPENNI_LAYOUT,
     OPENPOSE_LAYOUT,
     StreamMapper,
     load_skeleton_frames,
 )
-from .model import RobotProfile, as_matrix
-from .motion import motion_report
-from .pcoa import analyze_dataset_structure, fidelity_report
+from .model import RobotProfile
 from .procrustes import procrustes
-from .report import (
-    check_same_mu,
-    dump_json,
-    evaluate,
-    originality,
-    write_spectra_csv,
-    write_spectrum_svg,
-)
+from .report import STAGES, Run, evaluate, write_report, write_spectra_csv, write_spectrum_svg
 
 EXIT_OK = 0
 EXIT_METRIC_FAILURE = 1
 EXIT_INPUT_FAILURE = 2
 
 
-def _flatten(doc, prefix=""):
-    items = []
-    for key in sorted(doc):
-        val = doc[key]
-        name = f"{prefix}{key}"
-        if isinstance(val, dict):
-            items.extend(_flatten(val, prefix=name + "."))
-        elif isinstance(val, (list, tuple)):
-            for i, v in enumerate(val):
-                items.append((f"{name}[{i}]", v))
-        else:
-            items.append((name, val))
-    return items
-
-
-def _write_output(doc, out, fmt):
-    if fmt == "csv":
-        lines = ["key,value"] + [f"{k},{v!r}" for k, v in _flatten(doc)]
-        text = "\n".join(lines) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        text = dump_json(doc, out)
-        if not out:
-            sys.stdout.write(text)
-
-
 def _load_profile(args):
-    if getattr(args, "profile", None):
-        return RobotProfile.from_file(args.profile)
-    return RobotProfile.default()
+    return RobotProfile.from_file(args.profile) if args.profile else RobotProfile.default()
 
 
 def _cmd_map(args):
@@ -111,12 +69,14 @@ def _cmd_match_lengths(args):
     return EXIT_OK
 
 
-def _analyze_pair(args):
-    """Load both datasets, check that their ``mu`` agree and analyze each: (res_o, res_g)."""
-    ds_o = pipeline.load_dataset(args.original)
-    ds_g = pipeline.load_dataset(args.generated)
-    check_same_mu(ds_o, ds_g)
-    return analyze_dataset_structure(as_matrix(ds_o)), analyze_dataset_structure(as_matrix(ds_g))
+def _load_inputs(args):
+    """The datasets, then the model, then the profile that ``args`` names (None if absent)."""
+    generated = getattr(args, "generated", None)
+    model = getattr(args, "model", None)
+    return (pipeline.load_dataset(args.original),
+            None if generated is None else pipeline.load_dataset(generated),
+            gmm.load_model(model) if model else None,
+            _load_profile(args) if hasattr(args, "profile") else None)
 
 
 def _write_spectra(args, fidelity):
@@ -127,30 +87,20 @@ def _write_spectra(args, fidelity):
         write_spectrum_svg(args.svg, *spectra)
 
 
-def _cmd_pcoa(args):
-    doc = fidelity_report(*_analyze_pair(args), dims=args.dims)
-    _write_output(doc, args.out, args.format)
-    _write_spectra(args, doc)
-    return EXIT_OK
-
-
-def _cmd_procrustes(args):
-    reflections = not args.no_reflections
-    if args.coordinates:
+def _cmd_stage(args):
+    """Run the ``STAGES`` entry ``args.stage`` and write its document."""
+    if getattr(args, "coordinates", False):
         if args.mu is None:
             raise StructuralError("--mu is required with --coordinates")
-        y_o = pipeline.load_matrix(args.original)
-        y_g = pipeline.load_matrix(args.generated)
-        doc = procrustes(y_o, y_g, args.mu, allow_reflections=reflections)
+        doc = procrustes(pipeline.load_matrix(args.original), pipeline.load_matrix(args.generated),
+                         args.mu, allow_reflections=args.allow_reflections)
     else:
-        doc = originality(*_analyze_pair(args), args.dims, allow_reflections=reflections)
-    _write_output(doc, args.out, args.format)
-    return EXIT_OK
-
-
-def _cmd_motion_stats(args):
-    ds = pipeline.load_dataset(args.dataset)
-    _write_output(motion_report(ds, _load_profile(args)), args.out, args.format)
+        options = {k: v for k, v in vars(args).items()
+                   if k in ("dims", "bootstrap", "seed", "allow_reflections")}
+        doc = STAGES[args.stage](Run(*_load_inputs(args), **options))
+    write_report(doc, args.out, args.format)
+    if args.stage == "fidelity":
+        _write_spectra(args, doc)
     return EXIT_OK
 
 
@@ -168,22 +118,9 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-def _cmd_fgd(args):
-    model = gmm.load_model(args.model)
-    ds_a = pipeline.load_dataset(args.dataset_a)
-    ds_b = pipeline.load_dataset(args.dataset_b)
-    doc = compute_fgd(model, ds_a, ds_b, bootstrap=args.bootstrap, seed=args.seed)
-    _write_output(doc, args.out, args.format)
-    return EXIT_OK
-
-
 def _cmd_evaluate(args):
-    ds_o = pipeline.load_dataset(args.original)
-    ds_g = pipeline.load_dataset(args.generated)
-    model = gmm.load_model(args.model) if args.model else None
-    doc = evaluate(ds_o, ds_g, model, _load_profile(args),
-                   dims=args.dims, bootstrap=args.bootstrap, seed=args.seed)
-    _write_output(doc, args.out, args.format)
+    doc = evaluate(*_load_inputs(args), dims=args.dims, bootstrap=args.bootstrap, seed=args.seed)
+    write_report(doc, args.out, args.format)
     if doc["fidelity"]:
         _write_spectra(args, doc["fidelity"])
     return EXIT_METRIC_FAILURE if doc["errors"] else EXIT_OK
@@ -261,7 +198,7 @@ def build_parser():
     p.add_argument("original")
     p.add_argument("generated")
     common(p, profile=False, seed=False)
-    p.set_defaults(func=_cmd_pcoa)
+    p.set_defaults(func=_cmd_stage, stage="fidelity")
 
     p = sub.add_parser("procrustes", help="originality statistic between datasets")
     p.add_argument("--mu", type=int, default=None,
@@ -269,17 +206,17 @@ def build_parser():
     p.add_argument("--dims", type=int, default=10)
     p.add_argument("--coordinates", action="store_true",
                    help="inputs are precomputed coordinate matrices, not datasets")
-    p.add_argument("--no-reflections", action="store_true",
+    p.add_argument("--no-reflections", dest="allow_reflections", action="store_false",
                    help="restrict the rotation to the proper orthogonal group")
     p.add_argument("original")
     p.add_argument("generated")
     common(p, profile=False, seed=False)
-    p.set_defaults(func=_cmd_procrustes)
+    p.set_defaults(func=_cmd_stage, stage="originality")
 
     p = sub.add_parser("motion-stats", help="jerk and path-length statistics")
-    p.add_argument("dataset")
+    p.add_argument("original", metavar="dataset")
     common(p, seed=False)
-    p.set_defaults(func=_cmd_motion_stats)
+    p.set_defaults(func=_cmd_stage, stage="motion_original")
 
     p = sub.add_parser("gmm-train", help="fit the tied-covariance reference mixture")
     p.add_argument("--k", type=int, default=gmm.DEFAULT_K)
@@ -298,10 +235,10 @@ def build_parser():
     p = sub.add_parser("fgd", help="Fréchet gesture distance between two datasets")
     p.add_argument("--model", required=True)
     p.add_argument("--bootstrap", type=int, default=0)
-    p.add_argument("dataset_a")
-    p.add_argument("dataset_b")
+    p.add_argument("original", metavar="dataset_a")
+    p.add_argument("generated", metavar="dataset_b")
     common(p, profile=False)
-    p.set_defaults(func=_cmd_fgd)
+    p.set_defaults(func=_cmd_stage, stage="fgd")
 
     p = sub.add_parser("evaluate", help="run every analysis on a dataset pair")
     p.add_argument("--model", help="reference mixture for the FGD stage")

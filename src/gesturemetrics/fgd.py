@@ -47,7 +47,8 @@ def frechet_distance(a, b):
 
     ``a`` and ``b`` are ``(mean, covariance)`` pairs as from
     :func:`stats_from_features`; mismatched dimensions and covariances that are
-    not square or not symmetric (``np.allclose`` with ``atol=1e-12``) raise
+    not square, not finite or not symmetric (an entry differs from its
+    transpose by more than ``1e-12 * max(1, max |cov|)``) raise
     ``StructuralError``.
     Statistics with equal mean and covariance arrays are at distance exactly
     0.0; the eigen- and singular-value route would leave round-off whose size
@@ -59,7 +60,9 @@ def frechet_distance(a, b):
     for cov in (cov_a, cov_b):
         if cov.shape != (mean_a.size, mean_a.size):
             raise StructuralError("covariance shape does not match mean")
-        if not np.allclose(cov, cov.T, atol=1e-12):
+        if not np.all(np.isfinite(cov)):
+            raise StructuralError("covariance must be finite")
+        if np.abs(cov - cov.T).max(initial=0) > 1e-12 * max(1.0, np.abs(cov).max(initial=0)):
             raise StructuralError("covariance must be symmetric")
     if np.array_equal(mean_a, mean_b) and np.array_equal(cov_a, cov_b):
         return 0.0

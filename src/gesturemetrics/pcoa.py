@@ -84,18 +84,21 @@ def scale_to_unit_geometric_variability(d):
 def pcoa(d):
     """Principal Coordinate Analysis of an n x n distance matrix.
 
-    Distances that are not square, symmetric (``np.allclose`` with
-    ``atol=1e-12``), non-negative and zero on the diagonal raise
-    ``StructuralError``. Double-centers the squared distances into the Gram
-    matrix B = -0.5 * (I - 11'/n) D2 (I - 11'/n), takes its symmetric
-    eigendecomposition, keeps eigenpairs above ``EIG_TOL * lambda_max``
-    and scales eigenvectors by sqrt(lambda). For Euclidean-embeddable
-    distances the row distances of the result reproduce the input.
+    Distances that are not square, finite, symmetric (no entry differs from
+    its transpose by more than ``1e-12 * max(1, max |d|)``), non-negative and
+    zero on the diagonal raise ``StructuralError``. Double-centers the
+    squared distances into the Gram matrix B = -0.5 * (I - 11'/n) D2
+    (I - 11'/n), takes its symmetric eigendecomposition, keeps eigenpairs
+    above ``EIG_TOL * lambda_max`` and scales eigenvectors by sqrt(lambda).
+    For Euclidean-embeddable distances the row distances of the result
+    reproduce the input.
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise StructuralError("distance matrix must be square")
-    if not np.allclose(d, d.T, atol=1e-12):
+    if not np.all(np.isfinite(d)):
+        raise StructuralError("distances must be finite")
+    if np.abs(d - d.T).max(initial=0) > 1e-12 * max(1.0, np.abs(d).max(initial=0)):
         raise StructuralError("distance matrix must be symmetric")
     if np.any(np.diag(d) != 0):
         raise StructuralError("distance matrix diagonal must be zero")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 from . import __version__
 from .errors import GestureError, StructuralError
@@ -30,79 +32,127 @@ def check_same_mu(ds_original, ds_generated):
             f"mu mismatch: original has {ds_original.mu}, generated has {ds_generated.mu}")
 
 
+class Run:
+    """One run's inputs to the :data:`STAGES` entries.
+
+    Each dataset's PCoA runs at most once per run, in :meth:`pair`, and only
+    for the stages that read it."""
+
+    def __init__(self, original, generated=None, model=None, profile=None, dims=10,
+                 bootstrap=0, seed=0, allow_reflections=True):
+        self.original, self.generated, self.model, self.profile = original, generated, model, profile
+        self.dims, self.bootstrap, self.seed = dims, bootstrap, seed
+        self.allow_reflections, self._pair = allow_reflections, None
+
+    def pair(self):
+        """Both datasets' :func:`analyze_dataset_structure` results, made on first use
+        after :func:`check_same_mu`; after a failed attempt, raises without a retry."""
+        if self._pair is None:
+            self._pair = ()
+            check_same_mu(self.original, self.generated)
+            self._pair = (analyze_dataset_structure(as_matrix(self.original)),
+                          analyze_dataset_structure(as_matrix(self.generated)))
+        if not self._pair:
+            raise StructuralError("skipped: fidelity stage failed, no coordinates")
+        return self._pair
+
+
+def _fgd_stage(run):
+    if run.model is None:
+        raise StructuralError("skipped: no reference model supplied")
+    return compute_fgd(run.model, run.original, run.generated,
+                       bootstrap=run.bootstrap, seed=run.seed)
+
+
+# Summary key -> function of a Run that returns the stage's document. Entries
+# look the layer functions up by name when called, so a wrapper installed on
+# this module's names after import sees every call.
+STAGES = {
+    "fidelity": lambda run: fidelity_report(*run.pair(), dims=run.dims),
+    "originality": lambda run: originality(*run.pair(), run.dims,
+                                           allow_reflections=run.allow_reflections),
+    "motion_original": lambda run: motion_report(run.original, run.profile),
+    "motion_generated": lambda run: motion_report(run.generated, run.profile),
+    "fgd": _fgd_stage,
+}
+
+
 def evaluate(ds_original, ds_generated, model, profile, dims=10,
              bootstrap=0, seed=0):
-    """Run fidelity, originality, motion and FGD analyses jointly.
+    """Run every :data:`STAGES` entry on one :class:`Run`.
 
-    Each dataset is analyzed once (:func:`analyze_dataset_structure`); the
-    fidelity and originality stages both read that pair. Returns the summary
-    document: one entry per stage, ``errors`` and ``metadata``. A stage that
-    fails is ``None`` and its message is kept under ``errors``; the remaining
-    stages still run. Bad arguments raise before any stage runs.
+    Returns the summary document: one entry per stage, ``errors`` and
+    ``metadata``. A stage that fails is ``None`` and its message is kept
+    under ``errors``; the remaining stages still run. Bad arguments raise
+    before any stage runs.
     """
     check_same_mu(ds_original, ds_generated)
     check_dims(dims)
     check_bootstrap(bootstrap)
-    mu = ds_original.mu
-    doc = {"fidelity": None, "originality": None, "motion_original": None,
-           "motion_generated": None, "fgd": None, "errors": {}, "metadata": {
-               "mu": mu,
-               "dt": ds_original.dt,
-               "n_original": len(ds_original),
-               "n_generated": len(ds_generated),
-               "dims": dims,
-               "bootstrap": bootstrap,
-               "seed": seed,
-               "toolkit_version": __version__,
-           }}
-    errors = doc["errors"]
-
-    pair = None
-    try:
-        pair = (analyze_dataset_structure(as_matrix(ds_original)),
-                analyze_dataset_structure(as_matrix(ds_generated)))
-        doc["fidelity"] = fidelity_report(*pair, dims=dims)
-    except Exception as exc:  # stage isolation: record and continue
-        errors["fidelity"] = str(exc)
-
-    try:
-        if pair is None:
-            raise StructuralError("skipped: fidelity stage failed, no coordinates")
-        doc["originality"] = originality(*pair, dims)
-    except Exception as exc:
-        errors["originality"] = str(exc)
-
-    for name, ds in (("motion_original", ds_original), ("motion_generated", ds_generated)):
+    doc = {**dict.fromkeys(STAGES), "errors": {}, "metadata": {
+        "mu": ds_original.mu,
+        "dt": ds_original.dt,
+        "n_original": len(ds_original),
+        "n_generated": len(ds_generated),
+        "dims": dims,
+        "bootstrap": bootstrap,
+        "seed": seed,
+        "toolkit_version": __version__,
+    }}
+    run = Run(ds_original, ds_generated, model, profile, dims, bootstrap, seed)
+    for name, stage in STAGES.items():
         try:
-            doc[name] = motion_report(ds, profile)
-        except Exception as exc:
-            errors[name] = str(exc)
-
-    try:
-        if model is None:
-            raise StructuralError("skipped: no reference model supplied")
-        doc["fgd"] = compute_fgd(model, ds_original, ds_generated,
-                                 bootstrap=bootstrap, seed=seed)
-    except Exception as exc:
-        errors["fgd"] = str(exc)
-
+            doc[name] = stage(run)
+        except Exception as exc:  # stage isolation: record and continue
+            doc["errors"][name] = str(exc)
     return doc
 
 
-def dump_json(doc, path=None):
+def dump_json(doc):
     """Canonical JSON: sorted keys, fixed separators, trailing newline.
 
-    Identical inputs serialize to byte-identical files. A non-finite number
+    Identical inputs serialize to byte-identical text. A non-finite number
     raises ``GestureError``: JSON (RFC 8259) has no NaN or Infinity.
     """
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise GestureError(f"report has a non-finite value (NaN or infinity): {exc}") from exc
-    if path is not None:
+
+
+def _flatten(doc, prefix=""):
+    for key in sorted(doc):
+        val, name = doc[key], f"{prefix}{key}"
+        if isinstance(val, dict):
+            yield from _flatten(val, name + ".")
+        elif isinstance(val, (list, tuple)):
+            yield from ((f"{name}[{i}]", v) for i, v in enumerate(val))
+        else:
+            yield name, val
+
+
+def write_report(doc, path, fmt):
+    """Write ``doc`` to ``path``, or to stdout when ``path`` is empty.
+
+    ``fmt`` is ``"json"`` (:func:`dump_json`) or ``"csv"``: a ``key,value``
+    header, then one row per leaf in sorted key order, with nested keys
+    joined by ``.`` and list items as ``name[i]``. Either format raises
+    ``GestureError`` on a non-finite number before anything is written.
+    """
+    if fmt == "csv":
+        rows = list(_flatten(doc))
+        for key, value in rows:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise GestureError(
+                    f"report has a non-finite value (NaN or infinity): {key}={value!r}")
+        text = "key,value\n" + "".join(f"{k},{v!r}\n" for k, v in rows)
+    else:
+        text = dump_json(doc)
+    if path:
         with open(path, "w") as fh:
             fh.write(text)
-    return text
+    else:
+        sys.stdout.write(text)
 
 
 def write_spectra_csv(path, spectrum_original, spectrum_generated):

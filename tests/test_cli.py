@@ -351,18 +351,53 @@ class TestEvaluate:
         assert main(["synth-corpus", "--poses", "160", "--mu", "4", "--seed", "1",
                      "--out", str(gen)]) == 0
         assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        evaluate = ["evaluate", str(ds), str(gen), "--model", str(model), "--dims", "5",
+                    "--bootstrap", "3", "--seed", "2"]
         summary = tmp_path / "summary.json"
-        assert main(["evaluate", str(ds), str(gen), "--model", str(model), "--dims", "5",
-                     "--bootstrap", "3", "--seed", "2", "--out", str(summary)]) == 0
+        summary_csv = tmp_path / "summary.csv"
+        assert main([*evaluate, "--out", str(summary)]) == 0
+        assert main([*evaluate, "--format", "csv", "--out", str(summary_csv)]) == 0
         doc = json.loads(summary.read_text())
+        rows = summary_csv.read_text().splitlines()
+        assert rows[0] == "key,value"
         fgd = ["--model", str(model), "--bootstrap", "3", "--seed", "2"]
         for block, argv in (("fidelity", ["pcoa", "--dims", "5", str(ds), str(gen)]),
                             ("originality", ["procrustes", "--dims", "5", str(ds), str(gen)]),
+                            ("motion_original", ["motion-stats", str(ds)]),
                             ("motion_generated", ["motion-stats", str(gen)]),
                             ("fgd", ["fgd", *fgd, str(ds), str(gen)])):
             out = tmp_path / f"{block}.json"
             assert main([*argv, "--out", str(out)]) == 0, block
             assert out.read_text() == dump_json(doc[block]), block
+            out_csv = tmp_path / f"{block}.csv"
+            assert main([*argv, "--format", "csv", "--out", str(out_csv)]) == 0, block
+            prefix = f"{block}."
+            assert out_csv.read_text().splitlines() == ["key,value"] + [
+                row[len(prefix):] for row in rows if row.startswith(prefix)], block
+
+    def test_failed_fidelity_stage_skips_originality_only(self, corpus, tmp_path):
+        # two units of movement are too few for correlations, enough for the other stages
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        pair = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"two_units_{seed}.csv"
+            assert main(["synth-corpus", "--poses", "8", "--mu", "4", "--seed", seed,
+                         "--out", str(path)]) == 0
+            pair.append(str(path))
+        out = tmp_path / "summary.json"
+        assert main(["evaluate", *pair, "--model", str(model), "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["errors"] == {
+            "fidelity": "need at least 3 samples for correlations",
+            "originality": "skipped: fidelity stage failed, no coordinates"}
+        assert doc["fidelity"] is None and doc["originality"] is None
+        for block in ("motion_original", "motion_generated", "fgd"):
+            assert doc[block] is not None, block
+        # the single-stage commands that need no PCoA run none
+        for argv in (["motion-stats", pair[0]], ["fgd", "--model", str(model), *pair]):
+            assert main([*argv, "--out", str(tmp_path / "stage.json")]) == 0, argv[0]
 
     def test_deterministic_output(self, corpus, tmp_path):
         _, ds = corpus
@@ -377,6 +412,16 @@ class TestEvaluate:
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
         assert main(["motion-stats", str(tmp_path / "nope.csv")]) == 2
+
+    def test_missing_dataset_is_named_before_missing_model(self, corpus, tmp_path, capsys):
+        # every analysis command loads its datasets first, then the model
+        _, ds = corpus
+        missing = tmp_path / "no_dataset.csv"
+        assert main(["fgd", "--model", str(tmp_path / "no_model.json"), str(missing),
+                     str(ds)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no_dataset.csv" in err
+        assert "no_model.json" not in err
 
     @pytest.mark.parametrize("command", ["motion-stats", "evaluate"])
     def test_non_finite_cell_is_input_failure(self, corpus, tmp_path, capsys, command):
@@ -416,18 +461,19 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_non_finite_result_is_metric_failure(self, corpus, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_result_is_metric_failure(self, corpus, tmp_path, capsys, fmt):
         # valid input, but dt**3 is subnormal (about 1e-315) and the jerk overflows
         _, ds = corpus
         text = ds.read_text()
         tiny_dt = tmp_path / "tiny_dt.csv"
         tiny_dt.write_text(text.replace("#dt=0.25\n", "#dt=1e-105\n"))
         assert tiny_dt.read_text() != text
-        out = tmp_path / "out.json"
-        assert main(["motion-stats", str(tiny_dt), "--out", str(out)]) == 1
+        out = tmp_path / f"out.{fmt}"
+        assert main(["motion-stats", str(tiny_dt), "--format", fmt, "--out", str(out)]) == 1
         assert "non-finite value" in capsys.readouterr().err
         assert not out.exists()
-        assert main(["motion-stats", str(tiny_dt)]) == 1
+        assert main(["motion-stats", str(tiny_dt), "--format", fmt]) == 1
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("dims", ["0", "-1"])

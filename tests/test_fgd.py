@@ -142,6 +142,29 @@ class TestFrechetClosedForms:
             with pytest.raises(StructuralError, match="covariance must be symmetric"):
                 frechet_distance(a, b)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, value):
+        cov = np.array([[1.0, value], [value, 1.0]])
+        with pytest.raises(StructuralError, match="covariance must be finite"):
+            frechet_distance((np.zeros(2), cov), gauss_stats([0.0, 0.0], np.eye(2)))
+
+    def test_asymmetry_above_tolerance_rejected(self):
+        # 2e-6 apart at entries near 1: a relative tolerance of 1e-5 would accept it
+        skewed = np.array([[1.0, 0.3], [0.3 + 2e-6, 1.0]])
+        with pytest.raises(StructuralError, match="covariance must be symmetric"):
+            frechet_distance((np.zeros(2), skewed), gauss_stats([0.1, 0.1], np.eye(2)))
+
+    def test_symmetry_tolerance_scales_with_the_covariance(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        small = frechet_distance((np.zeros(2), cov), gauss_stats([0.0, 0.0], np.eye(2)))
+        big = cov * 1e6
+        assert frechet_distance((np.zeros(2), big),
+                                gauss_stats([0.0, 0.0], 1e6 * np.eye(2))) == pytest.approx(
+            1e6 * small, rel=1e-9)
+        big[1, 0] *= 1 + 1e-15      # round-off far above 1e-12 in absolute terms
+        assert not np.array_equal(big, big.T)
+        frechet_distance((np.zeros(2), big), gauss_stats([0.0, 0.0], np.eye(2)))
+
 
 def gaussians(dim):
     """(mean, covariance) with any positive semi-definite covariance, singular ones too."""

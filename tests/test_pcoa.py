@@ -191,6 +191,8 @@ class TestPcoa:
         (np.array([[0.0, 1.0], [1.001, 0.0]]), "must be symmetric"),
         (np.array([[1e-3, 1.0], [1.0, 0.0]]), "diagonal must be zero"),
         (np.array([[0.0, -1.0], [-1.0, 0.0]]), "must be non-negative"),
+        (np.array([[0.0, np.inf], [np.inf, 0.0]]), "must be finite"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "must be finite"),
     ])
     def test_malformed_distances_rejected(self, d, message):
         with pytest.raises(StructuralError, match=message):
@@ -199,6 +201,24 @@ class TestPcoa:
     def test_asymmetry_below_tolerance_accepted(self):
         d = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
         assert pcoa(d).eigenvalues.size == 1
+
+    def test_asymmetry_above_tolerance_rejected(self):
+        # 1e-9 apart at distances near 1: a relative tolerance of 1e-5 would accept it
+        with pytest.raises(StructuralError, match="must be symmetric"):
+            pcoa([[0, 1], [1 + 1e-9, 0]])
+
+    def test_symmetry_tolerance_scales_with_the_distances(self):
+        d = euclidean_distances(np.random.default_rng(4).normal(size=(6, 2)))
+        big = d * 1e6
+        assert np.array_equal(big, big.T)
+        np.testing.assert_allclose(pcoa(big).eigenvalues, 1e12 * pcoa(d).eigenvalues,
+                                   rtol=1e-9)
+        big[0, 1] *= 1 + 1e-15      # round-off far above 1e-12 in absolute terms
+        assert not np.array_equal(big, big.T)
+        assert pcoa(big).eigenvalues.size == 2
+        big[0, 1] *= 1 + 1e-9
+        with pytest.raises(StructuralError, match="must be symmetric"):
+            pcoa(big)
 
 
 POINT_SETS = st.tuples(st.integers(3, 8), st.integers(1, 4)).flatmap(
