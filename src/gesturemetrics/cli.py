@@ -7,6 +7,7 @@ All outputs are deterministic given identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -265,10 +266,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built once per process; ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad usage; keep that contract
         return int(exc.code or 0)

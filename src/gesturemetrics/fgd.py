@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
 from .gmm import posterior_matrix
+from .model import check_symmetric
 
 JITTER = 1e-10
 NEG_CLAMP = 1e-8
@@ -62,8 +63,7 @@ def frechet_distance(a, b):
             raise StructuralError("covariance shape does not match mean")
         if not np.all(np.isfinite(cov)):
             raise StructuralError("covariance must be finite")
-        if np.abs(cov - cov.T).max(initial=0) > 1e-12 * max(1.0, np.abs(cov).max(initial=0)):
-            raise StructuralError("covariance must be symmetric")
+        check_symmetric(cov, "covariance")
     if np.array_equal(mean_a, mean_b) and np.array_equal(cov_a, cov_b):
         return 0.0
     dim = cov_a.shape[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .model import N_JOINTS, GestureDataset, as_matrix
+from .model import N_JOINTS, GestureDataset, as_matrix, check_symmetric
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_K = 24
@@ -55,8 +55,7 @@ class GmmModel:
             raise StructuralError(f"model dimension d={self.d} is not 14 * mu (mu={self.mu})")
         if self.covariance.shape != (self.d, self.d):
             raise StructuralError("covariance must be d x d")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-10):
-            raise StructuralError("covariance must be symmetric")
+        check_symmetric(self.covariance, "covariance")
 
     @property
     def k(self):

@@ -156,6 +156,15 @@ def check_dt(dt):
     return dt
 
 
+def check_symmetric(a, what):
+    """``StructuralError("<what> must be symmetric")`` if an entry of the finite
+    square array ``a`` differs from its transpose by more than
+    ``1e-12 * max(1, max |a|)``. The bound has no relative term, so a small
+    asymmetry between large entries is still caught."""
+    if np.abs(a - a.T).max(initial=0) > 1e-12 * max(1.0, np.abs(a).max(initial=0)):
+        raise StructuralError(f"{what} must be symmetric")
+
+
 def column_labels(mu):
     """Column names of the flattened layout: ``Joint[k]`` for frame offset k."""
     return [f"{name}[{k}]" for k in range(mu) for name in JOINT_NAMES]

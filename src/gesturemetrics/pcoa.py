@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, StructuralError
-from .model import N_JOINTS, column_labels
+from .model import N_JOINTS, check_symmetric, column_labels
 
 EIG_TOL = 1e-10
 SPECTRUM_LEN = 28   # spectra are zero-padded or cut to this many eigenvalues
@@ -98,8 +98,7 @@ def pcoa(d):
         raise StructuralError("distance matrix must be square")
     if not np.all(np.isfinite(d)):
         raise StructuralError("distances must be finite")
-    if np.abs(d - d.T).max(initial=0) > 1e-12 * max(1.0, np.abs(d).max(initial=0)):
-        raise StructuralError("distance matrix must be symmetric")
+    check_symmetric(d, "distance matrix")
     if np.any(np.diag(d) != 0):
         raise StructuralError("distance matrix diagonal must be zero")
     if np.any(d < 0):

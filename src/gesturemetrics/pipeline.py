@@ -132,8 +132,29 @@ def _positive_header(meta, key):
     return value
 
 
-def _parse_rows(lines, first_line, width, empty_message):
+def _read_rows(lines, first_line, width, empty_message):
     """Comma-separated data rows as a float array; errors carry the line number.
+
+    numpy's C reader parses the body, and its array is kept when it has one row
+    per non-blank line, ``width`` columns and only finite values. Any other
+    body is read again by ``_parse_rows``, which names the bad line or returns
+    what ``float`` reads and numpy refuses (``1_0``, full-width digits); numpy
+    reads no cell that ``float`` refuses, and every cell to the same double.
+    """
+    n_rows = sum(1 for line in lines if line.strip())
+    if n_rows:
+        try:
+            array = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if array.shape == (n_rows, width) and np.isfinite(array).all():
+                return array
+    return _parse_rows(lines, first_line, width, empty_message)
+
+
+def _parse_rows(lines, first_line, width, empty_message):
+    """The row-by-row reader behind ``_read_rows``, which names the bad line.
 
     Blank lines are skipped. Non-numeric and non-finite cells are rejected.
     """
@@ -196,8 +217,8 @@ def load_dataset(path):
     if header != column_labels(mu):
         raise ParseError(
             f"header row does not match the mu={mu} column layout", consumed + 1)
-    matrix = _parse_rows(body[1:], consumed + 2, N_JOINTS * mu,
-                         "dataset file contains no data rows")
+    matrix = _read_rows(body[1:], consumed + 2, N_JOINTS * mu,
+                        "dataset file contains no data rows")
     return GestureDataset(matrix=matrix, dt=dt, source_tag=source, sample_rate_hz=rate)
 
 
@@ -216,7 +237,7 @@ def load_stream(path):
     body = lines[consumed:]
     if not body or body[0].split(",") != ["timestamp", *JOINT_NAMES]:
         raise ParseError("stream file header row is malformed", consumed + 1)
-    rows = _parse_rows(body[1:], consumed + 2, N_JOINTS + 1, "stream file contains no poses")
+    rows = _read_rows(body[1:], consumed + 2, N_JOINTS + 1, "stream file contains no poses")
     return PoseStream(values=rows[:, 1:], timestamps=rows[:, 0], native_rate_hz=rate)
 
 
@@ -226,4 +247,4 @@ def load_matrix(path):
         lines = fh.read().splitlines()
     _, consumed = _parse_meta(lines)
     width = next((len(line.split(",")) for line in lines[consumed:] if line.strip()), 0)
-    return _parse_rows(lines[consumed:], consumed + 1, width, "matrix file contains no rows")
+    return _read_rows(lines[consumed:], consumed + 1, width, "matrix file contains no rows")

@@ -219,6 +219,21 @@ class TestStreamCommands:
         assert main(["match-lengths", str(a), str(b), str(out_a), str(out_b)]) == 0
         assert len(load_stream(out_a)) == len(load_stream(out_b)) == 30
 
+    def test_repeated_calls_write_what_fresh_processes_write(self, corpus, tmp_path):
+        # main() reuses one parser; a second call must not see the first's options
+        stream, _ = corpus
+        runs = [["window", "--mu", "4"], ["window", "--mu", "2", "--stride", "1"]]
+        for k, argv in enumerate(runs):
+            assert main([*argv, str(stream), str(tmp_path / f"in_process_{k}.csv")]) == 0
+        src_dir = os.path.dirname(os.path.dirname(gesturemetrics.__file__))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+        for k, argv in enumerate(runs):
+            subprocess.run([sys.executable, "-m", "gesturemetrics.cli", *argv, str(stream),
+                            str(tmp_path / f"fresh_{k}.csv")], env=env, check=True, timeout=120)
+            assert ((tmp_path / f"in_process_{k}.csv").read_bytes()
+                    == (tmp_path / f"fresh_{k}.csv").read_bytes())
+
 
 class TestMetricCommands:
     def test_pcoa_self_comparison(self, corpus, tmp_path, capsys):
@@ -533,6 +548,22 @@ class TestErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_asymmetric_model_covariance_is_input_failure(self, corpus, tmp_path, capsys):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        cov = np.array(doc["covariance"])
+        cov[0, 1] = cov[1, 0] * (1 + 8e-6)
+        assert np.allclose(cov, cov.T, atol=1e-10)     # numpy's default rtol would pass it
+        doc["covariance"] = cov.tolist()
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "fgd.json"
+        assert main(["fgd", "--model", str(model), str(ds), str(ds), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: covariance must be symmetric\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [

@@ -234,6 +234,15 @@ class TestModelValidation:
             GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
                      covariance=cov, mu=1, dt=0.25)
 
+    def test_asymmetry_within_a_relative_tolerance_rejected(self):
+        # |0.5 - 0.500004| is inside allclose's default rtol=1e-5, but Cholesky
+        # would read only the lower triangle and drop the upper one
+        cov = np.eye(D)
+        cov[0, 1], cov[1, 0] = 0.5, 0.500004
+        with pytest.raises(StructuralError, match="covariance must be symmetric"):
+            GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                     covariance=cov, mu=1, dt=0.25)
+
     def test_means_shape_checked(self):
         with pytest.raises(StructuralError):
             GmmModel(weights=np.array([0.5, 0.5]), means=np.zeros((3, D)),
@@ -358,6 +367,18 @@ class TestModelIO:
         assert np.array_equal(back.covariance, model.covariance)
         assert back.mu == model.mu
         assert back.dt == model.dt
+
+    def test_scaled_symmetric_covariance_loads(self, tmp_path):
+        # an asymmetry in the last bit of 1e6-sized entries is round-off
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(D, D))
+        cov = 1e6 * (a @ a.T + D * np.eye(D))
+        cov[0, 1] = np.nextafter(cov[1, 0], np.inf)
+        model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                         covariance=cov, mu=1, dt=0.25)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert np.array_equal(load_model(path).covariance, cov)
 
     def test_file_with_covariance_floored_key_loads(self, tmp_path):
         # models written before the fixed ridge carry a covariance_floored flag

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from gesturemetrics import pipeline
 from gesturemetrics.errors import ParseError, StructuralError
-from gesturemetrics.model import N_JOINTS, as_matrix
+from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
 from gesturemetrics.pipeline import (
     PoseStream,
     load_dataset,
@@ -185,6 +187,15 @@ class TestDatasetIO:
         back = load_dataset(path)
         assert as_matrix(back).shape == (2, 56)
 
+    def test_every_row_short_of_a_column_names_first_row(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(window(make_stream(12), 4), path)
+        lines = path.read_text().splitlines()
+        lines[5:] = [line.rpartition(",")[0] for line in lines[5:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 6: expected 56 columns, got 55$"):
+            load_dataset(path)
+
     def test_non_numeric_cell_reported(self, tmp_path):
         ds = window(make_stream(4), 1)
         path = tmp_path / "ds.csv"
@@ -293,3 +304,112 @@ class TestStreamIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 5"):
             load_stream(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# -0.0, the smallest subnormal, the smallest normal and doubles near ±1e308
+EDGE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -1e308]
+VALUES = st.one_of(FINITE, st.sampled_from(EDGE_VALUES))
+EDGE_ROW = (EDGE_VALUES * N_JOINTS)[:N_JOINTS]
+ROUND_TRIP = settings(max_examples=40, deadline=None, derandomize=True,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestRoundTripProperties:
+    @ROUND_TRIP
+    @given(rows=st.integers(1, 2).flatmap(lambda mu: st.lists(
+        st.lists(VALUES, min_size=N_JOINTS * mu, max_size=N_JOINTS * mu), min_size=1, max_size=3)))
+    @example(rows=[EDGE_ROW])
+    def test_dataset_save_load_is_exact(self, tmp_path, rows):
+        ds = GestureDataset(matrix=np.array(rows), dt=0.25)
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.matrix.shape == ds.matrix.shape
+        assert back.matrix.tobytes() == ds.matrix.tobytes()
+
+    @ROUND_TRIP
+    @given(poses=st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(FINITE, min_size=n, max_size=n, unique=True).map(sorted),
+        st.lists(st.lists(VALUES, min_size=N_JOINTS, max_size=N_JOINTS),
+                 min_size=n, max_size=n))))
+    @example(poses=([-1e308, 5e-324, 1.7976931348623157e308], [EDGE_ROW] * 3))
+    def test_stream_save_load_is_exact(self, tmp_path, poses):
+        timestamps, values = poses
+        stream = PoseStream(values=values, timestamps=timestamps, native_rate_hz=3.0)
+        path = tmp_path / "stream.csv"
+        save_stream(stream, path)
+        back = load_stream(path)
+        assert back.values.tobytes() == stream.values.tobytes()
+        assert back.timestamps.tobytes() == stream.timestamps.tobytes()
+
+
+# cells written otherwise than by repr; float() reads them all, numpy's reader
+# refuses some (1_0, non-ASCII digits) and strips the spaces of others
+ODD_CELLS = ["1_0", "１", "٣.5", " 2.5 ", "+1.", ".5e-3", "-0.0"]
+CELLS = st.one_of(FINITE.map(repr), st.sampled_from(ODD_CELLS))
+BLANK_LINES = st.sampled_from(["", "   ", "\t"])
+# non-numeric cells (one hides a comment from a reader that cuts at "#"), an
+# empty cell, non-finite values and a cell that splits the row into one
+# column too many
+BAD_CELLS = ["abc", "1#5", "", "nan", "inf", "-inf", "1e400", "1,0"]
+FIRST_LINE = 3
+
+
+def bodies(width):
+    row = st.lists(CELLS, min_size=width, max_size=width).map(",".join)
+    return st.lists(st.one_of(row, BLANK_LINES), max_size=5)
+
+
+def read_both(lines, width):
+    """What ``_read_rows`` and ``_parse_rows`` make of ``lines``: the array's
+    shape and bytes, or the ``ParseError`` text and line number."""
+    outcomes = []
+    for reader in (pipeline._read_rows, pipeline._parse_rows):
+        try:
+            rows = reader(lines, FIRST_LINE, width, "no rows")
+            outcomes.append(("rows", rows.shape, rows.tobytes()))
+        except ParseError as exc:
+            outcomes.append(("error", str(exc), exc.line))
+    return outcomes
+
+
+class TestReaderParity:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.integers(1, 4).flatmap(lambda width: st.tuples(st.just(width),
+                                                                  bodies(width))))
+    def test_readable_bodies_read_as_the_row_loop_reads_them(self, case):
+        width, lines = case
+        fast, slow = read_both(lines, width)
+        assert fast == slow
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bad_line_raises_the_row_loops_error(self, data):
+        width = data.draw(st.integers(1, 4))
+        lines = data.draw(bodies(width))
+        cells = data.draw(st.lists(CELLS, min_size=width, max_size=width))
+        bad = data.draw(st.sampled_from([*BAD_CELLS, "trailing comma"]))
+        if bad == "trailing comma":
+            line = ",".join(cells) + ","
+        else:
+            cells[data.draw(st.integers(0, width - 1))] = bad
+            line = ",".join(cells)
+        assume(line.strip())
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, line)
+        fast, slow = read_both(lines, width)
+        assert fast == slow
+        assert fast[0] == "error" and fast[2] == FIRST_LINE + at
+
+    def test_clean_file_is_read_without_the_row_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        path = tmp_path / "ds.csv"
+        save_dataset(window(make_stream(16, fn=lambda t: float(rng.normal())), 4), path)
+        expected = load_dataset(path).matrix
+
+        def row_loop(*args):
+            raise AssertionError("a clean body reached the row loop")
+
+        monkeypatch.setattr(pipeline, "_parse_rows", row_loop)
+        assert load_dataset(path).matrix.tobytes() == expected.tobytes()
