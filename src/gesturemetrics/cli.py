@@ -142,6 +142,17 @@ def _cmd_synth_corpus(args):
     return EXIT_OK
 
 
+def _seed(text):
+    """A ``--seed`` value: an integer of at least 0, as numpy's Philox needs."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {seed}")
+    return seed
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gesturemetrics",
@@ -154,7 +165,7 @@ def build_parser():
         if profile:
             p.add_argument("--profile", help="robot profile JSON file")
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         if out:
             p.add_argument("--out", help="output file (default: stdout)")
         if fmt:

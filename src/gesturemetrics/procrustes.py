@@ -25,7 +25,10 @@ def procrustes(y_o, y_g, mu, allow_reflections=True):
     Both configurations must be column-centered already (PCoA output is);
     this is asserted rather than silently re-centered. With
     ``allow_reflections=False`` Q is restricted to proper rotations.
+    ``mu`` below 1 raises ``StructuralError``.
     """
+    if mu < 1:
+        raise StructuralError(f"mu must be at least 1, got {mu}")
     y_o = np.asarray(y_o, dtype=float)
     y_g = np.asarray(y_g, dtype=float)
     if y_o.shape != y_g.shape:

@@ -276,6 +276,16 @@ class TestMetricCommands:
         assert f"line 4: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mu", ["0", "-1"])
+    def test_procrustes_coordinates_mu_below_one_is_input_failure(self, tmp_path, capsys, mu):
+        coords = tmp_path / "coords.csv"
+        coords.write_text("1,0\n-1,0\n0,1\n0,-1\n")
+        out = tmp_path / "orig.json"
+        assert main(["procrustes", "--coordinates", "--mu", mu, str(coords), str(coords),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: mu must be at least 1, got {mu}\n"
+        assert not out.exists()
+
     def test_motion_stats(self, corpus, tmp_path):
         _, ds = corpus
         out = tmp_path / "motion.json"
@@ -517,6 +527,32 @@ class TestErrors:
         assert main([command, "--model", str(model), "--bootstrap", "-1", str(ds), str(ds),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: bootstrap must be at least 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["map", "gmm-train", "generate", "synth-corpus",
+                                         "fgd", "evaluate"])
+    def test_negative_seed_is_usage_error(self, corpus, tmp_path, capsys, command):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "2", str(ds), "--out", str(model)]) == 0
+        capture = tmp_path / "capture.jsonl"
+        write_openni_jsonl(capture)
+        out = tmp_path / "out"
+        argv = {
+            "map": ["map", "--layout", "openni", str(capture), str(out)],
+            "gmm-train": ["gmm-train", "--k", "2", str(ds), "--out", str(out)],
+            "generate": ["generate", "--model", str(model), "--out", str(out)],
+            "synth-corpus": ["synth-corpus", "--poses", "40", "--out", str(out)],
+            "fgd": ["fgd", "--model", str(model), "--bootstrap", "2", str(ds), str(ds),
+                    "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(model), "--bootstrap", "2", str(ds),
+                         str(ds), "--out", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be at least 0, got -1" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from gesturemetrics.errors import InsufficientDataError, StructuralError
 from gesturemetrics.fgd import fgd, frechet_distance, stats_from_features
-from gesturemetrics.gmm import GmmModel, posterior_matrix
+from gesturemetrics.gmm import GmmModel, fit, posterior_matrix
 from gesturemetrics.model import N_JOINTS, GestureDataset
+from gesturemetrics.synth import beat_gesture_corpus
 
 
 def two_pass_stats(features):
@@ -75,16 +78,46 @@ class TestFrechetClosedForms:
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_diagonal_gaussians(self):
-        # diagonal case decouples per dimension
+        # diagonal case decouples per dimension; zero variances make the
+        # covariances singular, where the closed form is exact too
         rng = np.random.default_rng(3)
         d = 5
-        for _ in range(20):
+        for _ in range(200):
             m1, m2 = rng.normal(size=(2, d))
-            v1, v2 = rng.uniform(0.1, 2.0, size=(2, d))
+            v1, v2 = rng.uniform(0.1, 2.0, size=(2, d)) * (rng.random(size=(2, d)) < 0.6)
             got = frechet_distance(gauss_stats(m1, np.diag(v1)),
                                    gauss_stats(m2, np.diag(v2)))
             want = np.sum((m1 - m2) ** 2) + np.sum((np.sqrt(v1) - np.sqrt(v2)) ** 2)
-            assert got == pytest.approx(want, abs=1e-8)
+            assert got == pytest.approx(want, abs=1e-10)
+
+    def test_empty_component_matches_sandwich_route(self):
+        # no unit of the first dataset comes near the third component, so its
+        # posterior column is exactly 0 there: the first covariance is singular
+        # in a direction where the second is not, which a jitter would bias
+        means = np.zeros((3, N_JOINTS))
+        means[:2, 0] = (-2.0, 2.0)
+        means[2, 1] = 100.0
+        model = GmmModel(weights=np.full(3, 1.0 / 3.0), means=means,
+                         covariance=np.eye(N_JOINTS), mu=1, dt=0.25)
+        units = np.random.default_rng(14).normal(size=(160, N_JOINTS))
+        units[:80, 0] -= 2.0
+        units[80:, 0] += 2.0
+        units[140:, 1] += 100.0
+        feats = [posterior_matrix(model, GestureDataset(matrix=m, dt=0.25))
+                 for m in (units[:80], units[80:])]
+        assert not np.any(feats[0][:, 2]) and np.all(feats[1][140 - 80:, 2] > 0.5)
+        (mean_a, cov_a), (mean_b, cov_b) = (stats_from_features(f) for f in feats)
+
+        def root(mat):
+            evals, evecs = np.linalg.eigh(mat)
+            return (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
+        # Tr((S_b^1/2 S_a S_b^1/2)^1/2): the sandwich route, not the nuclear norm
+        sandwich = np.linalg.eigvalsh(root(cov_b) @ cov_a @ root(cov_b))
+        want = (np.sum((mean_a - mean_b) ** 2) + np.trace(cov_a) + np.trace(cov_b)
+                - 2.0 * np.sum(np.sqrt(np.clip(sandwich, 0.0, None))))
+        got = frechet_distance((mean_a, cov_a), (mean_b, cov_b))
+        assert got == pytest.approx(want, rel=1e-7)
 
     def test_identical_gaussians_zero(self):
         rng = np.random.default_rng(4)
@@ -191,6 +224,33 @@ class TestFrechetProperties:
     def test_equal_pairs_are_exactly_zero(self, pair):
         (mean, cov), _ = pair
         assert frechet_distance((mean, cov), (mean.copy(), cov.copy())) == 0.0
+
+
+class TestUnitOrder:
+    """Metamorphic relation: FGD does not depend on the order of a dataset's units."""
+
+    @staticmethod
+    @functools.cache
+    def corpora():
+        a = beat_gesture_corpus(1200, mu=4, seed=0)
+        b = beat_gesture_corpus(1200, mu=4, seed=1)
+        return fit(a, k=6, seed=0), a, b
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), side=st.sampled_from(["a", "b", "both"]))
+    def test_permuting_units_keeps_the_value(self, seed, side):
+        model, a, b = self.corpora()
+        rng = np.random.default_rng(seed)
+
+        def permuted(ds, name):
+            if side not in (name, "both"):
+                return ds
+            return GestureDataset(matrix=ds.matrix[rng.permutation(len(ds.matrix))], dt=ds.dt)
+
+        want = fgd(model, a, b)["value"]
+        assert want > 0.01
+        assert fgd(model, permuted(a, "a"), permuted(b, "b"))["value"] == pytest.approx(
+            want, rel=1e-6)
 
 
 class TestFgdPipeline:

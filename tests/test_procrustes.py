@@ -156,3 +156,9 @@ class TestErrors:
         y_o = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         res = procrustes(y_o, y_o, mu=4)
         assert not res["anti_correlated"]
+
+    @pytest.mark.parametrize("mu", [0, -1, 0.5])
+    def test_mu_below_one_rejected(self, mu):
+        y = centered(np.random.default_rng(13), 4, 2)
+        with pytest.raises(StructuralError, match=f"mu must be at least 1, got {mu}"):
+            procrustes(y, y, mu=mu)
