@@ -14,14 +14,3 @@ Library layers:
 """
 
 __version__ = "0.1.0"
-
-from .model import (  # noqa: F401
-    JOINT_NAMES,
-    N_JOINTS,
-    GestureDataset,
-    Pose,
-    RobotProfile,
-    as_matrix,
-    validate_pose,
-)
-from .pipeline import PoseStream  # noqa: F401

@@ -153,7 +153,9 @@ def _seed(text):
     return seed
 
 
-def build_parser():
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gesturemetrics",
         description="Retarget captured skeletons to robot joints and evaluate "
@@ -275,12 +277,6 @@ def build_parser():
     p.set_defaults(func=_cmd_synth_corpus)
 
     return parser
-
-
-@functools.cache
-def _parser():
-    """``build_parser()``, built once per process; ``parse_args`` leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv=None):

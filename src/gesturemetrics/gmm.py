@@ -56,6 +56,10 @@ class GmmModel:
         if self.covariance.shape != (self.d, self.d):
             raise StructuralError("covariance must be d x d")
         check_symmetric(self.covariance, "covariance")
+        try:
+            np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError:
+            raise StructuralError("covariance must be positive definite") from None
 
     @property
     def k(self):
@@ -229,6 +233,8 @@ def load_model(path):
     if version != MODEL_FORMAT_VERSION:
         raise ParseError(f"unsupported model format version {version!r}")
     try:
+        if isinstance(doc["mu"], bool):
+            raise ParseError("mu must be a JSON integer, not a boolean")
         model = GmmModel(weights=doc["weights"], means=doc["means"], covariance=doc["covariance"],
                          mu=operator.index(doc["mu"]), dt=float(doc["dt"]))
         if (model.k, model.d) != (doc["k"], doc["d"]):

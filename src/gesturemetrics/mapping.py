@@ -55,13 +55,8 @@ OPENPOSE_KEYPOINTS = (
 # OpenPose hand model indices
 HAND_WRIST = 0
 HAND_THUMB_TIP = 4
-HAND_INDEX_TIP = 8
 HAND_MIDDLE_TIP = 12
-HAND_RING_TIP = 16
 HAND_PINKY_TIP = 20
-
-PALM = "palm"
-BACK = "back"
 
 # Calibration constants of the retargeting equations. The source ranges are
 # capture-side intervals fed to range_conv, not robot properties.
@@ -210,34 +205,6 @@ def map_head_openpose(nose, neck, profile):
     return float(yaw), float(pitch)
 
 
-def _thumb_pinky_gap(hand):
-    """Distance of the thumb and pinky tips in the image plane (x, y)."""
-    (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
-    return math.sqrt((px - tx) * (px - tx) + (py - ty) * (py - ty))
-
-
-def map_hand_side_openpose(hand, side):
-    """Classify whether the palm or the back of the hand faces the camera.
-
-    Fingertips are translated so the thumb tip is the origin and rotated so
-    the pinky tip lies on the positive x-axis; the classification then
-    counts how many of the index/middle/ring tips sit above that line.
-    Invariant under in-plane rotation and uniform scaling.
-    """
-    if _thumb_pinky_gap(hand) < 1e-12:
-        raise DegenerateGeometryError("thumb and pinky fingertips coincide")
-    (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
-    alpha = math.atan2(py - ty, px - tx)
-    c, s = math.cos(alpha), math.sin(alpha)
-    above = sum(-(hand[i][0] - tx) * s + (hand[i][1] - ty) * c > 0   # y rotated by -alpha
-                for i in (HAND_INDEX_TIP, HAND_MIDDLE_TIP, HAND_RING_TIP))
-    if side == "right":
-        return BACK if above >= 2 else PALM
-    if side == "left":
-        return PALM if above >= 2 else BACK
-    raise StructuralError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def map_hand_yaw_openpose(hand, dst):
     """Wrist yaw from the thumb-pinky fingertip distance, mapped from
     ``HAND_YAW_SRC`` onto that wrist's ``(lo, hi)`` limits ``dst``."""
@@ -378,7 +345,8 @@ class StreamMapper:
             if hand is None:
                 continue  # hold previous hand values
             hand = np.asarray(hand, dtype=float).tolist()
-            if _thumb_pinky_gap(hand) < 1e-12:
+            (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
+            if math.sqrt((px - tx) * (px - tx) + (py - ty) * (py - ty)) < 1e-12:
                 continue  # thumb and pinky tips coincide in the image: hold this hand
             wrist = _INDEX[prefix + "WristYaw"]
             values[wrist] = map_hand_yaw_openpose(hand, self.profile.joint_limits[wrist])

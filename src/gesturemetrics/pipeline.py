@@ -238,6 +238,12 @@ def load_stream(path):
     if not body or body[0].split(",") != ["timestamp", *JOINT_NAMES]:
         raise ParseError("stream file header row is malformed", consumed + 1)
     rows = _read_rows(body[1:], consumed + 2, N_JOINTS + 1, "stream file contains no poses")
+    increasing = np.diff(rows[:, 0]) > 0
+    if not increasing.all():
+        # row i + 1 is the first whose timestamp is not after its predecessor's
+        line_numbers = [n for n, line in enumerate(body[1:], start=consumed + 2) if line.strip()]
+        raise ParseError("timestamps must be strictly increasing",
+                         line_numbers[int(np.argmin(increasing)) + 1])
     return PoseStream(values=rows[:, 1:], timestamps=rows[:, 0], native_rate_hz=rate)
 
 

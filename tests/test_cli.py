@@ -602,16 +602,38 @@ class TestErrors:
         assert capsys.readouterr().err == "error: covariance must be symmetric\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "fgd", "evaluate"])
+    def test_non_positive_definite_model_is_input_failure(self, corpus, tmp_path, capsys,
+                                                          command):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["covariance"] = np.zeros_like(doc["covariance"]).tolist()
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        argv = {
+            "generate": ["generate", "--model", str(model), "-n", "10", "--out", str(out)],
+            "fgd": ["fgd", "--model", str(model), str(ds), str(ds), "--out", str(out)],
+            "evaluate": ["evaluate", "--model", str(model), str(ds), str(ds),
+                         "--out", str(out)],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: covariance must be positive definite\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: {k: v for k, v in doc.items() if k != "weights"},
          "model file has no 'weights' entry"),
         (lambda doc: {**doc, "weights": "abc"}, "malformed model file"),
         (lambda doc: {**doc, "mu": "four"}, "malformed model file"),
         (lambda doc: {**doc, "mu": 4.5}, "malformed model file"),
+        (lambda doc: {**doc, "mu": True}, "mu must be a JSON integer, not a boolean"),
         (lambda doc: {**doc, "means": doc["means"][0]}, "malformed model file"),
         (lambda doc: [doc], "model file must hold a JSON object"),
     ], ids=["missing-key", "non-numeric-array", "non-integer-mu", "fractional-mu",
-            "one-dimensional-means", "not-an-object"])
+            "boolean-mu", "one-dimensional-means", "not-an-object"])
     def test_malformed_model_file_is_input_failure(self, corpus, tmp_path, capsys, edit,
                                                    message):
         _, ds = corpus

@@ -265,6 +265,15 @@ class TestModelValidation:
             GmmModel(weights=np.array([1.0]), means=np.zeros((1, 4 * D)),
                      covariance=np.eye(4 * D), mu=3, dt=0.25)
 
+    @pytest.mark.parametrize("diagonal", [0.0, -1.0])
+    def test_covariance_must_be_positive_definite(self, diagonal):
+        # finite and symmetric, but Cholesky fails: all zeros, or one negative variance
+        cov = np.eye(D) if diagonal else np.zeros((D, D))
+        cov[0, 0] = diagonal
+        with pytest.raises(StructuralError, match="covariance must be positive definite"):
+            GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                     covariance=cov, mu=1, dt=0.25)
+
 
 def toy_model(separation=8.0):
     means = np.zeros((2, D))
@@ -411,6 +420,16 @@ class TestModelIO:
         path.write_text(path.read_text().replace('"format_version": 1',
                                                  '"format_version": 99'))
         with pytest.raises(ParseError):
+            load_model(path)
+
+    def test_boolean_mu_rejected(self, tmp_path):
+        # json.load gives True, which operator.index would read as mu = 1
+        model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                         covariance=np.eye(D), mu=1, dt=0.25)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_text(path.read_text().replace('"mu": 1', '"mu": true'))
+        with pytest.raises(ParseError, match="mu must be a JSON integer"):
             load_model(path)
 
     def test_shape_disagreement_rejected(self, tmp_path):

@@ -14,13 +14,10 @@ from gesturemetrics.errors import (
     UnknownOrientationError,
 )
 from gesturemetrics.mapping import (
-    BACK,
     CONFIDENCE_THRESHOLD,
-    HAND_INDEX_TIP,
     HAND_MIDDLE_TIP,
     HAND_OPEN_SRC,
     HAND_PINKY_TIP,
-    HAND_RING_TIP,
     HAND_THUMB_TIP,
     HAND_WRIST,
     HAND_YAW_SRC,
@@ -32,13 +29,11 @@ from gesturemetrics.mapping import (
     OPENNI_LAYOUT,
     OPENPOSE_KEYPOINTS,
     OPENPOSE_LAYOUT,
-    PALM,
     SkeletonFrame,
     StreamMapper,
     arm_angles,
     load_skeleton_frames,
     map_hand_opening_openpose,
-    map_hand_side_openpose,
     map_hand_yaw_openni,
     map_hand_yaw_openpose,
     map_head_openni,
@@ -71,16 +66,14 @@ def make_openpose_body(**overrides):
 
 
 def make_hand(center=(0.0, 0.0, 0.0), spread=0.08, opening=0.15):
-    """Planar right-hand-like keypoint set: pinky to the right of the thumb,
-    index/middle/ring tips above the thumb-pinky line."""
+    """Planar hand keypoint set: thumb and pinky tips ``2 * spread`` apart, the
+    middle tip ``opening`` from the wrist."""
     hand = np.zeros((21, 3))
     cx, cy, cz = center
     hand[HAND_WRIST] = (cx, cy + 0.06 - opening, cz)  # wrist-middle distance = opening
     hand[HAND_THUMB_TIP] = (cx - spread, cy, cz)
     hand[HAND_PINKY_TIP] = (cx + spread, cy, cz)
-    hand[HAND_INDEX_TIP] = (cx - spread / 2, cy + 0.05, cz)
     hand[HAND_MIDDLE_TIP] = (cx, cy + 0.06, cz)
-    hand[HAND_RING_TIP] = (cx + spread / 2, cy + 0.05, cz)
     return hand
 
 
@@ -161,50 +154,6 @@ class TestHeadOpenpose:
     def test_zero_vector_rejected(self, profile):
         with pytest.raises(DegenerateGeometryError):
             map_head_openpose((0.1, 1.5, 0.0), (0.1, 1.5, 0.0), profile)
-
-
-class TestHandSide:
-    def test_right_hand_three_above_is_back(self):
-        assert map_hand_side_openpose(make_hand(), "right") == BACK
-
-    def test_right_hand_none_above_is_palm(self):
-        hand = make_hand()
-        for idx in (HAND_INDEX_TIP, HAND_MIDDLE_TIP, HAND_RING_TIP):
-            hand[idx, 1] = -abs(hand[idx, 1]) - 0.01
-        assert map_hand_side_openpose(hand, "right") == PALM
-
-    def test_left_hand_opposite_condition(self):
-        assert map_hand_side_openpose(make_hand(), "left") == PALM
-
-    def test_rotation_invariance_37_degrees(self):
-        hand = make_hand()
-        theta = math.radians(37)
-        rot = np.array([[math.cos(theta), -math.sin(theta), 0],
-                        [math.sin(theta), math.cos(theta), 0],
-                        [0, 0, 1]])
-        rotated = hand @ rot.T
-        assert (map_hand_side_openpose(rotated, "right")
-                == map_hand_side_openpose(hand, "right"))
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_rotation_and_scale_invariance_random(self, seed):
-        rng = np.random.default_rng(seed)
-        hand = make_hand()
-        baseline = map_hand_side_openpose(hand, "right")
-        for _ in range(10):
-            theta = rng.uniform(0, 2 * math.pi)
-            scale = rng.uniform(0.1, 5.0)
-            rot = np.array([[math.cos(theta), -math.sin(theta), 0],
-                            [math.sin(theta), math.cos(theta), 0],
-                            [0, 0, 1]])
-            transformed = scale * (hand @ rot.T)
-            assert map_hand_side_openpose(transformed, "right") == baseline
-
-    def test_coincident_thumb_pinky_rejected(self):
-        hand = make_hand()
-        hand[HAND_PINKY_TIP] = hand[HAND_THUMB_TIP]
-        with pytest.raises(DegenerateGeometryError):
-            map_hand_side_openpose(hand, "right")
 
 
 class TestHandYawOpenpose:

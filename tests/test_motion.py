@@ -16,6 +16,7 @@ from gesturemetrics.motion import (
     motion_report,
     path_length,
 )
+from gesturemetrics.synth import beat_gesture_corpus
 
 J = {name: i for i, name in enumerate(JOINT_NAMES)}
 S = {site: i for i, site in enumerate(SITES)}
@@ -400,6 +401,35 @@ class TestMotionReport:
         d = motion_report(ds, profile)
         assert set(d) == {"jerk_by_site", "path_length_by_site", "head_jerk",
                           "jerk_available"}
+
+
+def assert_same_statistics(got, want):
+    for key in ("jerk_by_site", "path_length_by_site", "head_jerk"):
+        assert got[key].keys() == want[key].keys()
+        for name, value in want[key].items():
+            assert got[key][name] == pytest.approx(value, rel=1e-12), (key, name)
+
+
+class TestMetamorphic:
+    """Relations any correct ``motion_report`` keeps, on small synth corpora."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 4), mu=st.sampled_from([4, 6]))
+    def test_reversing_every_unit_keeps_the_statistics(self, profile, seed, mu):
+        # the third difference only changes sign and the path is walked backwards
+        ds = beat_gesture_corpus(240, mu, seed=seed)
+        units = ds.matrix.reshape(len(ds), mu, N_JOINTS)
+        reversed_ds = GestureDataset(matrix=units[:, ::-1].reshape(len(ds), -1), dt=ds.dt)
+        assert_same_statistics(motion_report(reversed_ds, profile), motion_report(ds, profile))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 4), mu=st.sampled_from([4, 6]), order=st.randoms())
+    def test_permuting_the_units_keeps_the_statistics(self, profile, seed, mu, order):
+        ds = beat_gesture_corpus(240, mu, seed=seed)
+        rows = list(range(len(ds)))
+        order.shuffle(rows)
+        permuted = GestureDataset(matrix=ds.matrix[rows], dt=ds.dt)
+        assert_same_statistics(motion_report(permuted, profile), motion_report(ds, profile))
 
 
 class TestTrackValidation:

@@ -305,6 +305,18 @@ class TestStreamIO:
         with pytest.raises(ParseError, match="line 5"):
             load_stream(path)
 
+    @pytest.mark.parametrize("shift", [0.0, -0.1])
+    def test_repeated_or_decreasing_timestamp_names_line(self, tmp_path, shift):
+        path = tmp_path / "stream.csv"
+        save_stream(make_stream(6), path)
+        lines = path.read_text().splitlines()
+        previous = float(lines[4].split(",")[0])
+        lines[5] = ",".join([repr(previous + shift), *lines[5].split(",")[1:]])
+        lines.insert(3, "")     # a blank line still counts in the line numbers
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="^line 7: timestamps must be strictly increasing$"):
+            load_stream(path)
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # -0.0, the smallest subnormal, the smallest normal and doubles near ±1e308

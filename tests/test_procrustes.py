@@ -30,11 +30,11 @@ def grid_search_ss(y_o, y_g, angle_step=1e-3, scale_step=1e-3, reflections=True)
     traces = np.concatenate([t_rot, t_ref]) if reflections else t_rot
     s_max = max(2.0 * float(traces.max()) / g, 10.0 * scale_step)
     scales = np.arange(scale_step, s_max + scale_step, scale_step)
-    best = np.inf
-    for chunk in np.array_split(traces, max(1, traces.size // 500)):
-        ss = c_oo - 2.0 * np.outer(chunk, scales) + g * scales ** 2
-        best = min(best, float(ss.min()))
-    return best
+    # At a fixed trace t, ss(s) = c_oo - 2ts + gs^2 is convex in s, so its
+    # minimum over the scale grid is at one of the two grid scales around t/g.
+    upper = np.clip(np.searchsorted(scales, traces / g), 1, scales.size - 1)
+    pair = np.stack([scales[upper - 1], scales[upper]])
+    return float((c_oo - 2.0 * traces * pair + g * pair ** 2).min())
 
 
 class TestExactCases:
