@@ -47,8 +47,9 @@ class GmmModel:
         if not all(np.all(np.isfinite(a)) for a in
                    (self.weights, self.means, self.covariance, self.dt)):
             raise StructuralError("model weights, means, covariance and dt must be finite")
-        if abs(self.weights.sum() - 1.0) > 1e-10 or np.any(self.weights < 0):
-            raise StructuralError("weights must be non-negative and sum to 1")
+        if (self.weights.ndim != 1 or abs(self.weights.sum() - 1.0) > 1e-10
+                or np.any(self.weights < 0)):
+            raise StructuralError("weights must be a non-negative vector that sums to 1")
         if self.means.shape != (self.k, self.d):
             raise StructuralError("means must be K x d")
         if self.d != N_JOINTS * self.mu:
@@ -90,24 +91,26 @@ def _sq_dists(y, z):
     return np.sum(y * y, axis=1)[:, None] - 2.0 * (y @ z.T) + np.sum(z * z, axis=1)
 
 
-def _log_gaussian(x, means, covariance):
-    """Log density of every row of x under every component (shared cov)."""
-    d = x.shape[1]
+def _log_gaussian(block, n, covariance):
+    """Log density of the first n rows of block under components centred at the rest
+    (shared cov), and tr(cov^-1) = ||L^-1||_F^2 from the same Cholesky factor L. Centre
+    block on the data: on offset, ill-conditioned data the whitened distances would cancel."""
+    d = block.shape[1]
     chol = np.linalg.cholesky(covariance)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    # centre before whitening: on offset, ill-conditioned data the whitened
-    # coordinates would otherwise be huge and the expanded distance cancel
-    white = (np.vstack([x, means]) - x.mean(axis=0)) @ np.linalg.inv(chol).T
-    maha = _sq_dists(white[:len(x)], white[len(x):])
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+    inv_chol = np.linalg.inv(chol)
+    white = block @ inv_chol.T
+    maha = _sq_dists(white[:n], white[n:])
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha), np.sum(inv_chol * inv_chol)
 
 
-def _e_step(x, means, covariance, log_weights):
-    """Responsibilities (N x K) and the log-likelihood of every row of x."""
-    log_prob = _log_gaussian(x, means, covariance) + log_weights
+def _e_step(block, n, covariance, log_weights):
+    """Responsibilities (n x K), the log-likelihood of every data row and ``tr(cov^-1)``."""
+    log_prob, trace_inv = _log_gaussian(block, n, covariance)
+    log_prob += log_weights
     top = log_prob.max(axis=1)
     log_norm = top + np.log(np.sum(np.exp(log_prob - top[:, None]), axis=1))
-    return np.exp(log_prob - log_norm[:, None]), log_norm
+    return np.exp(log_prob - log_norm[:, None]), log_norm, trace_inv
 
 
 def _m_step(xc, gram, resp):
@@ -161,10 +164,13 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     prior = ridge * np.eye(d)
     covariance = covariance + prior
 
+    shift = xc.mean(axis=0)
+    block = np.vstack([xc - shift, means])     # data rows centred once; mean rows set per step
     lls = []
     for _ in range(max_iter):
-        resp, log_norm = _e_step(xc, means, covariance, np.log(weights))
-        penalty = 0.5 * n * ridge * np.trace(np.linalg.inv(covariance))
+        np.subtract(means, shift, out=block[n:])
+        resp, log_norm, trace_inv = _e_step(block, n, covariance, np.log(weights))
+        penalty = 0.5 * n * ridge * trace_inv
         objective = float(np.sum(log_norm)) - penalty
         if lls and objective - lls[-1] < rel_tol * abs(objective):
             if objective >= lls[-1]:
@@ -189,7 +195,8 @@ def posterior_matrix(model, ds):
     x = as_matrix(ds)
     if x.shape[1] != model.d:
         raise StructuralError(f"dataset dimension {x.shape[1]} does not match model d={model.d}")
-    return _e_step(x, model.means, model.covariance, np.log(model.weights + 1e-300))[0]
+    block = np.vstack([x, model.means]) - x.mean(axis=0)
+    return _e_step(block, len(x), model.covariance, np.log(model.weights + 1e-300))[0]
 
 
 def sample(model, n, seed=0):
@@ -216,8 +223,7 @@ def save_model(model, path):
         "covariance": model.covariance.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")   # one pass of the C encoder
 
 
 def load_model(path):
@@ -225,7 +231,7 @@ def load_model(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"corrupted model file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("model file must hold a JSON object")
@@ -233,11 +239,15 @@ def load_model(path):
     if version != MODEL_FORMAT_VERSION:
         raise ParseError(f"unsupported model format version {version!r}")
     try:
-        if isinstance(doc["mu"], bool):
-            raise ParseError("mu must be a JSON integer, not a boolean")
-        model = GmmModel(weights=doc["weights"], means=doc["means"], covariance=doc["covariance"],
-                         mu=operator.index(doc["mu"]), dt=float(doc["dt"]))
-        if (model.k, model.d) != (doc["k"], doc["d"]):
+        for key in ("mu", "k", "d"):
+            if isinstance(doc[key], bool):      # JSON true, which operator.index reads as 1
+                raise ParseError(f"{key} must be a JSON integer, not a boolean")
+        arrays = [np.array(doc[key], dtype=object)     # keeps each entry's JSON type
+                  for key in ("weights", "means", "covariance", "dt")]
+        if not {type(v) for a in arrays for v in a.flat} <= {int, float}:
+            raise ParseError("malformed model file: dt and every array entry must be JSON numbers")
+        model = GmmModel(*arrays[:3], mu=operator.index(doc["mu"]), dt=float(doc["dt"]))
+        if (model.k, model.d) != (operator.index(doc["k"]), operator.index(doc["d"])):
             raise ParseError("model matrix shapes disagree with declared k/d")
     except KeyError as exc:
         raise ParseError(f"model file has no {exc} entry") from exc

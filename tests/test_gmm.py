@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gesturemetrics import gmm
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.gmm import (
     DEFAULT_REL_TOL,
     GmmModel,
+    _e_step,
     _kmeanspp_centers,
     _log_gaussian,
     _m_step,
@@ -173,8 +175,37 @@ class TestAgainstReference:
         x = offset + rng.normal(size=(300, d)) @ chol.T
         means = offset + rng.normal(size=(6, d)) @ chol.T
         expected = per_component_log_gaussian(x, means, cov)
-        got = _log_gaussian(x, means, cov)
+        got, _ = _log_gaussian(np.vstack([x, means]) - x.mean(axis=0), len(x), cov)
         assert np.max(np.abs(got - expected) / np.abs(expected)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 14, 56, 112])
+    @pytest.mark.parametrize("condition", [1.0, 1e3, 1e6])
+    def test_e_step_trace_is_trace_of_inverse(self, d, condition):
+        # the penalty's tr(cov^-1) comes from the whitening factor: ||L^-1||_F^2
+        rng = np.random.default_rng(d)
+        cov = random_covariance(rng, d, condition)
+        block = rng.normal(size=(12, d))
+        trace_inv = _e_step(block - block[:10].mean(axis=0), 10, cov, np.log(np.full(2, 0.5)))[2]
+        assert trace_inv == pytest.approx(np.trace(np.linalg.inv(cov)), rel=1e-9)
+
+    def test_one_inversion_per_e_step(self, monkeypatch):
+        # one Cholesky factor and one inverse of it per EM iteration; the model's
+        # own positive-definiteness check makes the one extra Cholesky
+        calls = {"inv": 0, "cholesky": 0, "e_step": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(gmm, "_e_step", counted("e_step", gmm._e_step))
+        model = fit(two_cluster_dataset(np.random.default_rng(25), 60), k=3, seed=0)
+        assert calls["e_step"] >= len(model.log_likelihoods) >= 2
+        assert calls["inv"] == calls["e_step"]
+        assert calls["cholesky"] == calls["e_step"] + 1
 
     def test_m_step_matches_per_component_scatter(self):
         rng = np.random.default_rng(21)
@@ -225,6 +256,12 @@ class TestModelValidation:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(StructuralError):
             GmmModel(weights=np.array([0.6, 0.6]), means=np.zeros((2, D)),
+                     covariance=np.eye(D), mu=1, dt=0.25)
+
+    def test_weights_must_be_a_vector(self):
+        # a K x 1 column sums to 1 too, but sample and posterior_matrix need a vector
+        with pytest.raises(StructuralError, match="weights must be a non-negative vector"):
+            GmmModel(weights=np.array([[0.5], [0.5]]), means=np.zeros((2, D)),
                      covariance=np.eye(D), mu=1, dt=0.25)
 
     def test_covariance_must_be_symmetric(self):
@@ -430,6 +467,30 @@ class TestModelIO:
         save_model(model, path)
         path.write_text(path.read_text().replace('"mu": 1', '"mu": true'))
         with pytest.raises(ParseError, match="mu must be a JSON integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", True), ("dt", "0.25"), ("k", True), ("k", 1.0), ("d", float(D)),
+        ("weights", [True]), ("means", [[False] * D]), ("covariance", np.eye(D, dtype=bool)),
+    ], ids=["dt-true", "dt-string", "k-true", "k-float", "d-float", "weights-true",
+            "means-false", "covariance-booleans"])
+    def test_booleans_and_non_integers_rejected(self, tmp_path, key, value):
+        # float() and numpy read true as 1 and float() parses "0.25"; 1.0 == 1 and 14.0 == 14
+        model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                         covariance=np.eye(D), mu=1, dt=0.25)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_model(path)
+
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        # deeper than the JSON decoder's recursion limit
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="corrupted model file"):
             load_model(path)
 
     def test_shape_disagreement_rejected(self, tmp_path):
