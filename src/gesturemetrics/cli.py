@@ -70,14 +70,17 @@ def _cmd_match_lengths(args):
     return EXIT_OK
 
 
-def _load_inputs(args):
-    """The datasets, then the model, then the profile that ``args`` names (None if absent)."""
+def _run(args):
+    """The :class:`Run` of an analysis command: its datasets, then its model, then
+    its profile (None if ``args`` names none), and its options."""
     generated = getattr(args, "generated", None)
     model = getattr(args, "model", None)
-    return (pipeline.load_dataset(args.original),
-            None if generated is None else pipeline.load_dataset(generated),
-            gmm.load_model(model) if model else None,
-            _load_profile(args) if hasattr(args, "profile") else None)
+    options = {k: v for k, v in vars(args).items()
+               if k in ("dims", "bootstrap", "seed", "allow_reflections")}
+    return Run(pipeline.load_dataset(args.original),
+               None if generated is None else pipeline.load_dataset(generated),
+               gmm.load_model(model) if model else None,
+               _load_profile(args) if hasattr(args, "profile") else None, **options)
 
 
 def _write_spectra(args, fidelity):
@@ -96,9 +99,7 @@ def _cmd_stage(args):
         doc = procrustes(pipeline.load_matrix(args.original), pipeline.load_matrix(args.generated),
                          args.mu, allow_reflections=args.allow_reflections)
     else:
-        options = {k: v for k, v in vars(args).items()
-                   if k in ("dims", "bootstrap", "seed", "allow_reflections")}
-        doc = STAGES[args.stage](Run(*_load_inputs(args), **options))
+        doc = STAGES[args.stage](_run(args))
     write_report(doc, args.out, args.format)
     if args.stage == "fidelity":
         _write_spectra(args, doc)
@@ -120,7 +121,7 @@ def _cmd_generate(args):
 
 
 def _cmd_evaluate(args):
-    doc = evaluate(*_load_inputs(args), dims=args.dims, bootstrap=args.bootstrap, seed=args.seed)
+    doc = evaluate(_run(args))
     write_report(doc, args.out, args.format)
     if doc["fidelity"]:
         _write_spectra(args, doc["fidelity"])
@@ -184,7 +185,6 @@ def _parser():
     p.add_argument("--rate", type=float, required=True, help="target rate (Hz)")
     p.add_argument("input")
     p.add_argument("output")
-    common(p, profile=False, seed=False, out=False, fmt=False)
     p.set_defaults(func=_cmd_resample)
 
     p = sub.add_parser("window", help="cut a pose stream into units of movement")
@@ -194,7 +194,6 @@ def _parser():
     p.add_argument("--source", default="", help="source tag stored in the dataset")
     p.add_argument("input")
     p.add_argument("output")
-    common(p, profile=False, seed=False, out=False, fmt=False)
     p.set_defaults(func=_cmd_window)
 
     p = sub.add_parser("match-lengths", help="truncate two streams to equal length")
@@ -202,7 +201,6 @@ def _parser():
     p.add_argument("input_b")
     p.add_argument("output_a")
     p.add_argument("output_b")
-    common(p, profile=False, seed=False, out=False, fmt=False)
     p.set_defaults(func=_cmd_match_lengths)
 
     p = sub.add_parser("pcoa", help="fidelity analysis of two datasets")
@@ -287,7 +285,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, StructuralError, FileNotFoundError, OSError) as exc:
+    except (ParseError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FAILURE
     except GestureError as exc:

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one JSON decoder."""
+
+import json
 
 
 class GestureError(Exception):
@@ -29,3 +31,12 @@ class ParseError(GestureError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def parse_json(text, what, line=None):
+    """Decode one JSON document from ``text`` (str, or bytes in a UTF encoding).
+    Malformed, undecodable or too deeply nested text raises ``ParseError(f"{what}: ...", line)``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{what}: {exc}", line) from exc

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, StructuralError, parse_json
 from .model import N_JOINTS, GestureDataset, as_matrix, check_symmetric
 
 MODEL_FORMAT_VERSION = 1
@@ -228,11 +228,8 @@ def save_model(model, path):
 
 def load_model(path):
     """Read a :func:`save_model` file; a malformed one raises ``ParseError``."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"corrupted model file: {exc}") from exc
+    with open(path, "rb") as fh:
+        doc = parse_json(fh.read(), "corrupted model file")
     if not isinstance(doc, dict):
         raise ParseError("model file must hold a JSON object")
     version = doc.get("format_version")

@@ -22,13 +22,13 @@ and its joint group holds its last value.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ParseError, StructuralError, UnknownOrientationError
+from .errors import (DegenerateGeometryError, ParseError, StructuralError,
+                     UnknownOrientationError, parse_json)
 from .model import JOINT_NAMES, Pose, RobotProfile, validate_pose
 
 OPENNI_LAYOUT = "openni15"
@@ -391,16 +391,12 @@ def load_skeleton_frames(path, layout):
     """Read line-delimited JSON skeleton records (one frame per line, increasing
     timestamps); a record whose layout is not ``layout`` is a ParseError."""
     frames = []
-    with open(path) as fh:
-        for lineno, text in enumerate(fh, start=1):
-            text = text.strip()
-            if not text:
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
                 continue
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", lineno) from exc
-            frame = _frame_from_record(rec, lineno, layout)
+            frame = _frame_from_record(parse_json(line, "invalid JSON", lineno), lineno, layout)
             if frames and not frame.timestamp > frames[-1].timestamp:
                 raise ParseError("frame timestamps must be strictly increasing", lineno)
             frames.append(frame)

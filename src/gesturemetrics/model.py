@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError, StructuralError
+from .errors import ParseError, StructuralError, parse_json
 
 N_JOINTS = 14
 
@@ -36,6 +36,13 @@ JOINT_NAMES = (
 )
 
 HAND_OPEN_JOINTS = ("LHandOpen", "RHandOpen")
+
+
+def _number(value):
+    """A JSON number as a float; ``float`` alone would also take strings and booleans."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -80,21 +87,18 @@ class RobotProfile:
             raise StructuralError(f"bad joint set (missing={sorted(missing)}, extra={sorted(extra)})")
         links = doc["link_lengths"]
         return cls(
-            joint_limits=tuple((float(lo), float(hi)) for lo, hi in
+            joint_limits=tuple((_number(lo), _number(hi)) for lo, hi in
                                (joints[name] for name in JOINT_NAMES)),
-            upper_arm_length=float(links["upper_arm"]),
-            forearm_length=float(links["forearm"]),
-            shoulder_offset=float(links["shoulder_offset"]),
+            upper_arm_length=_number(links["upper_arm"]),
+            forearm_length=_number(links["forearm"]),
+            shoulder_offset=_number(links["shoulder_offset"]),
         )
 
     @classmethod
     def from_file(cls, path):
         """Read a profile JSON file; a malformed one raises ``ParseError``."""
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise ParseError(f"robot profile is not valid JSON: {exc}") from exc
+        with open(path, "rb") as fh:
+            doc = parse_json(fh.read(), "robot profile is not valid JSON")
         if not isinstance(doc, dict):
             raise ParseError("robot profile must hold a JSON object")
         try:

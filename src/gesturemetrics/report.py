@@ -25,31 +25,30 @@ def originality(res_original, res_generated, dims, allow_reflections=True):
     return procrustes(y_o, y_g, len(y_o) // N_JOINTS, allow_reflections=allow_reflections)
 
 
-def check_same_mu(ds_original, ds_generated):
-    """Reject two datasets whose units of movement differ in length."""
-    if ds_original.mu != ds_generated.mu:
-        raise StructuralError(
-            f"mu mismatch: original has {ds_original.mu}, generated has {ds_generated.mu}")
-
-
 class Run:
-    """One run's inputs to the :data:`STAGES` entries.
+    """One run's inputs to the :data:`STAGES` entries, checked when built.
 
-    Each dataset's PCoA runs at most once per run, in :meth:`pair`, and only
-    for the stages that read it."""
+    Two datasets of different ``mu``, ``dims`` below 1 or a negative
+    ``bootstrap`` raise ``StructuralError``, in that order. Each dataset's
+    PCoA runs at most once per run, in :meth:`pair`, and only for the stages
+    that read it."""
 
     def __init__(self, original, generated=None, model=None, profile=None, dims=10,
                  bootstrap=0, seed=0, allow_reflections=True):
+        if generated is not None and original.mu != generated.mu:
+            raise StructuralError(
+                f"mu mismatch: original has {original.mu}, generated has {generated.mu}")
+        check_dims(dims)
+        check_bootstrap(bootstrap)
         self.original, self.generated, self.model, self.profile = original, generated, model, profile
         self.dims, self.bootstrap, self.seed = dims, bootstrap, seed
         self.allow_reflections, self._pair = allow_reflections, None
 
     def pair(self):
-        """Both datasets' :func:`analyze_dataset_structure` results, made on first use
-        after :func:`check_same_mu`; after a failed attempt, raises without a retry."""
+        """Both datasets' :func:`analyze_dataset_structure` results, made on first use;
+        after a failed attempt, raises without a retry."""
         if self._pair is None:
             self._pair = ()
-            check_same_mu(self.original, self.generated)
             self._pair = (analyze_dataset_structure(as_matrix(self.original)),
                           analyze_dataset_structure(as_matrix(self.generated)))
         if not self._pair:
@@ -77,29 +76,23 @@ STAGES = {
 }
 
 
-def evaluate(ds_original, ds_generated, model, profile, dims=10,
-             bootstrap=0, seed=0):
+def evaluate(run):
     """Run every :data:`STAGES` entry on one :class:`Run`.
 
     Returns the summary document: one entry per stage, ``errors`` and
     ``metadata``. A stage that fails is ``None`` and its message is kept
-    under ``errors``; the remaining stages still run. Bad arguments raise
-    before any stage runs.
+    under ``errors``; the remaining stages still run.
     """
-    check_same_mu(ds_original, ds_generated)
-    check_dims(dims)
-    check_bootstrap(bootstrap)
     doc = {**dict.fromkeys(STAGES), "errors": {}, "metadata": {
-        "mu": ds_original.mu,
-        "dt": ds_original.dt,
-        "n_original": len(ds_original),
-        "n_generated": len(ds_generated),
-        "dims": dims,
-        "bootstrap": bootstrap,
-        "seed": seed,
+        "mu": run.original.mu,
+        "dt": run.original.dt,
+        "n_original": len(run.original),
+        "n_generated": len(run.generated),
+        "dims": run.dims,
+        "bootstrap": run.bootstrap,
+        "seed": run.seed,
         "toolkit_version": __version__,
     }}
-    run = Run(ds_original, ds_generated, model, profile, dims, bootstrap, seed)
     for name, stage in STAGES.items():
         try:
             doc[name] = stage(run)

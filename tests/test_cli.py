@@ -360,14 +360,21 @@ class TestEvaluate:
         assert "fgd" in doc["errors"]
         assert doc["fidelity"] is not None
 
-    def test_mu_mismatch_is_input_failure(self, tmp_path):
+    def test_mu_mismatch_is_input_failure(self, tmp_path, capsys):
         stream = tmp_path / "stream.csv"
         assert main(["synth-corpus", "--poses", "64", "--out", str(stream)]) == 0
         ds4 = tmp_path / "ds4.csv"
         ds8 = tmp_path / "ds8.csv"
+        model = tmp_path / "model.json"
         assert main(["window", "--mu", "4", str(stream), str(ds4)]) == 0
         assert main(["window", "--mu", "8", str(stream), str(ds8)]) == 0
-        assert main(["evaluate", str(ds4), str(ds8)]) == 2
+        assert main(["gmm-train", "--k", "1", str(ds4), "--out", str(model)]) == 0
+        capsys.readouterr()
+        # the run is checked before any stage, so fgd does not get to compare widths
+        for argv in (["evaluate"], ["pcoa"], ["procrustes"], ["fgd", "--model", str(model)]):
+            assert main([*argv, str(ds4), str(ds8)]) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err == "error: mu mismatch: original has 4, generated has 8\n", argv[0]
 
     def test_summary_blocks_equal_single_stage_documents(self, corpus, tmp_path):
         _, ds = corpus
@@ -503,12 +510,16 @@ class TestErrors:
 
     @pytest.mark.parametrize("dims", ["0", "-1"])
     @pytest.mark.parametrize("command", ["pcoa", "procrustes", "evaluate"])
-    def test_dims_below_one_is_input_failure(self, corpus, tmp_path, capsys, command, dims):
+    def test_dims_below_one_is_input_failure(self, corpus, tmp_path, capsys, monkeypatch,
+                                             command, dims):
         _, ds = corpus
+        analyzed = []
+        monkeypatch.setattr(gesturemetrics.report, "analyze_dataset_structure", analyzed.append)
         out = tmp_path / "out.json"
         assert main([command, "--dims", dims, str(ds), str(ds), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: dims must be at least 1, got {dims}\n"
         assert not out.exists()
+        assert analyzed == []   # rejected when the run is built, before any PCoA
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_k_below_one_is_input_failure(self, corpus, tmp_path, capsys, k):
@@ -655,10 +666,19 @@ class TestErrors:
         (lambda doc: json.dumps({**doc, "link_lengths": {**doc["link_lengths"],
                                                          "forearm": "abc"}}),
          "malformed robot profile"),
+        (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": ["-2", 2]}}),
+         "malformed robot profile: expected a JSON number, got '-2'"),
+        (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": [-2, True]}}),
+         "malformed robot profile: expected a JSON number, got True"),
+        (lambda doc: json.dumps({**doc, "link_lengths": {**doc["link_lengths"],
+                                                         "forearm": "0.15"}}),
+         "malformed robot profile: expected a JSON number, got '0.15'"),
         (lambda doc: json.dumps(doc)[:-1], "robot profile is not valid JSON"),
+        (lambda doc: "[" * 5000, "robot profile is not valid JSON"),
         (lambda doc: json.dumps([doc]), "robot profile must hold a JSON object"),
     ], ids=["missing-link-lengths", "one-value-limit", "non-numeric-length",
-            "invalid-json", "not-an-object"])
+            "string-limit", "boolean-limit", "numeric-string-length",
+            "invalid-json", "deeply-nested", "not-an-object"])
     def test_malformed_profile_is_input_failure(self, corpus, tmp_path, capsys, write,
                                                 message):
         _, ds = corpus

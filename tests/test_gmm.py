@@ -493,6 +493,12 @@ class TestModelIO:
         with pytest.raises(ParseError, match="corrupted model file"):
             load_model(path)
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ParseError, match="corrupted model file"):
+            load_model(path)
+
     def test_shape_disagreement_rejected(self, tmp_path):
         rng = np.random.default_rng(13)
         model = fit(gaussian_dataset(rng, 50), k=2, seed=0)

@@ -495,6 +495,14 @@ class TestFrameIO:
         with pytest.raises(ParseError, match="line 1"):
             load_skeleton_frames(path, OPENPOSE_LAYOUT)
 
+    @pytest.mark.parametrize("line", [b"[" * 5000, b"\xff{}"], ids=["deeply-nested", "not-utf8"])
+    def test_undecodable_line_names_its_line(self, tmp_path, line):
+        path = tmp_path / "frames.jsonl"
+        path.write_bytes(json.dumps(skeleton_record(OPENPOSE_LAYOUT, 0.0)).encode() + b"\n"
+                         + line + b"\n")
+        with pytest.raises(ParseError, match="line 2: invalid JSON"):
+            load_skeleton_frames(path, OPENPOSE_LAYOUT)
+
     def test_missing_field_is_parse_error(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps({"timestamp": 0.0}) + "\n")

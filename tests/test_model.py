@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gesturemetrics.errors import StructuralError
+from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.model import (
     JOINT_NAMES,
     N_JOINTS,
@@ -42,6 +44,13 @@ class TestProfile:
         with pytest.raises(StructuralError):
             RobotProfile(joint_limits=profile.joint_limits, upper_arm_length=0.0)
 
+    @pytest.mark.parametrize("text", [b"[" * 5000, b"\xff{}"], ids=["deeply-nested", "not-utf8"])
+    def test_undecodable_file_rejected(self, tmp_path, text):
+        path = tmp_path / "profile.json"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="robot profile is not valid JSON"):
+            RobotProfile.from_file(path)
+
     def test_rejects_bad_joint_set(self):
         with pytest.raises(StructuralError):
             RobotProfile.from_dict({"joints": {"HeadYaw": [0, 1]},
@@ -71,9 +80,10 @@ class TestValidatePose:
         out, _ = validate_pose(vals, profile)
         assert out[0] == lo
 
-    def test_idempotent(self, profile):
-        rng = np.random.default_rng(3)
-        once, _ = validate_pose(rng.uniform(-3, 3, N_JOINTS), profile)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(allow_nan=False), min_size=N_JOINTS, max_size=N_JOINTS))
+    def test_idempotent(self, profile, values):
+        once, _ = validate_pose(values, profile)
         twice, n_clamped = validate_pose(once, profile)
         assert np.array_equal(twice, once)
         assert n_clamped == 0

@@ -1,0 +1,49 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gesturemetrics.errors import StructuralError
+from gesturemetrics.model import GestureDataset
+from gesturemetrics.report import STAGES, Run
+from gesturemetrics.synth import beat_gesture_corpus
+
+
+class TestRun:
+    def test_arguments_are_checked_when_built_mu_first(self):
+        ds4 = beat_gesture_corpus(64, 4)
+        ds8 = beat_gesture_corpus(64, 8)
+        for generated, kwargs, message in (
+                (ds8, {"dims": 0, "bootstrap": -1}, "mu mismatch: original has 4, generated has 8"),
+                (ds4, {"dims": 0, "bootstrap": -1}, "dims must be at least 1, got 0"),
+                (ds4, {"bootstrap": -1}, "bootstrap must be at least 0, got -1")):
+            with pytest.raises(StructuralError, match=message):
+                Run(ds4, generated, **kwargs)
+
+    def test_one_dataset_has_no_mu_to_match(self):
+        ds = beat_gesture_corpus(64, 4)
+        assert Run(ds).generated is None
+        with pytest.raises(StructuralError, match="dims must be at least 1"):
+            Run(ds, dims=0)
+
+
+class TestUnitOrder:
+    """Metamorphic relation: the PCoA stages do not depend on the order of a dataset's units."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 4), mu=st.sampled_from([4, 6]),
+           side=st.sampled_from(["original", "generated"]), order=st.randoms())
+    def test_permuting_units_keeps_fidelity_and_ss(self, seed, mu, side, order):
+        datasets = {"original": beat_gesture_corpus(240, mu, seed=seed),
+                    "generated": beat_gesture_corpus(240, mu, seed=(seed + 1) % 5)}
+        want = Run(**datasets)
+        rows = list(range(len(datasets[side])))
+        order.shuffle(rows)
+        datasets[side] = GestureDataset(matrix=datasets[side].matrix[rows], dt=datasets[side].dt)
+        got = Run(**datasets)
+        fidelity, want_fidelity = STAGES["fidelity"](got), STAGES["fidelity"](want)
+        for key in ("eigen_spectrum_original", "eigen_spectrum_generated",
+                    "explained_variance_original_pct", "explained_variance_generated_pct"):
+            assert fidelity[key] == pytest.approx(want_fidelity[key], rel=1e-12), key
+        assert fidelity["r2"] == pytest.approx(want_fidelity["r2"], rel=0, abs=1e-12)
+        assert STAGES["originality"](got)["ss"] == pytest.approx(
+            STAGES["originality"](want)["ss"], rel=1e-12)
