@@ -72,7 +72,7 @@ def _cmd_match_lengths(args):
 
 def _run(args):
     """The :class:`Run` of an analysis command: its datasets, then its model, then
-    its profile (None if ``args`` names none), and its options."""
+    its profile (the packaged default unless ``args`` names one), and its options."""
     generated = getattr(args, "generated", None)
     model = getattr(args, "model", None)
     options = {k: v for k, v in vars(args).items()

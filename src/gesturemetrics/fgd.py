@@ -26,12 +26,16 @@ NEG_CLAMP = 1e-8
 
 def stats_from_features(features):
     """``(mean, covariance)`` of the rows of ``features``; the covariance is unbiased."""
-    features = np.asarray(features, dtype=float)
-    if features.shape[0] < 2:
+    return _centred_stats(np.array(features, dtype=float))
+
+
+def _centred_stats(x):
+    """:func:`stats_from_features` of the float rows ``x``, which it centres in place."""
+    if x.shape[0] < 2:
         raise InsufficientDataError("need at least 2 feature vectors")
-    mean = features.mean(axis=0)
-    centered = features - mean
-    cov = centered.T @ centered / (features.shape[0] - 1)
+    mean = x.mean(axis=0)
+    x -= mean
+    cov = x.T @ x / (x.shape[0] - 1)
     cov = (cov + cov.T) / 2.0
     return mean, cov
 
@@ -101,14 +105,16 @@ def fgd(model, ds_a, ds_b, bootstrap=0, seed=0):
     if bootstrap == 0:
         return {"value": value, "bootstrap_mean": None, "bootstrap_std": None}
     rng = np.random.Generator(np.random.Philox(seed))
+    rows_a, rows_b = np.empty_like(feats_a), np.empty_like(feats_b)
     draws = []
     for _ in range(bootstrap):
         idx_a = rng.integers(feats_a.shape[0], size=feats_a.shape[0])
         idx_b = rng.integers(feats_b.shape[0], size=feats_b.shape[0])
-        draws.append(frechet_distance(
-            stats_from_features(feats_a[idx_a]),
-            stats_from_features(feats_b[idx_b]),
-        ))
+        # the indices are in range by construction; with mode="raise" numpy
+        # would gather into a temporary and copy it to out
+        np.take(feats_a, idx_a, axis=0, out=rows_a, mode="clip")
+        np.take(feats_b, idx_b, axis=0, out=rows_b, mode="clip")
+        draws.append(frechet_distance(_centred_stats(rows_a), _centred_stats(rows_b)))
     draws = np.asarray(draws)
     return {
         "value": value,

@@ -2,6 +2,8 @@
 
 CSV formats
 -----------
+Every file is UTF-8 text.
+
 Pose stream: comment header ``#rate_hz=...``, a column header
 ``timestamp,HeadYaw,...,RHandOpen`` and one pose per row.
 
@@ -103,6 +105,18 @@ def window(stream, mu, stride=None, source_tag=""):
                           sample_rate_hz=stream.native_rate_hz)
 
 
+def _read_text(path):
+    """The text of a UTF-8 file. Bytes that UTF-8 cannot decode raise ``ParseError``
+    with their line number. Returning the text, not its lines, lets the raw bytes
+    go before a caller splits it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}", data.count(b"\n", 0, exc.start) + 1) from exc
+
+
 def _parse_meta(lines):
     """Comment-header ``#key=value`` pairs as key -> (value text, line number)."""
     meta = {}
@@ -186,7 +200,7 @@ def _write_rows(fh, array):
 
 
 def save_dataset(ds, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#mu={ds.mu}\n")
         fh.write(f"#dt={ds.dt!r}\n")
         fh.write(f"#rate_hz={ds.sample_rate_hz!r}\n")
@@ -196,8 +210,7 @@ def save_dataset(ds, path):
 
 
 def load_dataset(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     meta, consumed = _parse_meta(lines)
     try:
         mu = int(meta["mu"][0])
@@ -223,15 +236,14 @@ def load_dataset(path):
 
 
 def save_stream(stream, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#rate_hz={stream.native_rate_hz!r}\n")
         fh.write("timestamp," + ",".join(JOINT_NAMES) + "\n")
         _write_rows(fh, np.column_stack([stream.timestamps, stream.values]))
 
 
 def load_stream(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     meta, consumed = _parse_meta(lines)
     rate = _positive_header(meta, "rate_hz")
     body = lines[consumed:]
@@ -249,8 +261,7 @@ def load_stream(path):
 
 def load_matrix(path):
     """Comma-separated float rows (e.g. PCoA coordinates) after any leading ``#`` lines."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     _, consumed = _parse_meta(lines)
     width = next((len(line.split(",")) for line in lines[consumed:] if line.strip()), 0)
     return _read_rows(lines[consumed:], consumed + 1, width, "matrix file contains no rows")

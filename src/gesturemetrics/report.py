@@ -10,7 +10,7 @@ from . import __version__
 from .errors import GestureError, StructuralError
 from .fgd import check_bootstrap
 from .fgd import fgd as compute_fgd
-from .model import N_JOINTS, as_matrix
+from .model import N_JOINTS, RobotProfile, as_matrix
 from .motion import motion_report
 from .pcoa import analyze_dataset_structure, check_dims, fidelity_report, leading_coordinates
 from .procrustes import procrustes
@@ -29,9 +29,10 @@ class Run:
     """One run's inputs to the :data:`STAGES` entries, checked when built.
 
     Two datasets of different ``mu``, ``dims`` below 1 or a negative
-    ``bootstrap`` raise ``StructuralError``, in that order. Each dataset's
-    PCoA runs at most once per run, in :meth:`pair`, and only for the stages
-    that read it."""
+    ``bootstrap`` raise ``StructuralError``, in that order. Without a
+    ``profile`` the motion stages use :meth:`RobotProfile.default`. Each
+    dataset's PCoA runs at most once per run, in :meth:`pair`, and only for the
+    stages that read it."""
 
     def __init__(self, original, generated=None, model=None, profile=None, dims=10,
                  bootstrap=0, seed=0, allow_reflections=True):
@@ -40,6 +41,8 @@ class Run:
                 f"mu mismatch: original has {original.mu}, generated has {generated.mu}")
         check_dims(dims)
         check_bootstrap(bootstrap)
+        if profile is None:
+            profile = RobotProfile.default()
         self.original, self.generated, self.model, self.profile = original, generated, model, profile
         self.dims, self.bootstrap, self.seed = dims, bootstrap, seed
         self.allow_reflections, self._pair = allow_reflections, None
@@ -142,7 +145,7 @@ def write_report(doc, path, fmt):
     else:
         text = dump_json(doc)
     if path:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -468,6 +468,23 @@ class TestErrors:
         assert f"line {len(lines)}: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["motion-stats", "resample", "procrustes"])
+    def test_non_utf8_byte_is_input_failure(self, corpus, tmp_path, capsys, command):
+        stream, ds = corpus
+        source = stream if command == "resample" else ds
+        lines = source.read_bytes().split(b"\n")
+        lines[1] += b"\xe9"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out.csv"
+        argv = {"motion-stats": ["motion-stats", str(bad), "--out", str(out)],
+                "resample": ["resample", "--rate", "2", str(bad), str(out)],
+                "procrustes": ["procrustes", "--coordinates", "--mu", "1", str(bad), str(bad),
+                               "--out", str(out)]}[command]
+        assert main(argv) == 2
+        assert "line 2: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0.0", "-4.0", "inf"])
     def test_bad_stream_rate_header_is_input_failure(self, corpus, tmp_path, capsys, value):
         stream, _ = corpus

@@ -52,6 +52,21 @@ class TestStatsFromFeatures:
         _, cov = stats_from_features(feats)
         assert cov[0, 0] == pytest.approx(2.0)  # n-1 denominator
 
+    def test_array_argument_left_unchanged(self):
+        feats = np.random.default_rng(5).normal(size=(30, 4)) + 3.0
+        before = feats.copy()
+        mean, cov = stats_from_features(feats)
+        assert np.array_equal(feats, before)
+        want_mean, want_cov = reference_stats(before)
+        assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov)
+
+    def test_nested_list_accepted(self):
+        rows = [[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]]
+        mean, cov = stats_from_features(rows)
+        want_mean, want_cov = reference_stats(np.array(rows))
+        assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov)
+        assert rows == [[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]]
+
     def test_single_row_rejected(self):
         with pytest.raises(InsufficientDataError):
             stats_from_features(np.ones((1, 3)))
@@ -63,6 +78,31 @@ class TestStatsFromFeatures:
         mean, _ = stats_from_features(posterior_matrix(model, ds))
         assert mean.shape == (2,)
         assert mean.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def reference_stats(features):
+    """``stats_from_features`` as first written: a centred copy, then its Gram matrix."""
+    mean = features.mean(axis=0)
+    centered = features - mean
+    cov = centered.T @ centered / (features.shape[0] - 1)
+    return mean, (cov + cov.T) / 2.0
+
+
+def reference_fgd(model, ds_a, ds_b, bootstrap, seed):
+    """``fgd`` with its bootstrap as first written: each draw gathers fresh copies
+    of the resampled rows by fancy indexing, then takes their statistics."""
+    feats_a, feats_b = posterior_matrix(model, ds_a), posterior_matrix(model, ds_b)
+    value = frechet_distance(reference_stats(feats_a), reference_stats(feats_b))
+    rng = np.random.Generator(np.random.Philox(seed))
+    draws = []
+    for _ in range(bootstrap):
+        idx_a = rng.integers(feats_a.shape[0], size=feats_a.shape[0])
+        idx_b = rng.integers(feats_b.shape[0], size=feats_b.shape[0])
+        draws.append(frechet_distance(reference_stats(feats_a[idx_a]),
+                                      reference_stats(feats_b[idx_b])))
+    draws = np.asarray(draws)
+    return {"value": value, "bootstrap_mean": float(draws.mean()),
+            "bootstrap_std": float(draws.std(ddof=1)) if bootstrap > 1 else 0.0}
 
 
 class TestFrechetClosedForms:
@@ -298,6 +338,19 @@ class TestFgdPipeline:
         assert r1["bootstrap_std"] == r2["bootstrap_std"]
         assert r1["bootstrap_std"] >= 0.0
         assert r1["value"] == r2["value"]
+
+    @pytest.mark.parametrize("k", [3, 24])
+    @pytest.mark.parametrize("bootstrap", [1, 2, 25])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_bootstrap_matches_the_copying_loop(self, k, bootstrap, seed):
+        rng = np.random.default_rng(k)
+        model = GmmModel(weights=np.full(k, 1.0 / k), means=2.0 * rng.normal(size=(k, N_JOINTS)),
+                         covariance=np.eye(N_JOINTS), mu=1, dt=0.25)
+        a = GestureDataset(matrix=2.0 * rng.normal(size=(45, N_JOINTS)), dt=0.25)
+        b = GestureDataset(matrix=2.0 * rng.normal(size=(71, N_JOINTS)) + 0.5, dt=0.25)
+        want = reference_fgd(model, a, b, bootstrap, seed)
+        assert want["bootstrap_mean"] > 0.0
+        assert fgd(model, a, b, bootstrap=bootstrap, seed=seed) == want
 
     def test_bootstrap_mean_near_point_estimate(self):
         rng = np.random.default_rng(11)

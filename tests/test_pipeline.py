@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -9,6 +13,7 @@ from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
 from gesturemetrics.pipeline import (
     PoseStream,
     load_dataset,
+    load_matrix,
     load_stream,
     match_lengths,
     resample,
@@ -316,6 +321,58 @@ class TestStreamIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="^line 7: timestamps must be strictly increasing$"):
             load_stream(path)
+
+
+class TestUtf8:
+    """Every CSV file is UTF-8 text; undecodable bytes name their line."""
+
+    @staticmethod
+    def replace_line(path, index, edit):
+        lines = path.read_bytes().split(b"\n")
+        lines[index] = edit(lines[index])
+        path.write_bytes(b"\n".join(lines))
+
+    def test_dataset_header_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(window(make_stream(8), 4, source_tag="cafe"), path)
+        self.replace_line(path, 3, lambda line: line.replace(b"cafe", b"caf\xe9"))
+        with pytest.raises(ParseError, match="^line 4: not UTF-8 text: .*0xe9"):
+            load_dataset(path)
+
+    def test_dataset_row_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_dataset(window(make_stream(8), 4), path)
+        self.replace_line(path, 6, lambda line: b"\xff" + line)
+        with pytest.raises(ParseError, match="^line 7: not UTF-8 text: .*0xff"):
+            load_dataset(path)
+
+    def test_stream_header_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        save_stream(make_stream(5), path)
+        self.replace_line(path, 1, lambda line: line.replace(b"timestamp", b"tim\xe9stamp"))
+        with pytest.raises(ParseError, match="^line 2: not UTF-8 text"):
+            load_stream(path)
+
+    def test_matrix_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "coords.csv"
+        path.write_bytes(b"#dims=2\n1.0,0.0\n0.0,\xff1.0\n")
+        with pytest.raises(ParseError, match="^line 3: not UTF-8 text"):
+            load_matrix(path)
+
+    def test_non_ascii_source_round_trips_on_an_ascii_locale(self, tmp_path):
+        script = ("import sys; from gesturemetrics.pipeline import load_dataset, save_dataset; "
+                  "from gesturemetrics.synth import beat_gesture_corpus; "
+                  "ds = beat_gesture_corpus(40, 4); ds.source_tag = 'caf\\u00e9 \\u52d5\\u304d'; "
+                  "save_dataset(ds, sys.argv[1]); "
+                  "assert load_dataset(sys.argv[1]).source_tag == ds.source_tag")
+        path = tmp_path / "ds.csv"
+        src_dir = os.path.dirname(os.path.dirname(pipeline.__file__))
+        python_path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": python_path}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "#source=caf\u00e9 \u52d5\u304d\n" in path.read_text(encoding="utf-8")
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturemetrics.errors import StructuralError
-from gesturemetrics.model import GestureDataset
-from gesturemetrics.report import STAGES, Run
+from gesturemetrics.gmm import fit
+from gesturemetrics.model import GestureDataset, RobotProfile
+from gesturemetrics.report import STAGES, Run, evaluate
 from gesturemetrics.synth import beat_gesture_corpus
 
 
@@ -24,6 +25,17 @@ class TestRun:
         assert Run(ds).generated is None
         with pytest.raises(StructuralError, match="dims must be at least 1"):
             Run(ds, dims=0)
+
+    def test_profile_defaults_to_the_packaged_one(self):
+        original = beat_gesture_corpus(240, 4, seed=0)
+        generated = beat_gesture_corpus(240, 4, seed=1)
+        model = fit(original, k=3, seed=0)
+        doc = evaluate(Run(original, generated, model=model, dims=5))
+        assert doc["errors"] == {}
+        want = evaluate(Run(original, generated, model=model, dims=5,
+                            profile=RobotProfile.default()))
+        assert doc["motion_original"] == want["motion_original"]
+        assert doc["motion_generated"] == want["motion_generated"]
 
 
 class TestUnitOrder:
