@@ -198,6 +198,15 @@ class GestureDataset:
         self.sample_rate_hz = float(self.sample_rate_hz or 1.0 / self.dt)
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise StructuralError("sample rate must be finite and positive")
+        # the tag is written as one "#source=" line and read back stripped
+        tag = self.source_tag
+        if tag != tag.strip() or len(tag.splitlines()) > 1:
+            raise StructuralError(
+                f"source tag {tag!r} must be one line without surrounding whitespace")
+        try:
+            tag.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise StructuralError(f"source tag {tag!r} is not UTF-8 text: {exc.reason}") from exc
 
     @property
     def mu(self):

@@ -16,6 +16,7 @@ trip is exact.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import ParseError, StructuralError
 from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels
 
 MAX_RESAMPLED_POSES = 10_000_000   # about 1 GB of output values
+_BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt of CSV bodies
 
 
 @dataclass
@@ -132,16 +134,16 @@ def _parse_meta(lines):
     return meta, consumed
 
 
-def _positive_header(meta, key):
-    """The ``#key`` header as a finite positive float; errors carry its line number."""
+def _positive_header(meta, key, kind=float):
+    """The ``#key`` header as a finite positive ``kind``; errors carry its line number."""
     if key not in meta:
         raise ParseError(f"missing #{key} header")
     text, line = meta[key]
     try:
-        value = float(text)
+        value = kind(text)
     except ValueError as exc:
         raise ParseError(f"invalid #{key} header: {exc}", line) from exc
-    if not (math.isfinite(value) and value > 0):
+    if not 0 < value < math.inf:
         raise ParseError(f"#{key} must be finite and positive, got {text}", line)
     return value
 
@@ -149,48 +151,31 @@ def _positive_header(meta, key):
 def _read_rows(lines, first_line, width, empty_message):
     """Comma-separated data rows as a float array; errors carry the line number.
 
-    numpy's C reader parses the body, and its array is kept when it has one row
-    per non-blank line, ``width`` columns and only finite values. Any other
-    body is read again by ``_parse_rows``, which names the bad line or returns
-    what ``float`` reads and numpy refuses (``1_0``, full-width digits); numpy
-    reads no cell that ``float`` refuses, and every cell to the same double.
+    numpy's C reader reads the non-blank lines in one call. A body that is not
+    one finite ``width``-column table is read again by the same reader, line by
+    line, to name its first bad line and cell.
     """
-    n_rows = sum(1 for line in lines if line.strip())
-    if n_rows:
-        try:
-            array = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if array.shape == (n_rows, width) and np.isfinite(array).all():
-                return array
-    return _parse_rows(lines, first_line, width, empty_message)
-
-
-def _parse_rows(lines, first_line, width, empty_message):
-    """The row-by-row reader behind ``_read_rows``, which names the bad line.
-
-    Blank lines are skipped. Non-numeric and non-finite cells are rejected.
-    """
-    rows, line_numbers = [], []
-    for lineno, line in enumerate(lines, start=first_line):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ParseError(f"expected {width} columns, got {len(cells)}", lineno)
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell: {exc}", lineno) from exc
-        line_numbers.append(lineno)
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise ParseError(empty_message)
-    array = np.array(rows)
-    finite = np.isfinite(array).all(axis=1)
-    if not finite.all():
-        raise ParseError("non-finite cell", line_numbers[int(np.argmin(finite))])
-    return array
+    with suppress(ValueError):
+        array = np.loadtxt(rows, **_BODY)
+        if array.shape == (len(rows), width) and np.isfinite(array).all():
+            return array
+    for lineno, line in enumerate(lines, start=first_line):
+        cells = line.split(",")
+        if line.strip() and len(cells) != width:
+            raise ParseError(f"expected {width} columns, got {len(cells)}", lineno)
+        with suppress(ValueError):
+            if not line.strip() or np.isfinite(np.loadtxt([line], **_BODY)).all():
+                continue
+        for column, cell in enumerate(cells):
+            try:
+                value = np.loadtxt([line], usecols=column, **_BODY)[0, 0]
+            except ValueError:
+                raise ParseError(f"non-numeric cell {cell!r}", lineno) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite cell {cell!r}", lineno)
 
 
 def _write_rows(fh, array):
@@ -212,10 +197,7 @@ def save_dataset(ds, path):
 def load_dataset(path):
     lines = _read_text(path).splitlines()
     meta, consumed = _parse_meta(lines)
-    try:
-        mu = int(meta["mu"][0])
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"missing or invalid #mu header: {exc}") from exc
+    mu = _positive_header(meta, "mu", int)
     dt = _positive_header(meta, "dt")
     try:
         check_dt(dt)
@@ -227,7 +209,7 @@ def load_dataset(path):
     if not body:
         raise ParseError("dataset file has no header row", consumed + 1)
     header = body[0].split(",")
-    if header != column_labels(mu):
+    if len(header) != N_JOINTS * mu or header != column_labels(mu):
         raise ParseError(
             f"header row does not match the mu={mu} column layout", consumed + 1)
     matrix = _read_rows(body[1:], consumed + 2, N_JOINTS * mu,

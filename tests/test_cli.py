@@ -445,6 +445,27 @@ class TestErrors:
     def test_missing_input_file(self, tmp_path):
         assert main(["motion-stats", str(tmp_path / "nope.csv")]) == 2
 
+    def test_cell_only_python_float_reads_is_input_failure(self, corpus, tmp_path, capsys):
+        _, ds = corpus
+        lines = ds.read_text().splitlines()
+        cells = lines[6].split(",")
+        cells[3] = "1_0"
+        lines[6] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["motion-stats", str(bad)]) == 2
+        assert capsys.readouterr().err == "error: line 7: non-numeric cell '1_0'\n"
+
+    # a line break and a lone surrogate (an argument the locale could not decode)
+    @pytest.mark.parametrize("tag", ["a\nb", "caf\udcc3\udca9"])
+    def test_source_tag_a_dataset_file_cannot_carry_is_input_failure(
+            self, corpus, tmp_path, capsys, tag):
+        stream, _ = corpus
+        out = tmp_path / "windowed.csv"
+        assert main(["window", "--mu", "4", "--source", tag, str(stream), str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: source tag ")
+        assert not out.exists()
+
     def test_missing_dataset_is_named_before_missing_model(self, corpus, tmp_path, capsys):
         # every analysis command loads its datasets first, then the model
         _, ds = corpus

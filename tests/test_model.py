@@ -184,6 +184,15 @@ class TestDataset:
         with pytest.raises(StructuralError):
             GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25, sample_rate_hz=rate)
 
+    # line breaks that str.splitlines() honours, spaces that the reader strips
+    # and a tag that UTF-8 cannot encode (a lone surrogate, as an undecodable
+    # command-line argument arrives)
+    @pytest.mark.parametrize("tag", ["a\nb", "a\rb", "a\x0cb", "a\x85b", "a\u2028b", " pad ",
+                                     "caf\udcc3\udca9"])
+    def test_source_tag_a_dataset_file_cannot_carry_is_rejected(self, tag):
+        with pytest.raises(StructuralError, match="source tag"):
+            GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25, source_tag=tag)
+
     def test_column_labels(self):
         labels = column_labels(2)
         assert labels[0] == "HeadYaw[0]"

@@ -269,6 +269,36 @@ class TestDatasetHeaders:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(saved)
 
+    @pytest.mark.parametrize("value", ["four", "4.0"])
+    def test_mu_that_is_not_an_integer_names_its_line(self, saved, value):
+        with_header(saved, "mu", value)
+        with pytest.raises(ParseError, match="^line 1: invalid #mu header: "):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_mu_below_one_names_its_line(self, saved, value):
+        with_header(saved, "mu", value)
+        with pytest.raises(ParseError,
+                           match=f"^line 1: #mu must be finite and positive, got {value}$"):
+            load_dataset(saved)
+
+    def test_header_row_of_another_width_is_refused_before_its_labels_are_built(
+            self, saved, monkeypatch):
+        with_header(saved, "mu", "1000000000000")
+
+        def column_labels(mu):
+            raise AssertionError(f"built the labels of mu={mu}")
+
+        monkeypatch.setattr(pipeline, "column_labels", column_labels)
+        with pytest.raises(ParseError, match="^line 5: header row does not match"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("tag", ["caf\u00e9", "x=y", "a b", ""])
+    def test_accepted_source_tag_round_trips(self, tmp_path, tag):
+        path = tmp_path / "ds.csv"
+        save_dataset(window(make_stream(8), 4, source_tag=tag), path)
+        assert load_dataset(path).source_tag == tag
+
     def test_missing_rate_defaults_to_inverse_dt(self, saved):
         saved.write_text(saved.read_text().replace("#rate_hz=4.0\n", ""))
         assert load_dataset(saved).sample_rate_hz == 4.0
@@ -413,15 +443,16 @@ class TestRoundTripProperties:
         assert back.timestamps.tobytes() == stream.timestamps.tobytes()
 
 
-# cells written otherwise than by repr; float() reads them all, numpy's reader
-# refuses some (1_0, non-ASCII digits) and strips the spaces of others
-ODD_CELLS = ["1_0", "１", "٣.5", " 2.5 ", "+1.", ".5e-3", "-0.0"]
+# cells written otherwise than by repr, which numpy's reader reads (it strips
+# the spaces of one)
+ODD_CELLS = [" 2.5 ", "+1.", ".5e-3", "-0.0"]
 CELLS = st.one_of(FINITE.map(repr), st.sampled_from(ODD_CELLS))
 BLANK_LINES = st.sampled_from(["", "   ", "\t"])
-# non-numeric cells (one hides a comment from a reader that cuts at "#"), an
-# empty cell, non-finite values and a cell that splits the row into one
-# column too many
-BAD_CELLS = ["abc", "1#5", "", "nan", "inf", "-inf", "1e400", "1,0"]
+# non-numeric cells (one hides a comment from a reader that cuts at "#"; three
+# only Python's float() reads), an empty cell, non-finite values and a cell
+# that splits the row into one column too many
+BAD_CELLS = ["abc", "1#5", "", "1_0", "\uff11", "\u0663.5", "nan", "inf", "-inf", "1e400",
+             "1,0"]
 FIRST_LINE = 3
 
 
@@ -430,31 +461,47 @@ def bodies(width):
     return st.lists(st.one_of(row, BLANK_LINES), max_size=5)
 
 
-def read_both(lines, width):
-    """What ``_read_rows`` and ``_parse_rows`` make of ``lines``: the array's
-    shape and bytes, or the ``ParseError`` text and line number."""
-    outcomes = []
-    for reader in (pipeline._read_rows, pipeline._parse_rows):
-        try:
-            rows = reader(lines, FIRST_LINE, width, "no rows")
-            outcomes.append(("rows", rows.shape, rows.tobytes()))
-        except ParseError as exc:
-            outcomes.append(("error", str(exc), exc.line))
-    return outcomes
+def reference_rows(lines, width):
+    """The array a body of readable cells must read to: ``float()`` of each
+    cell, after checking that numpy's reader accepts the cell."""
+    rows = []
+    for line in lines:
+        if line.strip():
+            cells = line.split(",")
+            assert len(cells) == width
+            for cell in cells:
+                np.loadtxt([cell], delimiter=",", comments=None, dtype=float)
+            rows.append([float(cell) for cell in cells])
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+def expected_error(bad, width):
+    """The message ``_read_rows`` raises for a line whose one bad cell is ``bad``."""
+    if bad in ("1,0", "trailing comma"):
+        return f"expected {width} columns, got {width + 1}"
+    if bad in ("nan", "inf", "-inf", "1e400"):
+        return f"non-finite cell {bad!r}"
+    return f"non-numeric cell {bad!r}"
 
 
 class TestReaderParity:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=st.integers(1, 4).flatmap(lambda width: st.tuples(st.just(width),
                                                                   bodies(width))))
-    def test_readable_bodies_read_as_the_row_loop_reads_them(self, case):
+    def test_readable_bodies_read_as_the_reference_reads_them(self, case):
         width, lines = case
-        fast, slow = read_both(lines, width)
-        assert fast == slow
+        expected = reference_rows(lines, width)
+        if not len(expected):
+            with pytest.raises(ParseError, match="^no rows$"):
+                pipeline._read_rows(lines, FIRST_LINE, width, "no rows")
+            return
+        rows = pipeline._read_rows(lines, FIRST_LINE, width, "no rows")
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_bad_line_raises_the_row_loops_error(self, data):
+    def test_bad_line_raises_at_its_line(self, data):
         width = data.draw(st.integers(1, 4))
         lines = data.draw(bodies(width))
         cells = data.draw(st.lists(CELLS, min_size=width, max_size=width))
@@ -467,18 +514,28 @@ class TestReaderParity:
         assume(line.strip())
         at = data.draw(st.integers(0, len(lines)))
         lines.insert(at, line)
-        fast, slow = read_both(lines, width)
-        assert fast == slow
-        assert fast[0] == "error" and fast[2] == FIRST_LINE + at
+        with pytest.raises(ParseError) as caught:
+            pipeline._read_rows(lines, FIRST_LINE, width, "no rows")
+        assert str(caught.value) == f"line {FIRST_LINE + at}: {expected_error(bad, width)}"
+        assert caught.value.line == FIRST_LINE + at
 
-    def test_clean_file_is_read_without_the_row_loop(self, tmp_path, monkeypatch):
+    def test_first_bad_line_is_named_whatever_its_fault(self):
+        lines = ["1.0,2.0", "nan,2.0", "abc,2.0", "1.0"]
+        with pytest.raises(ParseError, match="^line 4: non-finite cell 'nan'$"):
+            pipeline._read_rows(lines, FIRST_LINE, 2, "no rows")
+
+    def test_clean_file_is_read_in_one_loadtxt_call(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
         path = tmp_path / "ds.csv"
         save_dataset(window(make_stream(16, fn=lambda t: float(rng.normal())), 4), path)
         expected = load_dataset(path).matrix
+        calls = []
+        loadtxt = np.loadtxt
 
-        def row_loop(*args):
-            raise AssertionError("a clean body reached the row loop")
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "_parse_rows", row_loop)
+        monkeypatch.setattr(pipeline.np, "loadtxt", spy)
         assert load_dataset(path).matrix.tobytes() == expected.tobytes()
+        assert len(calls) == 1
