@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, StructuralError, parse_json
-from .model import N_JOINTS, GestureDataset, as_matrix, check_symmetric
+from .model import N_JOINTS, GestureDataset, as_matrix, check_symmetric, read_only
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_K = 24
@@ -31,19 +31,21 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
+    """A checked mixture that cannot change: its arrays are :func:`read_only` views."""
+
     weights: np.ndarray
     means: np.ndarray
     covariance: np.ndarray      # shared by all components
     mu: int
     dt: float
-    log_likelihoods: list = field(default_factory=list)
+    log_likelihoods: tuple = ()
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
+        for name in ("weights", "means", "covariance"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+        object.__setattr__(self, "log_likelihoods", tuple(self.log_likelihoods))
         if not all(np.all(np.isfinite(a)) for a in
                    (self.weights, self.means, self.covariance, self.dt)):
             raise StructuralError("model weights, means, covariance and dt must be finite")
@@ -140,6 +142,10 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
         raise StructuralError(f"k must be at least 1, got {k}")
     if n < k:
         raise StructuralError(f"need at least k={k} units, got {n}")
+    # every squared distance the fit takes is at most n * sum(span ** 2)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(n * np.sum(np.ptp(x, axis=0) ** 2)):
+            raise StructuralError("dataset values lie too far apart: their squared distances overflow")
     rng = _rng(seed)
     # fit in centred coordinates: there the expanded forms do not cancel
     center = x.mean(axis=0)
@@ -169,7 +175,11 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     lls = []
     for _ in range(max_iter):
         np.subtract(means, shift, out=block[n:])
-        resp, log_norm, trace_inv = _e_step(block, n, covariance, np.log(weights))
+        try:
+            resp, log_norm, trace_inv = _e_step(block, n, covariance, np.log(weights))
+        except np.linalg.LinAlgError:
+            raise StructuralError(f"EM iteration {len(lls) + 1}: round-off made the covariance "
+                                  "indefinite (an outlier or a column far out of scale?)") from None
         penalty = 0.5 * n * ridge * trace_inv
         objective = float(np.sum(log_norm)) - penalty
         if lls and objective - lls[-1] < rel_tol * abs(objective):
@@ -248,6 +258,6 @@ def load_model(path):
             raise ParseError("model matrix shapes disagree with declared k/d")
     except KeyError as exc:
         raise ParseError(f"model file has no {exc} entry") from exc
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed model file: {exc}") from exc
     return model

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import (DegenerateGeometryError, ParseError, StructuralError,
                      UnknownOrientationError, parse_json)
-from .model import JOINT_NAMES, Pose, RobotProfile, validate_pose
+from .model import JOINT_NAMES, Pose, RobotProfile, read_only, validate_pose
 
 OPENNI_LAYOUT = "openni15"
 OPENPOSE_LAYOUT = "openpose25"
@@ -77,7 +78,8 @@ _OPENNI_SET, _OPENPOSE_SET = frozenset(OPENNI_KEYPOINTS), frozenset(OPENPOSE_KEY
 @dataclass(frozen=True)
 class SkeletonFrame:
     """One timestamped capture frame: ``body`` maps keypoint names to (x, y, z)
-    float triples, hands are 21 x 3 float arrays; every value must be finite."""
+    float triples, hands are 21 x 3 float arrays; every value must be finite.
+    After its checks the frame cannot change: its mappings and hands are read-only views."""
 
     layout: str
     body: dict
@@ -90,21 +92,27 @@ class SkeletonFrame:
     right_pixels: tuple | None = None
 
     def __post_init__(self):
+        # the checks read the given dicts, whose get() is cheaper than a view's
+        body, confidence, isfinite = self.body, self.confidence, math.isfinite
+        object.__setattr__(self, "body", MappingProxyType(body))
+        object.__setattr__(self, "confidence", MappingProxyType(confidence))
+        for key in ("left_hand", "right_hand"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, read_only(getattr(self, key)))
         if self.layout == OPENNI_LAYOUT:
-            if self.body.keys() != _OPENNI_SET:
+            if body.keys() != _OPENNI_SET:
                 raise StructuralError("openni15 frame must carry exactly the 15 OpenNI keypoints")
             if self.left_hand is not None or self.right_hand is not None:
                 raise StructuralError("openni15 frames carry no hand keypoints")
         elif self.layout == OPENPOSE_LAYOUT:
-            if self.body.keys() != _OPENPOSE_SET:
+            if body.keys() != _OPENPOSE_SET:
                 raise StructuralError("openpose25 frame must carry exactly the 25 body keypoints")
             for hand in (self.left_hand, self.right_hand):
-                if hand is not None and (np.shape(hand) != (21, 3) or not np.isfinite(hand).all()):
+                if hand is not None and (hand.shape != (21, 3) or not np.isfinite(hand).all()):
                     raise StructuralError("hand keypoint sets must be 21 x 3 finite values")
         else:
             raise StructuralError(f"unsupported layout {self.layout!r}")
-        isfinite, confidence = math.isfinite, self.confidence
-        for name, (x, y, z) in self.body.items():
+        for name, (x, y, z) in body.items():
             if not (isfinite(x) and isfinite(y) and isfinite(z)
                     and isfinite(confidence.get(name, 1.0))):
                 raise StructuralError(f"keypoint {name} must be finite")
@@ -344,7 +352,7 @@ class StreamMapper:
         for prefix, hand in (("L", frame.left_hand), ("R", frame.right_hand)):
             if hand is None:
                 continue  # hold previous hand values
-            hand = np.asarray(hand, dtype=float).tolist()
+            hand = hand.tolist()
             (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
             if math.sqrt((px - tx) * (px - tx) + (py - ty) * (py - ty)) < 1e-12:
                 continue  # thumb and pinky tips coincide in the image: hold this hand
@@ -367,10 +375,7 @@ def _frame_from_record(rec, line, layout):
             body[name] = (x, y, z)
             if rest:
                 confidence[name] = rest[0]
-        kwargs = {}
-        for key in ("left_hand", "right_hand"):
-            if rec.get(key) is not None:
-                kwargs[key] = np.asarray(rec[key], dtype=float)
+        kwargs = {key: rec.get(key) for key in ("left_hand", "right_hand")}
         for key in ("head_orientation", "left_pixels", "right_pixels"):
             pair = rec.get(key)
             if pair is not None:

@@ -38,6 +38,14 @@ JOINT_NAMES = (
 HAND_OPEN_JOINTS = ("LHandOpen", "RHandOpen")
 
 
+def read_only(array):
+    """``array`` as a float array that refuses writes: a view, so a float64 array is
+    not copied and the caller's own array keeps its flags."""
+    view = np.asarray(array, dtype=float).view()
+    view.setflags(write=False)
+    return view
+
+
 def _number(value):
     """A JSON number as a float; ``float`` alone would also take strings and booleans."""
     if type(value) not in (int, float):
@@ -70,9 +78,7 @@ class RobotProfile:
         for length in (self.upper_arm_length, self.forearm_length, self.shoulder_offset):
             if not (np.isfinite(length) and length > 0):
                 raise StructuralError("link lengths must be strictly positive")
-        limits = np.array(self.joint_limits, dtype=float)
-        limits.flags.writeable = False
-        object.__setattr__(self, "_limits", limits)
+        object.__setattr__(self, "_limits", read_only(self.joint_limits))
 
     def limits_array(self):
         """The (14, 2) joint limits as a read-only float array, built once per profile."""
@@ -174,13 +180,14 @@ def column_labels(mu):
     return [f"{name}[{k}]" for k in range(mu) for name in JOINT_NAMES]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GestureDataset:
     """N units of movement as one N x (14*mu) float64 matrix, plus provenance.
 
     A unit of movement is mu consecutive poses sampled ``dt`` apart. Row
     layout: all 14 joints of pose t, then all 14 joints of pose t+dt, ...
-    ``mu`` follows from the matrix width. The matrix is not copied.
+    ``mu`` follows from the matrix width. The dataset cannot change after its
+    checks: ``matrix`` is a :func:`read_only` view of the given matrix, not a copy.
     """
 
     matrix: np.ndarray
@@ -189,13 +196,13 @@ class GestureDataset:
     sample_rate_hz: float = 0.0
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        object.__setattr__(self, "matrix", read_only(self.matrix))
         if self.matrix.ndim != 2 or self.matrix.shape[1] % N_JOINTS != 0:
             raise StructuralError("dataset matrix must be 2-D, its width a multiple of 14")
         if self.matrix.shape[0] == 0 or self.matrix.shape[1] == 0:
             raise StructuralError("dataset needs at least one unit of movement of mu >= 1 poses")
-        self.dt = check_dt(self.dt)
-        self.sample_rate_hz = float(self.sample_rate_hz or 1.0 / self.dt)
+        object.__setattr__(self, "dt", check_dt(self.dt))
+        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz or 1.0 / self.dt))
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise StructuralError("sample rate must be finite and positive")
         # the tag is written as one "#source=" line and read back stripped

@@ -22,24 +22,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels
+from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels, read_only
 
 MAX_RESAMPLED_POSES = 10_000_000   # about 1 GB of output values
 _BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt of CSV bodies
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoseStream:
-    """A T x 14 pose array with strictly increasing timestamps at a (nominal) native rate."""
+    """A T x 14 pose array with strictly increasing timestamps at a (nominal) native rate.
+    The stream cannot change after its checks; its arrays are :func:`read_only` views."""
 
     values: np.ndarray
     timestamps: np.ndarray
     native_rate_hz: float
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.timestamps = np.asarray(self.timestamps, dtype=float)
-        self.native_rate_hz = float(self.native_rate_hz)
+        object.__setattr__(self, "values", read_only(self.values))
+        object.__setattr__(self, "timestamps", read_only(self.timestamps))
+        object.__setattr__(self, "native_rate_hz", float(self.native_rate_hz))
         if self.values.ndim != 2 or self.values.shape[1] != N_JOINTS:
             raise StructuralError(f"stream values must be T x {N_JOINTS}")
         if self.values.shape[0] == 0:
@@ -134,18 +135,23 @@ def _parse_meta(lines):
     return meta, consumed
 
 
-def _positive_header(meta, key, kind=float):
-    """The ``#key`` header as a finite positive ``kind``; errors carry its line number."""
+def _positive_header(meta, key, integral=False):
+    """The ``#key`` header as one finite positive cell read like the body (``_BODY``), or an int
+    of ASCII digits after an optional sign if ``integral``; errors carry its line number."""
     if key not in meta:
         raise ParseError(f"missing #{key} header")
     text, line = meta[key]
     try:
-        value = kind(text)
-    except ValueError as exc:
-        raise ParseError(f"invalid #{key} header: {exc}", line) from exc
+        # numpy warns on empty input instead of refusing it
+        if not text or integral and not (text.isascii() and text.lstrip("+-").isdigit()):
+            raise ValueError
+        value = np.loadtxt([text], **_BODY).item()     # ValueError unless one cell
+    except ValueError:
+        raise ParseError(f"invalid #{key} header: {text!r} is not "
+                         f"{'an integer' if integral else 'a number'}", line) from None
     if not 0 < value < math.inf:
         raise ParseError(f"#{key} must be finite and positive, got {text}", line)
-    return value
+    return int(value) if integral else value
 
 
 def _read_rows(lines, first_line, width, empty_message):
@@ -197,7 +203,7 @@ def save_dataset(ds, path):
 def load_dataset(path):
     lines = _read_text(path).splitlines()
     meta, consumed = _parse_meta(lines)
-    mu = _positive_header(meta, "mu", int)
+    mu = _positive_header(meta, "mu", integral=True)
     dt = _positive_header(meta, "dt")
     try:
         check_dt(dt)

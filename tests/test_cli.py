@@ -11,8 +11,9 @@ import pytest
 import gesturemetrics
 from gesturemetrics.cli import main
 from gesturemetrics.mapping import OPENPOSE_KEYPOINTS
-from gesturemetrics.pipeline import load_dataset, load_stream
+from gesturemetrics.pipeline import load_dataset, load_stream, save_dataset
 from gesturemetrics.report import dump_json
+from gesturemetrics.synth import beat_gesture_corpus
 
 OPENNI_BODY = {
     "Head": [0.0, 0.45, 2.0],
@@ -336,6 +337,37 @@ class TestModelCommands:
         model = tmp_path / "model.json"
         assert main(["gmm-train", "--k", "24", str(ds), "--out", str(model)]) == 2
 
+    def test_overflowing_squared_distances_are_input_failure(self, tmp_path, capsys):
+        ds = tmp_path / "corpus.csv"
+        assert main(["synth-corpus", "--poses", "240", "--mu", "4", "--seed", "0",
+                     "--out", str(ds)]) == 0
+        lines = ds.read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "1e308"
+        lines[5] = ",".join(cells)
+        ds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "2", str(ds), "--out", str(model)]) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset values lie too far apart: their squared distances overflow\n")
+        assert not model.exists()
+
+    # a fit that round-off makes hopeless is refused like any other input
+    @pytest.mark.parametrize("options", [["--k", "2"], ["--k", "3"], ["--k", "2", "--seed", "1"]])
+    def test_outlier_that_breaks_the_fit_is_input_failure(self, tmp_path, capsys, options):
+        ds = tmp_path / "corpus.csv"
+        save_dataset(beat_gesture_corpus(60, 4, seed=0), ds)
+        lines = ds.read_text().splitlines()
+        lines[5] = ",".join(["9999999", *lines[5].split(",")[1:]])
+        ds.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", *options, str(ds), "--out", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: EM iteration ") and err.count("\n") == 1
+        assert "round-off made the covariance indefinite" in err
+        assert not model.exists()
+
 
 class TestEvaluate:
     def test_self_comparison_full(self, corpus, tmp_path):
@@ -530,6 +562,26 @@ class TestErrors:
         assert "line 2: #dt" in capsys.readouterr().err
         assert not out.exists()
 
+    # header cells that Python's int() and float() read but numpy's reader refuses
+    @pytest.mark.parametrize("command, old, new, line", [
+        ("motion-stats", "#mu=4\n", "#mu=0_4\n", 1),
+        ("motion-stats", "#dt=0.25\n", "#dt=2_5e-1\n", 2),
+        ("motion-stats", "#rate_hz=4.0\n", "#rate_hz=\u0664\n", 3),
+        ("resample", "#rate_hz=4.0\n", "#rate_hz=\u0664\n", 1),
+    ])
+    def test_header_cell_only_python_reads_is_input_failure(self, corpus, tmp_path, capsys,
+                                                            command, old, new, line):
+        path = corpus[0] if command == "resample" else corpus[1]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(path.read_text().replace(old, new))
+        out = tmp_path / "out"
+        argv = ["resample", "--rate", "2", str(bad), str(out)] if command == "resample" else [
+            command, str(bad), "--out", str(out)]
+        assert main(argv) == 2
+        key = old[1:].partition("=")[0]
+        assert capsys.readouterr().err.startswith(f"error: line {line}: invalid #{key} header: ")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_metric_failure(self, corpus, tmp_path, capsys, fmt):
@@ -633,6 +685,25 @@ class TestErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["generate", "fgd"])
+    def test_model_entry_too_large_for_a_float_is_input_failure(self, corpus, tmp_path, capsys,
+                                                                command):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "4", str(ds), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["covariance"][0][0] = 10 ** 400
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "out.csv"
+        argv = (["generate", "--model", str(model), "-n", "10", "--out", str(out)]
+                if command == "generate" else
+                ["fgd", "--model", str(model), str(ds), str(ds), "--out", str(out)])
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed model file: int too large to convert to float\n")
         assert not out.exists()
 
     def test_asymmetric_model_covariance_is_input_failure(self, corpus, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -120,6 +121,21 @@ class TestFit:
         ds = gaussian_dataset(np.random.default_rng(5), 20)
         with pytest.raises(StructuralError, match="k must be at least 1"):
             fit(ds, k=k, seed=0)
+
+    def test_squared_distances_that_overflow_are_refused_before_seeding(self):
+        # k-means++ turned the inf distances into NaN probabilities
+        x = beat_gesture_corpus(240, 4, seed=0).matrix.copy()
+        x[0, 3] = 1e308
+        with pytest.raises(StructuralError, match="squared distances overflow"):
+            fit(GestureDataset(matrix=x, dt=0.25), k=2, seed=0)
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 0), (2, 1)])
+    def test_outlier_that_breaks_the_em_covariance_is_refused(self, k, seed):
+        # the M step's X'X - sum n_k m_k m_k' cancels to an indefinite covariance
+        x = beat_gesture_corpus(60, 4, seed=0).matrix.copy()
+        x[0, 0] = 9999999.0
+        with pytest.raises(StructuralError, match="round-off made the covariance indefinite"):
+            fit(GestureDataset(matrix=x, dt=0.25), k=k, seed=seed)
 
 
 def per_component_log_gaussian(x, means, covariance):
@@ -311,6 +327,26 @@ class TestModelValidation:
             GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
                      covariance=cov, mu=1, dt=0.25)
 
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GmmModel)])
+    def test_field_cannot_be_reassigned(self, name):
+        model = toy_model()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, name, getattr(model, name))
+
+    @pytest.mark.parametrize("name", ["weights", "means", "covariance"])
+    def test_arrays_are_read_only_views_of_the_callers_arrays(self, name):
+        given = {"weights": np.array([1.0]), "means": np.zeros((1, D)), "covariance": np.eye(D)}
+        model = GmmModel(mu=1, dt=0.25, **given)
+        assert np.shares_memory(getattr(model, name), given[name])
+        assert given[name].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0] = 0.5
+
+    def test_trace_becomes_a_tuple_that_defaults_to_empty(self):
+        assert toy_model().log_likelihoods == ()
+        model = dataclasses.replace(toy_model(), log_likelihoods=[-2.0, -1.0])
+        assert model.log_likelihoods == (-2.0, -1.0)
+
 
 def toy_model(separation=8.0):
     means = np.zeros((2, D))
@@ -497,6 +533,21 @@ class TestModelIO:
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff{}")
         with pytest.raises(ParseError, match="corrupted model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["covariance", "dt"])
+    def test_entry_too_large_for_a_float_rejected(self, tmp_path, key):
+        model = GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                         covariance=np.eye(D), mu=1, dt=0.25)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        if key == "dt":
+            doc["dt"] = 10 ** 400
+        else:
+            doc["covariance"][0][0] = 10 ** 400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="^malformed model file: int too large"):
             load_model(path)
 
     def test_shape_disagreement_rejected(self, tmp_path):

@@ -477,6 +477,41 @@ class TestFrameValidation:
             frame.point("Nose")
 
 
+class TestFrameImmutable:
+    @pytest.fixture
+    def frame(self, tmp_path):
+        """A frame with both hands, as the capture reader builds it after its checks."""
+        path = tmp_path / "frames.jsonl"
+        record = skeleton_record(OPENPOSE_LAYOUT, 0.0)
+        record["body"]["Nose"].append(0.9)      # a confidence
+        path.write_text(json.dumps(record) + "\n")
+        return load_skeleton_frames(path, OPENPOSE_LAYOUT)[0]
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SkeletonFrame)])
+    def test_field_cannot_be_reassigned(self, frame, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, name, getattr(frame, name))
+
+    @pytest.mark.parametrize("name", ["left_hand", "right_hand"])
+    def test_hand_refuses_writes(self, frame, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(frame, name)[4] = math.nan
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("body", "Neck", (math.nan, 1.4, 0.0)), ("confidence", "Nose", math.nan)])
+    def test_mappings_refuse_item_assignment(self, frame, name, key, value):
+        with pytest.raises(TypeError):
+            getattr(frame, name)[key] = value
+
+    def test_hand_is_a_read_only_view_of_the_callers_array(self):
+        hand = make_hand()
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(), left_hand=hand)
+        assert np.shares_memory(frame.left_hand, hand)
+        assert hand.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frame.left_hand[0, 0] = 1.0
+
+
 class TestFrameIO:
     def test_roundtrip(self, tmp_path):
         rec = {"layout": OPENPOSE_LAYOUT, "timestamp": 0.5,

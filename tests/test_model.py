@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from gesturemetrics.model import (
     RobotProfile,
     as_matrix,
     column_labels,
+    read_only,
     validate_pose,
 )
 from gesturemetrics.pipeline import PoseStream, window
@@ -57,6 +60,22 @@ class TestProfile:
                                     "link_lengths": {"upper_arm": 1,
                                                      "forearm": 1,
                                                      "shoulder_offset": 1}})
+
+
+class TestReadOnly:
+    def test_float64_array_is_viewed_not_copied_and_keeps_its_flags(self):
+        array = np.arange(6.0).reshape(2, 3)
+        view = read_only(array)
+        assert np.shares_memory(view, array)
+        assert array.flags.writeable and not view.flags.writeable
+        array[0, 0] = 7.0       # the caller still owns its array
+        assert view[0, 0] == 7.0
+
+    def test_other_input_becomes_a_float_array_that_refuses_writes(self):
+        view = read_only([[1, 2], [3, 4]])
+        assert view.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 0.0
 
 
 class TestValidatePose:
@@ -192,6 +211,26 @@ class TestDataset:
     def test_source_tag_a_dataset_file_cannot_carry_is_rejected(self, tag):
         with pytest.raises(StructuralError, match="source tag"):
             GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25, source_tag=tag)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(GestureDataset)])
+    def test_field_cannot_be_reassigned(self, name):
+        ds = GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25, source_tag="x")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, getattr(ds, name))
+
+    def test_matrix_is_a_read_only_view_of_the_callers_array(self):
+        matrix = np.zeros((2, N_JOINTS))
+        ds = GestureDataset(matrix=matrix, dt=0.25)
+        assert np.shares_memory(ds.matrix, matrix)
+        assert matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.matrix[0, 0] = 1.0
+
+    def test_replace_checks_the_new_value_again(self):
+        ds = GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25)
+        with pytest.raises(StructuralError, match="source tag"):
+            dataclasses.replace(ds, source_tag="a\nb")
+        assert dataclasses.replace(ds, source_tag="b").source_tag == "b"
 
     def test_column_labels(self):
         labels = column_labels(2)

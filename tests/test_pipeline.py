@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -46,6 +47,21 @@ class TestStream:
         with pytest.raises(StructuralError):
             PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0, 1.0],
                        native_rate_hz=rate)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PoseStream)])
+    def test_field_cannot_be_reassigned(self, name):
+        stream = make_stream(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(stream, name, getattr(stream, name))
+
+    @pytest.mark.parametrize("name", ["values", "timestamps"])
+    def test_arrays_are_read_only_views_of_the_callers_arrays(self, name):
+        given = {"values": np.zeros((3, N_JOINTS)), "timestamps": np.arange(3.0)}
+        stream = PoseStream(native_rate_hz=4.0, **given)
+        assert np.shares_memory(getattr(stream, name), given[name])
+        assert given[name].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stream, name)[1] = 0.0
 
 
 class TestResample:
@@ -242,7 +258,7 @@ class TestDatasetHeaders:
         save_dataset(window(make_stream(8), 4), path)
         return path
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0.0", "-0.25", "fast"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0.0", "-0.25", "fast", "0.25,0.5"])
     def test_dt_must_be_finite_and_positive(self, saved, value):
         with_header(saved, "dt", value)
         with pytest.raises(ParseError, match="line 2"):
@@ -269,10 +285,18 @@ class TestDatasetHeaders:
         with pytest.raises(ParseError, match="line 3"):
             load_dataset(saved)
 
-    @pytest.mark.parametrize("value", ["four", "4.0"])
+    @pytest.mark.parametrize("value", ["four", "4.0", ""])
     def test_mu_that_is_not_an_integer_names_its_line(self, saved, value):
         with_header(saved, "mu", value)
         with pytest.raises(ParseError, match="^line 1: invalid #mu header: "):
+            load_dataset(saved)
+
+    # cells that Python's int() and float() read but the body's numpy reader refuses
+    @pytest.mark.parametrize("key, value, line", [
+        ("mu", "0_4", 1), ("dt", "2_5e-1", 2), ("rate_hz", "\u0664", 3)])
+    def test_header_cell_only_python_reads_names_its_line(self, saved, key, value, line):
+        with_header(saved, key, value)
+        with pytest.raises(ParseError, match=f"^line {line}: invalid #{key} header: "):
             load_dataset(saved)
 
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -326,6 +350,13 @@ class TestStreamIO:
         save_stream(make_stream(5), path)
         with_header(path, "rate_hz", value)
         with pytest.raises(ParseError, match="line 1"):
+            load_stream(path)
+
+    def test_rate_cell_only_python_reads_names_its_line(self, tmp_path):
+        path = tmp_path / "stream.csv"
+        save_stream(make_stream(5), path)
+        with_header(path, "rate_hz", "\u0664")
+        with pytest.raises(ParseError, match="^line 1: invalid #rate_hz header: "):
             load_stream(path)
 
     @pytest.mark.parametrize("column", [0, 3])
@@ -390,9 +421,9 @@ class TestUtf8:
             load_matrix(path)
 
     def test_non_ascii_source_round_trips_on_an_ascii_locale(self, tmp_path):
-        script = ("import sys; from gesturemetrics.pipeline import load_dataset, save_dataset; "
-                  "from gesturemetrics.synth import beat_gesture_corpus; "
-                  "ds = beat_gesture_corpus(40, 4); ds.source_tag = 'caf\\u00e9 \\u52d5\\u304d'; "
+        script = ("import sys; from gesturemetrics.pipeline import load_dataset, save_dataset, window; "
+                  "from gesturemetrics.synth import beat_gesture_stream; "
+                  "ds = window(beat_gesture_stream(40), 4, source_tag='caf\\u00e9 \\u52d5\\u304d'); "
                   "save_dataset(ds, sys.argv[1]); "
                   "assert load_dataset(sys.argv[1]).source_tag == ds.source_tag")
         path = tmp_path / "ds.csv"
@@ -532,10 +563,11 @@ class TestReaderParity:
         calls = []
         loadtxt = np.loadtxt
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return loadtxt(*args, **kwargs)
+        def spy(lines, **kwargs):
+            calls.append(lines)
+            return loadtxt(lines, **kwargs)
 
         monkeypatch.setattr(pipeline.np, "loadtxt", spy)
         assert load_dataset(path).matrix.tobytes() == expected.tobytes()
-        assert len(calls) == 1
+        # one call per numeric header (#mu, #dt, #rate_hz), then one for the whole body
+        assert [len(lines) for lines in calls] == [1, 1, 1, len(expected)]
