@@ -9,9 +9,9 @@ import math
 import tempfile
 from pathlib import Path
 
-from gesturemetrics.mapping import OPENNI_LAYOUT, StreamMapper, load_skeleton_frames
+from gesturemetrics.mapping import OPENNI_LAYOUT, StreamMapper, load_skeleton_frames, map_capture
 from gesturemetrics.model import JOINT_NAMES, RobotProfile
-from gesturemetrics.pipeline import PoseStream, resample, window
+from gesturemetrics.pipeline import resample, window
 
 BASE_BODY = {
     "Head": (0.0, 0.45, 2.0), "Neck": (0.0, 0.30, 2.0), "Torso": (0.0, 0.0, 2.0),
@@ -51,15 +51,13 @@ def main():
         frames = load_skeleton_frames(capture, OPENNI_LAYOUT)
 
     profile = RobotProfile.default()
-    mapper = StreamMapper(profile=profile, seed=0)
-    poses = [mapper.map_frame(f) for f in frames]
-    stream = PoseStream(values=[p.values for p in poses],
-                        timestamps=[p.timestamp for p in poses], native_rate_hz=10.0)
+    stream = map_capture(frames, profile, seed=0)
+    print(f"mapped: {len(stream)} poses at {stream.native_rate_hz} Hz (the mean frame rate)")
 
     print("\nfirst mapped pose (rad / open fraction):")
-    for name, value in zip(JOINT_NAMES, poses[0].values):
+    for name, value in zip(JOINT_NAMES, stream.values[0]):
         print(f"  {name:16s} {value:+.3f}")
-    print(f"  clamped joints in frame 0: {poses[0].n_clamped}")
+    print(f"  clamped joints in frame 0: {StreamMapper(profile).map_frame(frames[0]).n_clamped}")
 
     stream4 = resample(stream, 4.0)
     ds = window(stream4, 4, source_tag="wave-demo")

@@ -10,16 +10,9 @@ import argparse
 import functools
 import sys
 
-import numpy as np
-
 from . import __version__, gmm, pipeline, synth
 from .errors import GestureError, ParseError, StructuralError
-from .mapping import (
-    OPENNI_LAYOUT,
-    OPENPOSE_LAYOUT,
-    StreamMapper,
-    load_skeleton_frames,
-)
+from .mapping import OPENNI_LAYOUT, OPENPOSE_LAYOUT, load_skeleton_frames, map_capture
 from .model import RobotProfile
 from .procrustes import procrustes
 from .report import STAGES, Run, evaluate, write_report, write_spectra_csv, write_spectrum_svg
@@ -36,15 +29,7 @@ def _load_profile(args):
 def _cmd_map(args):
     frames = load_skeleton_frames(
         args.input, OPENNI_LAYOUT if args.layout == "openni" else OPENPOSE_LAYOUT)
-    if not frames:
-        raise StructuralError("no frames in input")
-    span = frames[-1].timestamp - frames[0].timestamp
-    mapper = StreamMapper(profile=_load_profile(args), seed=args.seed)
-    values = np.array([mapper.map_frame(frame).values for frame in frames])
-    rate = (len(frames) - 1) / span if len(frames) > 1 else 1.0
-    stream = pipeline.PoseStream(values=values, timestamps=[f.timestamp for f in frames],
-                                 native_rate_hz=rate)
-    pipeline.save_stream(stream, args.output)
+    pipeline.save_stream(map_capture(frames, _load_profile(args), args.seed), args.output)
     return EXIT_OK
 
 

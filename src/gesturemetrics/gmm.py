@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, StructuralError, parse_json
-from .model import N_JOINTS, GestureDataset, as_matrix, check_symmetric, read_only
+from .model import N_JOINTS, GestureDataset, as_matrix, check_spread, check_symmetric, read_only
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_K = 24
@@ -31,9 +31,10 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GmmModel:
-    """A checked mixture that cannot change: its arrays are :func:`read_only` views."""
+    """A checked mixture that cannot change: its arrays are :func:`read_only` views.
+    It compares and hashes by identity."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -142,10 +143,7 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
         raise StructuralError(f"k must be at least 1, got {k}")
     if n < k:
         raise StructuralError(f"need at least k={k} units, got {n}")
-    # every squared distance the fit takes is at most n * sum(span ** 2)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(n * np.sum(np.ptp(x, axis=0) ** 2)):
-            raise StructuralError("dataset values lie too far apart: their squared distances overflow")
+    check_spread(x)
     rng = _rng(seed)
     # fit in centred coordinates: there the expanded forms do not cancel
     center = x.mean(axis=0)
@@ -201,12 +199,22 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
 
 
 def posterior_matrix(model, ds):
-    """Responsibility vectors for every unit of a dataset (N x K); rows sum to 1."""
+    """Responsibility vectors for every unit of a dataset (N x K); rows sum to 1.
+
+    A unit whose log-likelihood is not finite, because its whitened squared
+    distances to the components overflow, raises ``StructuralError``."""
     x = as_matrix(ds)
     if x.shape[1] != model.d:
         raise StructuralError(f"dataset dimension {x.shape[1]} does not match model d={model.d}")
-    block = np.vstack([x, model.means]) - x.mean(axis=0)
-    return _e_step(block, len(x), model.covariance, np.log(model.weights + 1e-300))[0]
+    # an overflow shows as a NaN or infinite log-likelihood, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = np.vstack([x, model.means]) - x.mean(axis=0)
+        resp, log_norm, _ = _e_step(block, len(x), model.covariance,
+                                    np.log(model.weights + 1e-300))
+    if not np.isfinite(log_norm).all():
+        raise StructuralError("dataset values lie too far from the model's components: "
+                              "their whitened squared distances overflow")
+    return resp
 
 
 def sample(model, n, seed=0):

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (DegenerateGeometryError, ParseError, StructuralError,
                      UnknownOrientationError, parse_json)
 from .model import JOINT_NAMES, Pose, RobotProfile, read_only, validate_pose
+from .pipeline import PoseStream
 
 OPENNI_LAYOUT = "openni15"
 OPENPOSE_LAYOUT = "openpose25"
@@ -75,11 +76,12 @@ _HEAD = slice(_INDEX["HeadYaw"], _INDEX["HeadPitch"] + 1)
 _OPENNI_SET, _OPENPOSE_SET = frozenset(OPENNI_KEYPOINTS), frozenset(OPENPOSE_KEYPOINTS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkeletonFrame:
     """One timestamped capture frame: ``body`` maps keypoint names to (x, y, z)
     float triples, hands are 21 x 3 float arrays; every value must be finite.
-    After its checks the frame cannot change: its mappings and hands are read-only views."""
+    After its checks the frame cannot change: its mappings and hands are read-only views.
+    It compares and hashes by identity."""
 
     layout: str
     body: dict
@@ -324,8 +326,7 @@ class StreamMapper:
             self._map_openpose_extras(frame, values)
 
         self._values, n_clamped = validate_pose(values, self.profile)
-        return Pose(values=self._values.copy(), timestamp=frame.timestamp,
-                    n_clamped=int(n_clamped))
+        return Pose(values=self._values.copy(), n_clamped=int(n_clamped))
 
     def _map_openni_extras(self, frame, values):
         if frame.head_orientation is not None:
@@ -359,6 +360,21 @@ class StreamMapper:
             wrist = _INDEX[prefix + "WristYaw"]
             values[wrist] = map_hand_yaw_openpose(hand, self.profile.joint_limits[wrist])
             values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
+
+
+def map_capture(frames, profile=None, seed=0):
+    """The :class:`PoseStream` of capture frames, as from :func:`load_skeleton_frames`,
+    mapped in order by one :class:`StreamMapper`. Its rate is the mean frame rate,
+    ``(len(frames) - 1) / (last timestamp - first)``, and 1 Hz for a single frame;
+    no frames raise ``StructuralError``."""
+    if not frames:
+        raise StructuralError("no frames in input")
+    mapper = StreamMapper(profile, seed)
+    values = np.array([mapper.map_frame(frame).values for frame in frames])
+    span = frames[-1].timestamp - frames[0].timestamp
+    rate = (len(frames) - 1) / span if len(frames) > 1 else 1.0
+    return PoseStream(values=values, timestamps=[f.timestamp for f in frames],
+                      native_rate_hz=rate)
 
 
 def _frame_from_record(rec, line, layout):

@@ -122,7 +122,7 @@ class RobotProfile:
 
 @dataclass(eq=False)
 class Pose:
-    """One frame of 14 joint values (a float64 array), optionally timestamped.
+    """One frame of 14 joint values (a float64 array).
 
     ``n_clamped`` records how many values were pulled back inside their
     limits by :func:`validate_pose`; out-of-range capture noise is clamped,
@@ -130,7 +130,6 @@ class Pose:
     """
 
     values: np.ndarray
-    timestamp: float | None = None
     n_clamped: int = 0
 
     def __post_init__(self):
@@ -175,12 +174,22 @@ def check_symmetric(a, what):
         raise StructuralError(f"{what} must be symmetric")
 
 
+def check_spread(x, what="dataset values"):
+    """``StructuralError`` naming ``what`` unless every squared distance between the
+    rows of the finite N x p array ``x`` is finite: each is at most
+    ``N * sum(span ** 2)`` over the columns, and so is each column's sum of
+    squared deviations from its mean."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(len(x) * np.sum(np.ptp(x, axis=0) ** 2)):
+            raise StructuralError(f"{what} lie too far apart: their squared distances overflow")
+
+
 def column_labels(mu):
     """Column names of the flattened layout: ``Joint[k]`` for frame offset k."""
     return [f"{name}[{k}]" for k in range(mu) for name in JOINT_NAMES]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GestureDataset:
     """N units of movement as one N x (14*mu) float64 matrix, plus provenance.
 
@@ -188,6 +197,7 @@ class GestureDataset:
     layout: all 14 joints of pose t, then all 14 joints of pose t+dt, ...
     ``mu`` follows from the matrix width. The dataset cannot change after its
     checks: ``matrix`` is a :func:`read_only` view of the given matrix, not a copy.
+    It compares and hashes by identity.
     """
 
     matrix: np.ndarray

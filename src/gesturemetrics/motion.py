@@ -116,7 +116,8 @@ def motion_report(ds, profile):
     angle. Statistics are computed per unit of movement and then averaged
     across units (pairwise summation via numpy keeps the mean deterministic).
     When mu < 4 the jerk entries are flagged unavailable; path lengths are
-    still reported.
+    still reported. A statistic that overflows is infinite or NaN, without a
+    ``RuntimeWarning``.
     """
     poses = ds.matrix.reshape(-1, N_JOINTS)
     sites = np.empty((len(poses), len(SITES), 3))
@@ -125,18 +126,21 @@ def motion_report(ds, profile):
     tracks = sites.reshape(len(ds), ds.mu, len(SITES), 3)
     heads = poses.reshape(len(ds), ds.mu, N_JOINTS)[:, :, [_J["HeadYaw"], _J["HeadPitch"]]]
     jerk_available = ds.mu >= 4
-    return {
-        "jerk_by_site": {
-            site: float(np.mean(jerk(tracks[:, :, s], ds.dt))) if jerk_available else None
-            for s, site in enumerate(SITES)
-        },
-        "path_length_by_site": {
-            site: float(np.mean(path_length(tracks[:, :, s]))) if ds.mu >= 2 else 0.0
-            for s, site in enumerate(SITES)
-        },
-        "head_jerk": {
-            angle: float(np.mean(angular_jerk(heads[:, :, a], ds.dt))) if jerk_available else None
-            for a, angle in enumerate(HEAD_ANGLES)
-        },
-        "jerk_available": jerk_available,
-    }
+    # an overflow gives a non-finite statistic, which the report writers refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            "jerk_by_site": {
+                site: float(np.mean(jerk(tracks[:, :, s], ds.dt))) if jerk_available else None
+                for s, site in enumerate(SITES)
+            },
+            "path_length_by_site": {
+                site: float(np.mean(path_length(tracks[:, :, s]))) if ds.mu >= 2 else 0.0
+                for s, site in enumerate(SITES)
+            },
+            "head_jerk": {
+                angle: float(np.mean(angular_jerk(heads[:, :, a], ds.dt)))
+                if jerk_available else None
+                for a, angle in enumerate(HEAD_ANGLES)
+            },
+            "jerk_available": jerk_available,
+        }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, StructuralError
-from .model import N_JOINTS, check_symmetric, column_labels
+from .model import N_JOINTS, check_spread, check_symmetric, column_labels
 
 EIG_TOL = 1e-10
 SPECTRUM_LEN = 28   # spectra are zero-padded or cut to this many eigenvalues
@@ -40,7 +40,8 @@ def correlation_distance(data, labels=None):
     """The p x p array of sqrt(1 - Pearson r) distances between data columns.
 
     Zero-variance columns get r = 0 (d = 1) against everything else, with
-    a warning naming them.
+    a warning naming them. Columns whose products overflow raise
+    ``StructuralError`` (see :func:`check_spread`).
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -48,6 +49,7 @@ def correlation_distance(data, labels=None):
     n_rows, n_cols = data.shape
     if n_rows < 3:
         raise StructuralError("need at least 3 samples for correlations")
+    check_spread(data)
     if labels is None:
         labels = [str(i) for i in range(n_cols)]
     # ptp, not std: the std of a constant whose mean is inexact is ~1e-16

@@ -28,10 +28,11 @@ MAX_RESAMPLED_POSES = 10_000_000   # about 1 GB of output values
 _BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt of CSV bodies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoseStream:
     """A T x 14 pose array with strictly increasing timestamps at a (nominal) native rate.
-    The stream cannot change after its checks; its arrays are :func:`read_only` views."""
+    The stream cannot change after its checks; its arrays are :func:`read_only` views.
+    It compares and hashes by identity."""
 
     values: np.ndarray
     timestamps: np.ndarray

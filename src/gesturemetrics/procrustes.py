@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateGeometryError, StructuralError
-from .model import N_JOINTS
+from .model import N_JOINTS, check_spread
 
 SCALE_EPS = 1e-12
 CENTER_TOL = 1e-6
@@ -25,7 +25,8 @@ def procrustes(y_o, y_g, mu, allow_reflections=True):
     Both configurations must be column-centered already (PCoA output is);
     this is asserted rather than silently re-centered. With
     ``allow_reflections=False`` Q is restricted to proper rotations.
-    ``mu`` below 1 raises ``StructuralError``.
+    ``mu`` below 1 raises ``StructuralError``, and so do configurations
+    whose squared distances overflow (see :func:`check_spread`).
     """
     if mu < 1:
         raise StructuralError(f"mu must be at least 1, got {mu}")
@@ -33,13 +34,17 @@ def procrustes(y_o, y_g, mu, allow_reflections=True):
     y_g = np.asarray(y_g, dtype=float)
     if y_o.shape != y_g.shape:
         raise StructuralError("configurations must have identical shapes")
-    norm_g2 = float(np.sum(y_g ** 2))
+    # overflows here are refused by the checks below: an infinite mean is off centre
+    with np.errstate(over="ignore"):
+        norm_g2 = float(np.sum(y_g ** 2))
+        means = y_o.mean(axis=0), y_g.mean(axis=0)
     if norm_g2 <= 0:
         raise DegenerateGeometryError("all-zero configuration: scale undefined")
-    for name, mat in (("first", y_o), ("second", y_g)):
+    for name, mat, mean in zip(("first", "second"), (y_o, y_g), means):
         spread = np.max(np.abs(mat)) or 1.0
-        if np.max(np.abs(mat.mean(axis=0))) > CENTER_TOL * spread:
+        if np.max(np.abs(mean)) > CENTER_TOL * spread:
             raise StructuralError(f"{name} configuration is not column-centered")
+        check_spread(mat, f"{name} configuration's values")
 
     u, sigma, vt = np.linalg.svd(y_g.T @ y_o)
     q = u @ vt

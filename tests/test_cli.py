@@ -369,6 +369,58 @@ class TestModelCommands:
         assert not model.exists()
 
 
+@pytest.fixture
+def overflow_corpus(tmp_path):
+    """``synth-corpus --poses 240 --mu 4 --seed 0``, a copy whose 4th cell of the
+    first body row is 1e308, and a model trained on the clean corpus."""
+    clean, bad, model = (tmp_path / name for name in ("clean.csv", "bad.csv", "model.json"))
+    assert main(["synth-corpus", "--poses", "240", "--mu", "4", "--seed", "0",
+                 "--out", str(clean)]) == 0
+    lines = clean.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[3] = "1e308"
+    lines[5] = ",".join(cells)
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["gmm-train", "--k", "2", "--out", str(model), str(clean)]) == 0
+    return clean, bad, model
+
+
+class TestOverflow:
+    SPREAD = "dataset values lie too far apart: their squared distances overflow"
+    WHITENED = ("dataset values lie too far from the model's components: "
+                "their whitened squared distances overflow")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pcoa"], SPREAD),
+        (["procrustes"], SPREAD),
+        (["fgd", "--model", "{model}"], WHITENED),
+    ])
+    @pytest.mark.parametrize("bad_side", [0, 1])
+    def test_single_stage_is_input_failure(self, overflow_corpus, tmp_path, capsys,
+                                           argv, message, bad_side):
+        clean, bad, model = overflow_corpus
+        pair = [bad, clean] if bad_side == 0 else [clean, bad]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        argv = [a.format(model=model) for a in argv]
+        assert main([*argv, *map(str, pair), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_evaluate_records_each_stage(self, overflow_corpus, tmp_path):
+        clean, bad, model = overflow_corpus
+        out = tmp_path / "summary.json"
+        assert main(["evaluate", "--model", str(model), str(bad), str(clean),
+                     "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["errors"] == {
+            "fidelity": self.SPREAD,
+            "originality": "skipped: fidelity stage failed, no coordinates",
+            "fgd": self.WHITENED,
+        }
+        assert doc["motion_original"] is not None and doc["motion_generated"] is not None
+
+
 class TestEvaluate:
     def test_self_comparison_full(self, corpus, tmp_path):
         _, ds = corpus
@@ -582,7 +634,6 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: line {line}: invalid #{key} header: ")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_non_finite_result_is_metric_failure(self, corpus, tmp_path, capsys, fmt):
         # valid input, but dt**3 is subnormal (about 1e-315) and the jerk overflows

@@ -293,6 +293,26 @@ class TestUnitOrder:
             want, rel=1e-6)
 
 
+class TestOverflow:
+    def test_unit_whose_whitened_distances_overflow_is_refused(self):
+        matrix = np.random.default_rng(7).normal(size=(50, N_JOINTS))
+        matrix[0, 3] = 1e308
+        far = GestureDataset(matrix=matrix, dt=0.25)
+        near = GestureDataset(matrix=matrix[1:], dt=0.25)
+        with pytest.raises(StructuralError, match="whitened squared distances overflow"):
+            posterior_matrix(toy_model(), far)
+        for pair in ((far, near), (near, far)):
+            with pytest.raises(StructuralError, match="whitened squared distances overflow"):
+                fgd(toy_model(), *pair)
+
+    def test_far_unit_that_fits_gets_a_posterior(self):
+        matrix = np.random.default_rng(7).normal(size=(50, N_JOINTS))
+        matrix[0, 0] = 1e6
+        resp = posterior_matrix(toy_model(), GestureDataset(matrix=matrix, dt=0.25))
+        assert resp[0].tolist() == [0.0, 1.0]
+        assert np.allclose(resp.sum(axis=1), 1.0)
+
+
 class TestFgdPipeline:
     def test_self_distance_zero(self):
         rng = np.random.default_rng(7)

@@ -33,6 +33,7 @@ from gesturemetrics.mapping import (
     StreamMapper,
     arm_angles,
     load_skeleton_frames,
+    map_capture,
     map_hand_opening_openpose,
     map_hand_yaw_openni,
     map_hand_yaw_openpose,
@@ -809,3 +810,43 @@ class TestMetamorphic:
             pose = mapper.map_frame(frame)
             moved = moved_mapper.map_frame(shifted(frame, offset))
             assert np.abs(moved.values - pose.values).max() <= 1e-13
+
+
+class TestMapCapture:
+    @pytest.mark.parametrize("layout", ["openpose", "openni"])
+    def test_maps_every_frame_once_in_order(self, captures, profile, monkeypatch, layout):
+        frames = captures[layout]
+        mapper = StreamMapper(profile, seed=3)
+        expected = [mapper.map_frame(frame).values for frame in frames]
+        mapped = []
+        map_frame = StreamMapper.map_frame
+        monkeypatch.setattr(StreamMapper, "map_frame",
+                            lambda self, frame: mapped.append(frame) or map_frame(self, frame))
+        stream = map_capture(frames, profile, seed=3)
+        assert mapped == frames
+        assert np.array_equal(stream.values, expected)
+        assert stream.timestamps.tolist() == [frame.timestamp for frame in frames]
+
+    def test_seed_drives_the_openni_fingers(self, captures):
+        a, b = (map_capture(captures["openni"], seed=s).values for s in (1, 2))
+        hands = [JOINT_NAMES.index("LHandOpen"), JOINT_NAMES.index("RHandOpen")]
+        assert not np.array_equal(a[:, hands], b[:, hands])
+        assert np.array_equal(np.delete(a, hands, axis=1), np.delete(b, hands, axis=1))
+
+    @pytest.mark.parametrize("n", [2, 3, 120])
+    def test_rate_is_the_mean_frame_rate(self, captures, n):
+        frames = captures["openpose"][:n]
+        rate = map_capture(frames).native_rate_hz
+        assert rate == (n - 1) / (frames[-1].timestamp - frames[0].timestamp)
+
+    def test_single_frame_is_one_hertz(self, captures):
+        stream = map_capture(captures["openni"][5:6])
+        assert (len(stream), stream.native_rate_hz) == (1, 1.0)
+
+    def test_no_frames_is_structural_error(self):
+        with pytest.raises(StructuralError, match="^no frames in input$"):
+            map_capture([])
+
+    def test_pose_carries_values_and_clamp_count_only(self):
+        pose = StreamMapper().map_frame(make_tpose_frame())
+        assert [f.name for f in dataclasses.fields(pose)] == ["values", "n_clamped"]

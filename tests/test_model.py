@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gesturemetrics.errors import ParseError, StructuralError
+from gesturemetrics.gmm import GmmModel
+from gesturemetrics.mapping import OPENNI_KEYPOINTS, OPENNI_LAYOUT, SkeletonFrame
 from gesturemetrics.model import (
     JOINT_NAMES,
     N_JOINTS,
@@ -18,6 +20,7 @@ from gesturemetrics.model import (
     validate_pose,
 )
 from gesturemetrics.pipeline import PoseStream, window
+from gesturemetrics.synth import beat_gesture_corpus, beat_gesture_stream
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +240,30 @@ class TestDataset:
         assert labels[0] == "HeadYaw[0]"
         assert labels[N_JOINTS] == "HeadYaw[1]"
         assert len(labels) == 2 * N_JOINTS
+
+
+
+# one value of each frozen type that holds arrays, by a zero-argument factory
+MAKERS = {
+    "GestureDataset": lambda: beat_gesture_corpus(40, 4),
+    "PoseStream": lambda: beat_gesture_stream(10),
+    "GmmModel": lambda: GmmModel(weights=[0.5, 0.5], means=np.zeros((2, N_JOINTS)),
+                                 covariance=np.eye(N_JOINTS), mu=1, dt=0.25),
+    "SkeletonFrame": lambda: SkeletonFrame(
+        layout=OPENNI_LAYOUT, body={name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}),
+}
+
+
+class TestIdentity:
+    """The frozen types that hold arrays compare and hash by identity."""
+
+    @pytest.mark.parametrize("name", sorted(MAKERS))
+    def test_compares_and_hashes_by_identity(self, name):
+        make = MAKERS[name]
+        x, twin = make(), make()
+        assert x == x
+        assert x != twin and not x == twin
+        assert x != dataclasses.replace(x)
+        assert hash(x) == object.__hash__(x)
+        assert x in [twin, x] and x not in [twin]
+        assert {x: 1}[x] == 1 and len({x, twin}) == 2

@@ -95,6 +95,22 @@ class TestCorrelationDistance:
         with pytest.raises(StructuralError):
             correlation_distance(np.zeros((2, 3)))
 
+    def test_column_whose_products_overflow_is_refused(self):
+        # np.corrcoef would warn and give r = 0 (d = 1) against every column
+        data = np.random.default_rng(6).normal(size=(60, 5))
+        data[0, 3] = 1e308
+        with pytest.raises(StructuralError, match="squared distances overflow"):
+            correlation_distance(data)
+
+    def test_large_column_that_fits_keeps_its_correlations(self):
+        data = np.random.default_rng(6).normal(size=(60, 5))
+        data[0, 3] = 1e150
+        dm = correlation_distance(data)
+        scaled = data.copy()
+        scaled[:, 3] /= 1e140
+        assert np.allclose(dm, correlation_distance(scaled), rtol=0.0, atol=1e-12)
+        assert not np.allclose(dm[3, [0, 1, 2, 4]], 1.0)
+
 
 class TestGeometricVariability:
     def test_two_by_two_formula(self):

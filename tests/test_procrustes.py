@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gesturemetrics.errors import DegenerateGeometryError, StructuralError
 from gesturemetrics.procrustes import procrustes
@@ -74,31 +77,62 @@ class TestGridOracle:
         assert res["ss"] <= oracle + 1e-12  # SVD result is the true minimum
 
 
+def seeded_pair(seed, n, dim):
+    """Two centred n x dim configurations drawn from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    return centered(rng, n, dim), centered(rng, n, dim)
+
+
+@st.composite
+def centred_pairs(draw):
+    """Two column-centred n x k configurations, n in 3-12 and k in 1-4, each with
+    a spread far above the round-off of its centring."""
+    n, k = draw(st.integers(3, 12)), draw(st.integers(1, 4))
+    pair = []
+    for _ in range(2):
+        x = draw(arrays(float, (n, k), elements=st.floats(-10, 10, allow_subnormal=False)))
+        x = x - x.mean(axis=0)
+        assume(np.sum(x ** 2) > 1e-6)
+        pair.append(x)
+    return tuple(pair)
+
+
+def same_ss(value, base, y_o):
+    """``value`` equals ``base`` up to round-off on the scale of ``||y_o||^2``."""
+    return value == pytest.approx(base, rel=1e-8, abs=1e-12 * np.sum(y_o ** 2))
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
 class TestInvariances:
-    def test_rotation_invariance_both_sides(self):
-        rng = np.random.default_rng(4)
-        y_o = centered(rng, 9, 3)
-        y_g = centered(rng, 9, 3)
+    @PROPERTY
+    @given(pair=centred_pairs(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(pair=seeded_pair(4, 9, 3), seed=4)
+    def test_rotation_invariance_both_sides(self, pair, seed):
+        y_o, y_g = pair
+        rng = np.random.default_rng(seed)
         base = procrustes(y_o, y_g, mu=4)["ss"]
-        r1 = random_orthogonal(rng, 3)
-        r2 = random_orthogonal(rng, 3)
-        assert procrustes(y_o @ r1, y_g, mu=4)["ss"] == pytest.approx(base, rel=1e-8)
-        assert procrustes(y_o, y_g @ r2, mu=4)["ss"] == pytest.approx(base, rel=1e-8)
+        r1 = random_orthogonal(rng, y_o.shape[1])
+        r2 = random_orthogonal(rng, y_o.shape[1])
+        assert same_ss(procrustes(y_o @ r1, y_g, mu=4)["ss"], base, y_o)
+        assert same_ss(procrustes(y_o, y_g @ r2, mu=4)["ss"], base, y_o)
 
-    def test_positive_rescaling_of_generated(self):
-        rng = np.random.default_rng(5)
-        y_o = centered(rng, 9, 3)
-        y_g = centered(rng, 9, 3)
+    @PROPERTY
+    @given(pair=centred_pairs(), factor=st.floats(1e-3, 1e3))
+    @example(pair=seeded_pair(5, 9, 3), factor=7.3)
+    def test_positive_rescaling_of_generated(self, pair, factor):
+        y_o, y_g = pair
         base = procrustes(y_o, y_g, mu=4)["ss"]
-        assert procrustes(y_o, 7.3 * y_g, mu=4)["ss"] == pytest.approx(base, rel=1e-8)
+        assert same_ss(procrustes(y_o, factor * y_g, mu=4)["ss"], base, y_o)
 
-    def test_upper_bound_norm_of_target(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            y_o = centered(rng, 6, 3)
-            y_g = centered(rng, 6, 3)
-            res = procrustes(y_o, y_g, mu=4)
-            assert res["ss"] <= np.sum(y_o ** 2) + 1e-10
+    @PROPERTY
+    @given(pair=centred_pairs())
+    @example(pair=seeded_pair(6, 6, 3))
+    def test_upper_bound_norm_of_target(self, pair):
+        y_o, y_g = pair
+        res = procrustes(y_o, y_g, mu=4)
+        assert res["ss"] <= np.sum(y_o ** 2) * (1 + 1e-12)
 
     def test_noise_monotonicity_spearman(self):
         rng = np.random.default_rng(7)
@@ -140,6 +174,20 @@ class TestErrors:
         rng = np.random.default_rng(10)
         with pytest.raises(DegenerateGeometryError):
             procrustes(centered(rng, 5, 2), np.zeros((5, 2)), mu=4)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_configuration_whose_squares_overflow_rejected(self, side):
+        rng = np.random.default_rng(13)
+        pair = [centered(rng, 4, 2), centered(rng, 4, 2)]
+        pair[side] = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        name = ("first", "second")[side]
+        with pytest.raises(StructuralError, match=f"{name} configuration's values lie too far"):
+            procrustes(*pair, mu=4)
+
+    def test_uncentered_configuration_whose_mean_overflows_rejected(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(StructuralError, match="second configuration is not column-centered"):
+            procrustes(centered(rng, 4, 2), np.full((4, 2), 1e308), mu=4)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(11)
