@@ -25,6 +25,9 @@ DEFAULT_K = 24
 DEFAULT_MAX_ITER = 500
 DEFAULT_REL_TOL = 1e-7
 COV_REG = 1e-6
+# largest |row sum - 1| of a posterior matrix: 3.9e-13 at most on the benchmark's
+# evaluate inputs, 2.3e-8 once one cell of a 240-pose corpus is 1e12
+SIMPLEX_TOL = 1e-9
 
 
 def _rng(seed):
@@ -202,7 +205,10 @@ def posterior_matrix(model, ds):
     """Responsibility vectors for every unit of a dataset (N x K); rows sum to 1.
 
     A unit whose log-likelihood is not finite, because its whitened squared
-    distances to the components overflow, raises ``StructuralError``."""
+    distances to the components overflow, raises ``StructuralError``. So does a
+    row whose sum strays from 1 by more than ``SIMPLEX_TOL``: far out of scale,
+    the log-likelihoods grow so large that rounding them absorbs the terms of
+    the log-sum that normalizes the row."""
     x = as_matrix(ds)
     if x.shape[1] != model.d:
         raise StructuralError(f"dataset dimension {x.shape[1]} does not match model d={model.d}")
@@ -214,6 +220,10 @@ def posterior_matrix(model, ds):
     if not np.isfinite(log_norm).all():
         raise StructuralError("dataset values lie too far from the model's components: "
                               "their whitened squared distances overflow")
+    stray = np.abs(resp.sum(axis=1) - 1.0).max()
+    if stray > SIMPLEX_TOL:
+        raise StructuralError("dataset values lie too far from the model's components: "
+                              f"a posterior row's sum differs from 1 by {stray:.1e}")
     return resp
 
 

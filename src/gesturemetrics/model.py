@@ -178,10 +178,14 @@ def check_spread(x, what="dataset values"):
     """``StructuralError`` naming ``what`` unless every squared distance between the
     rows of the finite N x p array ``x`` is finite: each is at most
     ``N * sum(span ** 2)`` over the columns, and so is each column's sum of
-    squared deviations from its mean."""
+    squared deviations from its mean. Columns whose sums overflow, so that
+    their means do too, are refused as well; they can lie close together,
+    like a constant column near the float maximum."""
     with np.errstate(over="ignore"):
         if not np.isfinite(len(x) * np.sum(np.ptp(x, axis=0) ** 2)):
             raise StructuralError(f"{what} lie too far apart: their squared distances overflow")
+        if not np.isfinite(x.sum(axis=0)).all():
+            raise StructuralError(f"{what} are too large: a column sum overflows")
 
 
 def column_labels(mu):

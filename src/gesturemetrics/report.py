@@ -84,8 +84,11 @@ def evaluate(run):
 
     Returns the summary document: one entry per stage, ``errors`` and
     ``metadata``. A stage that fails is ``None`` and its message is kept
-    under ``errors``; the remaining stages still run.
+    under ``errors``; the remaining stages still run. A run without a
+    generated dataset raises ``StructuralError`` before any stage runs.
     """
+    if run.generated is None:
+        raise StructuralError("evaluate needs a generated dataset; the run has only the original")
     doc = {**dict.fromkeys(STAGES), "errors": {}, "metadata": {
         "mu": run.original.mu,
         "dt": run.original.dt,

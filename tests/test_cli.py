@@ -12,7 +12,7 @@ import gesturemetrics
 from gesturemetrics.cli import main
 from gesturemetrics.mapping import OPENPOSE_KEYPOINTS
 from gesturemetrics.pipeline import load_dataset, load_stream, save_dataset
-from gesturemetrics.report import dump_json
+from gesturemetrics.report import STAGES, Run, dump_json
 from gesturemetrics.synth import beat_gesture_corpus
 
 OPENNI_BODY = {
@@ -93,6 +93,17 @@ class TestMap:
         src.write_text('{"layout": "openni15", "body": {\n')
         out = tmp_path / "mapped.csv"
         assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
+
+    def test_line_nested_too_deep_is_input_failure(self, tmp_path, capsys):
+        src = tmp_path / "frames.jsonl"
+        write_openni_jsonl(src, n_frames=3)
+        with open(src, "a") as fh:
+            fh.write("[" * 5000 + "\n")
+        out = tmp_path / "mapped.csv"
+        assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: invalid JSON") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         src = tmp_path / "frames.jsonl"
@@ -257,6 +268,21 @@ class TestMetricCommands:
         assert doc["ss"] == pytest.approx(0.0, abs=1e-8)
         assert doc["ss_normalized"] == pytest.approx(0.0, abs=1e-8)
 
+    def test_procrustes_without_reflections(self, corpus, tmp_path):
+        _, ds = corpus
+        gen = tmp_path / "gen.csv"
+        assert main(["synth-corpus", "--poses", "160", "--mu", "4", "--seed", "1",
+                     "--out", str(gen)]) == 0
+        docs = {}
+        for flags in ([], ["--no-reflections"]):
+            out = tmp_path / "orig.json"
+            assert main(["procrustes", *flags, str(ds), str(gen), "--out", str(out)]) == 0
+            docs[bool(flags)] = out.read_text()
+        run = Run(load_dataset(ds), load_dataset(gen), allow_reflections=False)
+        assert docs[True] == dump_json(STAGES["originality"](run))
+        # on this pair the best orthogonal map is a reflection, so a proper rotation fits worse
+        assert json.loads(docs[True])["ss"] > json.loads(docs[False])["ss"]
+
     def test_procrustes_coordinates_need_mu(self, tmp_path):
         a = tmp_path / "a.csv"
         np.savetxt(a, np.random.default_rng(0).normal(size=(6, 2)), delimiter=",")
@@ -341,11 +367,7 @@ class TestModelCommands:
         ds = tmp_path / "corpus.csv"
         assert main(["synth-corpus", "--poses", "240", "--mu", "4", "--seed", "0",
                      "--out", str(ds)]) == 0
-        lines = ds.read_text().splitlines()
-        cells = lines[5].split(",")
-        cells[3] = "1e308"
-        lines[5] = ",".join(cells)
-        ds.write_text("\n".join(lines) + "\n")
+        with_cell(ds, ds, "1e308")
         capsys.readouterr()
         model = tmp_path / "model.json"
         assert main(["gmm-train", "--k", "2", str(ds), "--out", str(model)]) == 2
@@ -369,26 +391,35 @@ class TestModelCommands:
         assert not model.exists()
 
 
+def with_cell(clean, path, value, rows=(0,)):
+    """A copy of the dataset file ``clean`` at ``path`` whose 4th cell
+    (``LShoulderRoll[0]``) is ``value`` on the given body rows."""
+    lines = clean.read_text().splitlines()
+    for row in rows:
+        cells = lines[5 + row].split(",")
+        cells[3] = value
+        lines[5 + row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 @pytest.fixture
 def overflow_corpus(tmp_path):
-    """``synth-corpus --poses 240 --mu 4 --seed 0``, a copy whose 4th cell of the
-    first body row is 1e308, and a model trained on the clean corpus."""
-    clean, bad, model = (tmp_path / name for name in ("clean.csv", "bad.csv", "model.json"))
+    """``synth-corpus --poses 240 --mu 4 --seed 0`` (60 units), a copy whose 4th cell
+    of the first body row is 1e308, and a model trained on the clean corpus."""
+    clean, model = tmp_path / "clean.csv", tmp_path / "model.json"
     assert main(["synth-corpus", "--poses", "240", "--mu", "4", "--seed", "0",
                  "--out", str(clean)]) == 0
-    lines = clean.read_text().splitlines()
-    cells = lines[5].split(",")
-    cells[3] = "1e308"
-    lines[5] = ",".join(cells)
-    bad.write_text("\n".join(lines) + "\n")
+    bad = with_cell(clean, tmp_path / "bad.csv", "1e308")
     assert main(["gmm-train", "--k", "2", "--out", str(model), str(clean)]) == 0
     return clean, bad, model
 
 
 class TestOverflow:
     SPREAD = "dataset values lie too far apart: their squared distances overflow"
-    WHITENED = ("dataset values lie too far from the model's components: "
-                "their whitened squared distances overflow")
+    COLUMN_SUM = "dataset values are too large: a column sum overflows"
+    FAR = "dataset values lie too far from the model's components: "
+    WHITENED = FAR + "their whitened squared distances overflow"
 
     @pytest.mark.parametrize("argv, message", [
         (["pcoa"], SPREAD),
@@ -419,6 +450,52 @@ class TestOverflow:
             "fgd": self.WHITENED,
         }
         assert doc["motion_original"] is not None and doc["motion_generated"] is not None
+
+    # every cell of LShoulderRoll[0] near the float maximum: the column's spread
+    # is 0, but its sum, and so its mean, overflows
+    @pytest.mark.parametrize("command", ["pcoa", "procrustes", "gmm-train"])
+    def test_column_whose_sum_overflows_is_input_failure(self, overflow_corpus, tmp_path,
+                                                         capsys, command):
+        clean, _, _ = overflow_corpus
+        column = with_cell(clean, tmp_path / "column.csv", "1.7e308", rows=range(60))
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        argv = (["gmm-train", "--k", "2", str(column)] if command == "gmm-train"
+                else [command, str(column), str(clean)])
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {self.COLUMN_SUM}\n"
+        assert not out.exists()
+
+    def test_evaluate_records_a_column_whose_sum_overflows(self, overflow_corpus, tmp_path):
+        clean, _, model = overflow_corpus
+        column = with_cell(clean, tmp_path / "column.csv", "1.7e308", rows=range(60))
+        out = tmp_path / "summary.json"
+        assert main(["evaluate", "--model", str(model), str(column), str(clean),
+                     "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["errors"] == {
+            "fidelity": self.COLUMN_SUM,
+            "originality": "skipped: fidelity stage failed, no coordinates",
+            "fgd": self.WHITENED,
+        }
+
+    # one cell far out of scale but finite: the log-likelihoods grow so large that
+    # rounding them pushes posterior rows off the simplex (at 1e15 the outlier's
+    # own row is [1, 1]), and FGD would read a shrinking distance
+    @pytest.mark.parametrize("value", ["1e12", "1e14", "1e15"])
+    def test_posteriors_off_the_simplex_are_input_failure(self, overflow_corpus, tmp_path,
+                                                          capsys, value):
+        clean, _, model = overflow_corpus
+        far = with_cell(clean, tmp_path / "far.csv", value)
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main(["fgd", "--model", str(model), str(far), str(clean),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {self.FAR}a posterior row's sum differs from 1 by ")
+        assert err.count("\n") == 1 and not out.exists()
+        assert main(["evaluate", "--model", str(model), str(far), str(clean),
+                     "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["errors"] == {"fgd": err[len("error: "):-1]}
 
 
 class TestEvaluate:
@@ -541,7 +618,7 @@ class TestErrors:
         assert capsys.readouterr().err == "error: line 7: non-numeric cell '1_0'\n"
 
     # a line break and a lone surrogate (an argument the locale could not decode)
-    @pytest.mark.parametrize("tag", ["a\nb", "caf\udcc3\udca9"])
+    @pytest.mark.parametrize("tag", ["a\nb", "a\rb", "caf\udcc3\udca9"])
     def test_source_tag_a_dataset_file_cannot_carry_is_input_failure(
             self, corpus, tmp_path, capsys, tag):
         stream, _ = corpus
@@ -801,10 +878,11 @@ class TestErrors:
         (lambda doc: {**doc, "mu": "four"}, "malformed model file"),
         (lambda doc: {**doc, "mu": 4.5}, "malformed model file"),
         (lambda doc: {**doc, "mu": True}, "mu must be a JSON integer, not a boolean"),
+        (lambda doc: {**doc, "dt": True}, "dt and every array entry must be JSON numbers"),
         (lambda doc: {**doc, "means": doc["means"][0]}, "malformed model file"),
         (lambda doc: [doc], "model file must hold a JSON object"),
     ], ids=["missing-key", "non-numeric-array", "non-integer-mu", "fractional-mu",
-            "boolean-mu", "one-dimensional-means", "not-an-object"])
+            "boolean-mu", "boolean-dt", "one-dimensional-means", "not-an-object"])
     def test_malformed_model_file_is_input_failure(self, corpus, tmp_path, capsys, edit,
                                                    message):
         _, ds = corpus

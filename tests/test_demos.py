@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion on the installed sources."""
+"""Smoke test: every demo script runs to completion on the package under test."""
 
 import os
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import gesturemetrics
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,7 +19,9 @@ def test_three_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    src = str(ROOT / "src")
+    # the directory that holds the imported package: src/ in a checkout, or
+    # site-packages when the tests run against an installed copy
+    src = os.path.dirname(os.path.dirname(gesturemetrics.__file__))
     tmpdir = tmp_path / "tmp"
     tmpdir.mkdir()
     env = dict(os.environ, TMPDIR=str(tmpdir),

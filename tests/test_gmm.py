@@ -129,6 +129,13 @@ class TestFit:
         with pytest.raises(StructuralError, match="squared distances overflow"):
             fit(GestureDataset(matrix=x, dt=0.25), k=2, seed=0)
 
+    def test_column_whose_sum_overflows_is_refused_before_seeding(self):
+        # its spread is 0, but the data mean that centres the fit overflows
+        x = beat_gesture_corpus(240, 4, seed=0).matrix.copy()
+        x[:, 3] = 1.7e308
+        with pytest.raises(StructuralError, match="^dataset values are too large: a column sum"):
+            fit(GestureDataset(matrix=x, dt=0.25), k=2, seed=0)
+
     @pytest.mark.parametrize("k, seed", [(2, 0), (3, 0), (2, 1)])
     def test_outlier_that_breaks_the_em_covariance_is_refused(self, k, seed):
         # the M step's X'X - sum n_k m_k m_k' cancels to an indefinite covariance

@@ -102,6 +102,14 @@ class TestCorrelationDistance:
         with pytest.raises(StructuralError, match="squared distances overflow"):
             correlation_distance(data)
 
+    def test_column_whose_sum_overflows_is_refused(self):
+        # a constant column near the float maximum has no spread, but np.corrcoef's
+        # mean of it overflows
+        data = np.random.default_rng(6).normal(size=(60, 5))
+        data[:, 3] = 1.7e308
+        with pytest.raises(StructuralError, match="^dataset values are too large: a column sum"):
+            correlation_distance(data)
+
     def test_large_column_that_fits_keeps_its_correlations(self):
         data = np.random.default_rng(6).normal(size=(60, 5))
         data[0, 3] = 1e150

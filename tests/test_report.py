@@ -26,6 +26,11 @@ class TestRun:
         with pytest.raises(StructuralError, match="dims must be at least 1"):
             Run(ds, dims=0)
 
+    def test_evaluate_needs_a_generated_dataset(self):
+        # motion-stats builds a Run without one; evaluate cannot score it
+        with pytest.raises(StructuralError, match="^evaluate needs a generated dataset"):
+            evaluate(Run(beat_gesture_corpus(64, 4)))
+
     def test_profile_defaults_to_the_packaged_one(self):
         original = beat_gesture_corpus(240, 4, seed=0)
         generated = beat_gesture_corpus(240, 4, seed=1)
