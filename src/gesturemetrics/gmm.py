@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pipeline
 from .errors import ParseError, StructuralError, parse_json
 from .model import N_JOINTS, GestureDataset, as_matrix, check_spread, check_symmetric, read_only
 
@@ -228,9 +229,13 @@ def posterior_matrix(model, ds):
 
 
 def sample(model, n, seed=0):
-    """Draw n units of movement (component choice, then shared-cov Gaussian)."""
+    """Draw n units of movement (component choice, then shared-cov Gaussian).
+    More than ``pipeline.MAX_POSES`` poses in all is rejected before any allocation."""
     if n < 1:
         raise StructuralError("need n >= 1 samples")
+    if n > pipeline.MAX_POSES // model.mu:       # n * mu poses, without a numpy int overflow
+        raise StructuralError(f"n {n} units of {model.mu} poses give more than "
+                              f"{pipeline.MAX_POSES} poses")
     rng = _rng(seed)
     comps = rng.choice(model.k, size=n, p=model.weights)
     chol = np.linalg.cholesky(model.covariance)

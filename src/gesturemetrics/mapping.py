@@ -379,9 +379,15 @@ def map_capture(frames, profile=None, seed=0):
 
 def _frame_from_record(rec, line, layout):
     """One validated frame of ``layout``; every malformed field is a ParseError naming ``line``."""
+    if not isinstance(rec, dict):
+        raise ParseError("skeleton record must be a JSON object", line)
     try:
         if rec["layout"] != layout:
             raise ParseError(f"frame layout {rec['layout']!r} does not match {layout!r}", line)
+        if not isinstance(rec["body"], dict):
+            raise ParseError("body must be a JSON object", line)
+        if "timestamp" not in rec:
+            raise ParseError("skeleton record has no timestamp", line)
         body = {}
         confidence = {}
         for name, coords in rec["body"].items():
@@ -402,9 +408,8 @@ def _frame_from_record(rec, line, layout):
                     raise ParseError(f"{key} must be non-negative counts", line)
         # SkeletonFrame checks the keypoint set, the hand shapes and finiteness
         return SkeletonFrame(layout=layout, body=body, confidence=confidence,
-                             timestamp=float(rec.get("timestamp", 0.0)), **kwargs)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
-            StructuralError) as exc:
+                             timestamp=float(rec["timestamp"]), **kwargs)
+    except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc
 
 

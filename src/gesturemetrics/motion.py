@@ -24,6 +24,7 @@ head does not translate.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -36,6 +37,7 @@ HEAD_ANGLES = ("yaw", "pitch")
 _J = {name: i for i, name in enumerate(JOINT_NAMES)}
 _ARM = ("ShoulderPitch", "ShoulderRoll", "ElbowYaw", "ElbowRoll")
 _ARM_JOINTS = [[_J[side + joint] for joint in _ARM] for side in "LR"]
+_HEAD_JOINTS = [_J["HeadYaw"], _J["HeadPitch"]]     # HEAD_ANGLES order
 
 
 def forward_kinematics(values, profile):
@@ -123,24 +125,16 @@ def motion_report(ds, profile):
     sites = np.empty((len(poses), len(SITES), 3))
     for i, pose in enumerate(poses):
         sites[i] = forward_kinematics(pose, profile)
-    tracks = sites.reshape(len(ds), ds.mu, len(SITES), 3)
-    heads = poses.reshape(len(ds), ds.mu, N_JOINTS)[:, :, [_J["HeadYaw"], _J["HeadPitch"]]]
+    # site- and angle-major copies: np.diff keeps a transposed view's memory order, and numpy
+    # does not sum pairwise along an axis that is not innermost, so a view changes the last bits
+    tracks = np.ascontiguousarray(sites.transpose(1, 0, 2)).reshape(-1, len(ds), ds.mu, 3)
+    heads = np.ascontiguousarray(poses[:, _HEAD_JOINTS].T).reshape(-1, len(ds), ds.mu)
     jerk_available = ds.mu >= 4
     # an overflow gives a non-finite statistic, which the report writers refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        return {
-            "jerk_by_site": {
-                site: float(np.mean(jerk(tracks[:, :, s], ds.dt))) if jerk_available else None
-                for s, site in enumerate(SITES)
-            },
-            "path_length_by_site": {
-                site: float(np.mean(path_length(tracks[:, :, s]))) if ds.mu >= 2 else 0.0
-                for s, site in enumerate(SITES)
-            },
-            "head_jerk": {
-                angle: float(np.mean(angular_jerk(heads[:, :, a], ds.dt)))
-                if jerk_available else None
-                for a, angle in enumerate(HEAD_ANGLES)
-            },
-            "jerk_available": jerk_available,
-        }
+        jerks = np.mean(jerk(tracks, ds.dt), axis=-1).tolist() if jerk_available else repeat(None)
+        paths = np.mean(path_length(tracks), axis=-1).tolist() if ds.mu >= 2 else repeat(0.0)
+        head = (np.mean(angular_jerk(heads, ds.dt), axis=-1).tolist() if jerk_available
+                else repeat(None))
+    return {"jerk_by_site": dict(zip(SITES, jerks)), "path_length_by_site": dict(zip(SITES, paths)),
+            "head_jerk": dict(zip(HEAD_ANGLES, head)), "jerk_available": jerk_available}

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ParseError, StructuralError
 from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels, read_only
 
-MAX_RESAMPLED_POSES = 10_000_000   # about 1 GB of output values
+MAX_POSES = 10_000_000   # the most poses a pose array may hold: about 1 GB of values
 _BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt of CSV bodies
 
 
@@ -62,7 +62,7 @@ def resample(stream, target_hz):
 
     The grid starts at the first timestamp and ends at or before the last;
     endpoints of the source are preserved when they fall on the grid. A rate
-    whose grid would exceed ``MAX_RESAMPLED_POSES`` is rejected before any
+    whose grid would exceed ``MAX_POSES`` is rejected before any
     allocation.
     """
     if not (math.isfinite(target_hz) and target_hz > 0):
@@ -72,9 +72,9 @@ def resample(stream, target_hz):
         raise StructuralError("cannot resample a single-pose stream")
     dt = 1.0 / target_hz
     steps = float(ts[-1] - ts[0]) / dt + 1e-9    # Python floats: inf, not a warning
-    if steps >= MAX_RESAMPLED_POSES:
+    if steps >= MAX_POSES:
         raise StructuralError(f"target rate {target_hz} Hz gives more than "
-                              f"{MAX_RESAMPLED_POSES} poses over the stream")
+                              f"{MAX_POSES} poses over the stream")
     n_out = math.floor(steps) + 1
     grid = ts[0] + dt * np.arange(n_out)
     vals = stream.values

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import pipeline
 from .errors import StructuralError
 from .model import N_JOINTS, RobotProfile, validate_pose
 from .pipeline import PoseStream, window
@@ -27,10 +28,13 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
     ``amplitude`` is the fraction of each joint's half-range used by the
     oscillation; each joint mixes ``N_HARMONICS`` randomized sinusoids.
     Deterministic given the seed. A rate or amplitude that would overflow
-    the timestamps or the joint values is rejected.
+    the timestamps or the joint values is rejected, and so is an ``n_poses``
+    above ``pipeline.MAX_POSES``, before any allocation.
     """
     if n_poses < 1:
         raise StructuralError("need at least one pose")
+    if n_poses > pipeline.MAX_POSES:
+        raise StructuralError(f"n_poses {n_poses} is more than {pipeline.MAX_POSES} poses")
     # the sine arguments 2 pi f t + phase (f <= 1.5 Hz) stay below 4 pi t_end
     if not (math.isfinite(rate_hz) and rate_hz > 0
             and math.isfinite(4.0 * math.pi * max(n_poses - 1, 1) / rate_hz)):

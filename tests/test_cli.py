@@ -105,6 +105,23 @@ class TestMap:
         assert err.startswith("error: line 4: invalid JSON") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rec: {k: v for k, v in rec.items() if k != "timestamp"},
+         "skeleton record has no timestamp"),
+        (lambda rec: [1, 2], "skeleton record must be a JSON object"),
+        (lambda rec: {**rec, "body": list(rec["body"].values())}, "body must be a JSON object"),
+    ], ids=["no-timestamp", "array", "array-body"])
+    def test_record_that_is_not_a_frame_is_input_failure(self, tmp_path, capsys, edit, message):
+        src = tmp_path / "frames.jsonl"
+        write_openni_jsonl(src, n_frames=3)
+        lines = src.read_text().splitlines()
+        lines[1] = json.dumps(edit(json.loads(lines[1])))
+        src.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "mapped.csv"
+        assert main(["map", "--layout", "openni", str(src), str(out)]) == 2
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not out.exists()
+
     def test_deterministic(self, tmp_path):
         src = tmp_path / "frames.jsonl"
         write_openni_jsonl(src)
@@ -355,6 +372,24 @@ class TestModelCommands:
         assert main(["gmm-train", "--k", "3", "--seed", "7", str(ds),
                      "--out", str(m2)]) == 0
         assert m1.read_bytes() == m2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["synth-corpus", "generate"])
+    def test_pose_count_above_the_cap_is_input_failure(self, corpus, tmp_path, capsys, command):
+        _, ds = corpus
+        model = tmp_path / "model.json"
+        assert main(["gmm-train", "--k", "2", str(ds), "--out", str(model)]) == 0
+        out = tmp_path / "out.csv"
+        argv, message = {
+            "synth-corpus": (["synth-corpus", "--poses", str(10 ** 12), "--out", str(out)],
+                             "n_poses 1000000000000 is more than 10000000 poses"),
+            "generate": (["generate", "--model", str(model), "-n", str(10 ** 12),
+                          "--out", str(out)],
+                         "n 1000000000000 units of 4 poses give more than 10000000 poses"),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_too_few_units_is_metric_failure(self, tmp_path):
         ds = tmp_path / "tiny.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gesturemetrics import gmm
+from gesturemetrics import gmm, pipeline
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.gmm import (
     DEFAULT_REL_TOL,
@@ -441,6 +441,26 @@ class TestSampling:
     def test_bad_count_rejected(self):
         with pytest.raises(StructuralError):
             sample(toy_model(), 0, seed=0)
+
+    def test_more_poses_than_the_cap_rejected_before_drawing(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("sample drew units above the pose cap")
+
+        monkeypatch.setattr(gmm, "_rng", refuse)
+        n = pipeline.MAX_POSES + 1                  # mu 1: one pose more than the cap
+        with pytest.raises(StructuralError, match=f"n {n} units of 1 poses give more than "
+                                                  f"{pipeline.MAX_POSES} poses"):
+            sample(toy_model(), n)
+
+    def test_cap_counts_every_pose_of_a_unit(self, monkeypatch):
+        model = GmmModel(weights=np.ones(1), means=np.zeros((1, 4 * D)),
+                         covariance=np.eye(4 * D), mu=4, dt=0.25)
+        monkeypatch.setattr(pipeline, "MAX_POSES", 19)
+        assert len(sample(model, 4)) == 4           # 16 poses
+        with pytest.raises(StructuralError, match="n 5 units of 4 poses give more than 19"):
+            sample(model, 5)                        # 20 poses
+        with pytest.raises(StructuralError, match="units of 4 poses give more than 19"):
+            sample(model, np.int64(2 ** 62))        # n * mu wraps to 0 in int64
 
 
 class TestModelIO:

@@ -513,6 +513,9 @@ class TestFrameImmutable:
             frame.left_hand[0, 0] = 1.0
 
 
+MISSING = object()     # a field that test_malformed_record_names_its_line leaves out
+
+
 class TestFrameIO:
     def test_roundtrip(self, tmp_path):
         rec = {"layout": OPENPOSE_LAYOUT, "timestamp": 0.5,
@@ -566,17 +569,28 @@ class TestFrameIO:
         (OPENPOSE_LAYOUT, "right_hand", [[float("nan")] * 3] * 21),
         (OPENPOSE_LAYOUT, "Nose", [0.0, 1.6, 0.0, float("nan")]),
         (OPENPOSE_LAYOUT, "body", [0.0, 1.6, 0.0]),
+        (OPENNI_LAYOUT, "timestamp", MISSING),
+        (OPENPOSE_LAYOUT, "timestamp", MISSING),
+        (OPENNI_LAYOUT, None, [1, 2]),
     ])
     def test_malformed_record_names_its_line(self, tmp_path, layout, field, value):
+        """``field`` None makes ``value`` the whole record; MISSING leaves ``field`` out."""
         good = skeleton_record(layout, 0.0)
         bad = skeleton_record(layout, 0.25)
-        if field in bad["body"]:
+        message = {"body": "body must be a JSON object",
+                   None: "skeleton record must be a JSON object"}.get(field, "")
+        if field is None:
+            bad = value
+        elif value is MISSING:
+            del bad[field]
+            message = f"skeleton record has no {field}"
+        elif field in bad["body"]:
             bad["body"][field] = value
         else:
             bad[field] = value
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=f"^line 2: {message}"):
             load_skeleton_frames(path, layout)
 
     @pytest.mark.parametrize("expected, other", [(OPENNI_LAYOUT, OPENPOSE_LAYOUT),

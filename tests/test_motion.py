@@ -342,10 +342,14 @@ class TestMotionReport:
         motion_report(ds, profile)
         stacked = np.array([forward_kinematics(pose, profile)
                             for pose in ds.matrix.reshape(-1, N_JOINTS)])
-        want = stacked.reshape(len(ds), ds.mu, len(SITES), 3)
-        assert len(seen) == len(SITES)
-        for s, track in enumerate(seen):
-            assert np.array_equal(track, want[:, :, s])
+        want = stacked.reshape(len(ds), ds.mu, len(SITES), 3).transpose(2, 0, 1, 3)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], want)
+
+    @pytest.mark.parametrize("mu", [1, 2, 3, 4, 7])
+    def test_document_equals_per_site_calls(self, profile, mu):
+        ds = beat_gesture_corpus(300 * mu, mu, seed=mu)
+        assert motion_report(ds, profile) == per_site_report(ds, profile)
 
     def test_matches_per_unit_averaging_oracle(self, profile):
         rng = np.random.default_rng(6)
@@ -401,6 +405,25 @@ class TestMotionReport:
         d = motion_report(ds, profile)
         assert set(d) == {"jerk_by_site", "path_length_by_site", "head_jerk",
                           "jerk_available"}
+
+
+def per_site_report(ds, profile):
+    """The motion_report document from one call of the public statistics per
+    site and head angle: the reference the batched report equals bit for bit."""
+    poses = ds.matrix.reshape(-1, N_JOINTS)
+    sites = np.array([forward_kinematics(pose, profile) for pose in poses])
+    tracks = sites.reshape(len(ds), ds.mu, len(SITES), 3)
+    heads = poses.reshape(len(ds), ds.mu, N_JOINTS)[:, :, [J["HeadYaw"], J["HeadPitch"]]]
+    available = ds.mu >= 4
+    return {
+        "jerk_by_site": {site: float(np.mean(jerk(tracks[:, :, s], ds.dt))) if available else None
+                         for s, site in enumerate(SITES)},
+        "path_length_by_site": {site: float(np.mean(path_length(tracks[:, :, s])))
+                                if ds.mu >= 2 else 0.0 for s, site in enumerate(SITES)},
+        "head_jerk": {angle: float(np.mean(angular_jerk(heads[:, :, a], ds.dt)))
+                      if available else None for a, angle in enumerate(("yaw", "pitch"))},
+        "jerk_available": available,
+    }
 
 
 def assert_same_statistics(got, want):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from gesturemetrics import pipeline
+from gesturemetrics import pipeline, synth
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
 from gesturemetrics.pipeline import (
@@ -99,11 +99,29 @@ class TestResample:
             resample(make_stream(9, rate_hz=2.0), rate)
 
     def test_grid_longer_than_the_cap_rejected(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "MAX_RESAMPLED_POSES", 21)
+        monkeypatch.setattr(pipeline, "MAX_POSES", 21)
         stream = make_stream(9, rate_hz=2.0)        # spans 4 s
         assert len(resample(stream, 5.0)) == 21     # 20 steps
         with pytest.raises(StructuralError, match="target rate 5.25 Hz gives more than 21"):
             resample(stream, 5.25)                  # 21 steps, 22 poses
+
+
+class TestPoseCap:
+    def test_synth_stream_above_the_cap_rejected_before_drawing(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("beat_gesture_stream drew a stream above the pose cap")
+
+        monkeypatch.setattr(synth.np.random, "Philox", refuse)
+        n = pipeline.MAX_POSES + 1
+        with pytest.raises(StructuralError, match=f"n_poses {n} is more than "
+                                                  f"{pipeline.MAX_POSES} poses"):
+            synth.beat_gesture_stream(n)
+
+    def test_synth_reads_the_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_POSES", 21)
+        assert len(synth.beat_gesture_stream(21)) == 21
+        with pytest.raises(StructuralError, match="n_poses 22 is more than 21 poses"):
+            synth.beat_gesture_corpus(22, 2)
 
 
 class TestMatchLengths:
