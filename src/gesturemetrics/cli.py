@@ -10,7 +10,7 @@ import argparse
 import functools
 import sys
 
-from . import __version__, gmm, pipeline, synth
+from . import __version__, gmm, pcoa, pipeline, synth
 from .errors import GestureError, ParseError, StructuralError
 from .mapping import OPENNI_LAYOUT, OPENPOSE_LAYOUT, load_skeleton_frames, map_capture
 from .model import RobotProfile
@@ -189,7 +189,7 @@ def _parser():
     p.set_defaults(func=_cmd_match_lengths)
 
     p = sub.add_parser("pcoa", help="fidelity analysis of two datasets")
-    p.add_argument("--dims", type=int, default=10)
+    p.add_argument("--dims", type=int, default=pcoa.DEFAULT_DIMS)
     p.add_argument("--spectrum-csv", help="write eigenvalue spectra CSV here")
     p.add_argument("--svg", help="write spectrum bar chart SVG here")
     p.add_argument("original")
@@ -200,7 +200,7 @@ def _parser():
     p = sub.add_parser("procrustes", help="originality statistic between datasets")
     p.add_argument("--mu", type=int, default=None,
                    help="mu for normalization (required with --coordinates)")
-    p.add_argument("--dims", type=int, default=10)
+    p.add_argument("--dims", type=int, default=pcoa.DEFAULT_DIMS)
     p.add_argument("--coordinates", action="store_true",
                    help="inputs are precomputed coordinate matrices, not datasets")
     p.add_argument("--no-reflections", dest="allow_reflections", action="store_false",
@@ -239,7 +239,7 @@ def _parser():
 
     p = sub.add_parser("evaluate", help="run every analysis on a dataset pair")
     p.add_argument("--model", help="reference mixture for the FGD stage")
-    p.add_argument("--dims", type=int, default=10)
+    p.add_argument("--dims", type=int, default=pcoa.DEFAULT_DIMS)
     p.add_argument("--bootstrap", type=int, default=0)
     p.add_argument("--spectrum-csv")
     p.add_argument("--svg")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
 from .gmm import posterior_matrix
-from .model import check_symmetric
+from .model import check_symmetric, philox
 
 NEG_CLAMP = 1e-8
 
@@ -53,7 +53,9 @@ def frechet_distance(a, b):
     :func:`stats_from_features`; mismatched dimensions and covariances that are
     not square, not finite or not symmetric (an entry differs from its
     transpose by more than ``1e-12 * max(1, max |cov|)``) raise
-    ``StructuralError``.
+    ``StructuralError``. A negative result is round-off and reads 0.0 when it
+    lies within ``NEG_CLAMP * max(1, |Tr S_a| + |Tr S_b|)`` of zero; below
+    that (an indefinite covariance) it raises ``StructuralError``.
     Statistics with equal mean and covariance arrays are at distance exactly
     0.0; the eigen- and singular-value route would leave round-off whose size
     depends on the BLAS kernel.
@@ -75,10 +77,11 @@ def frechet_distance(a, b):
     # which avoids square roots of near-zero sandwich eigenvalues
     cross_trace = float(np.sum(np.linalg.svd(sqrt_a @ sqrt_b, compute_uv=False)))
     mean_term = float(np.sum((mean_a - mean_b) ** 2))
-    trace_term = float(np.trace(cov_a) + np.trace(cov_b) - 2.0 * cross_trace)
-    value = mean_term + trace_term
+    trace_a, trace_b = float(np.trace(cov_a)), float(np.trace(cov_b))
+    value = mean_term + (trace_a + trace_b - 2.0 * cross_trace)
     if value < 0:
-        if value < -NEG_CLAMP:
+        # the round-off of the trace difference grows with the traces
+        if value < -NEG_CLAMP * max(1.0, abs(trace_a) + abs(trace_b)):
             raise StructuralError(f"distance {value} below numerical-noise floor")
         value = 0.0
     return value
@@ -104,7 +107,7 @@ def fgd(model, ds_a, ds_b, bootstrap=0, seed=0):
     value = frechet_distance(stats_from_features(feats_a), stats_from_features(feats_b))
     if bootstrap == 0:
         return {"value": value, "bootstrap_mean": None, "bootstrap_std": None}
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox(seed)
     rows_a, rows_b = np.empty_like(feats_a), np.empty_like(feats_b)
     draws = []
     for _ in range(bootstrap):

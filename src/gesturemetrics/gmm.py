@@ -5,8 +5,8 @@ responsibility-weighted scatter in the M step. The mixture doubles as the
 reference feature extractor for the Fréchet gesture distance and as the
 in-repo reference generator.
 
-Randomness is pinned to numpy's Philox counter-based generator so fits and
-samples are reproducible from a seed alone.
+Randomness comes from :func:`model.philox`, numpy's counter-based Philox
+generator, so fits and samples are reproducible from a seed alone.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParseError, StructuralError, parse_json
-from .model import N_JOINTS, GestureDataset, as_matrix, check_spread, check_symmetric, read_only
+from .model import (N_JOINTS, GestureDataset, as_matrix, check_spread, check_symmetric, philox,
+                    read_only)
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_K = 24
@@ -29,10 +30,6 @@ COV_REG = 1e-6
 # largest |row sum - 1| of a posterior matrix: 3.9e-13 at most on the benchmark's
 # evaluate inputs, 2.3e-8 once one cell of a 240-pose corpus is 1e12
 SIMPLEX_TOL = 1e-9
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +145,7 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     if n < k:
         raise StructuralError(f"need at least k={k} units, got {n}")
     check_spread(x)
-    rng = _rng(seed)
+    rng = philox(seed)
     # fit in centred coordinates: there the expanded forms do not cancel
     center = x.mean(axis=0)
     xc = x - center
@@ -236,7 +233,7 @@ def sample(model, n, seed=0):
     if n > pipeline.MAX_POSES // model.mu:       # n * mu poses, without a numpy int overflow
         raise StructuralError(f"n {n} units of {model.mu} poses give more than "
                               f"{pipeline.MAX_POSES} poses")
-    rng = _rng(seed)
+    rng = philox(seed)
     comps = rng.choice(model.k, size=n, p=model.weights)
     chol = np.linalg.cholesky(model.covariance)
     noise = rng.standard_normal((n, model.d))

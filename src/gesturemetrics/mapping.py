@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, ParseError, StructuralError,
                      UnknownOrientationError, parse_json)
-from .model import JOINT_NAMES, Pose, RobotProfile, read_only, validate_pose
+from .model import JOINT_NAMES, Pose, RobotProfile, philox, read_only, validate_pose
 from .pipeline import PoseStream
 
 OPENNI_LAYOUT = "openni15"
@@ -309,7 +309,7 @@ class StreamMapper:
 
     def __init__(self, profile=None, seed=0):
         self.profile = profile or RobotProfile.default()
-        self.rng = np.random.Generator(np.random.Philox(seed))
+        self.rng = philox(seed)
         self._values = self.profile.limits_array().mean(axis=1)
 
     def map_frame(self, frame):

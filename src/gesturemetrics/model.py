@@ -46,6 +46,12 @@ def read_only(array):
     return view
 
 
+def philox(seed):
+    """The generator behind every seeded draw: numpy's counter-based Philox, so a
+    fit, sample, corpus, mapping or bootstrap follows from its seed alone."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def _number(value):
     """A JSON number as a float; ``float`` alone would also take strings and booleans."""
     if type(value) not in (int, float):

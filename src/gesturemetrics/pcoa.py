@@ -19,6 +19,7 @@ from .errors import DegenerateGeometryError, StructuralError
 from .model import N_JOINTS, check_spread, check_symmetric, column_labels
 
 EIG_TOL = 1e-10
+DEFAULT_DIMS = 10   # principal coordinates compared by the fidelity and originality stages
 SPECTRUM_LEN = 28   # spectra are zero-padded or cut to this many eigenvalues
 
 
@@ -183,7 +184,7 @@ def leading_coordinates(res_original, res_generated, dims):
     return res_original.coordinates[:, :d], res_generated.coordinates[:, :d]
 
 
-def fidelity_report(res_original, res_generated, dims=10):
+def fidelity_report(res_original, res_generated, dims=DEFAULT_DIMS):
     """Fidelity of a generated dataset's structure to the original's.
 
     Takes the two :func:`analyze_dataset_structure` results and returns the

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -12,7 +14,8 @@ from .fgd import check_bootstrap
 from .fgd import fgd as compute_fgd
 from .model import N_JOINTS, RobotProfile, as_matrix
 from .motion import motion_report
-from .pcoa import analyze_dataset_structure, check_dims, fidelity_report, leading_coordinates
+from .pcoa import (DEFAULT_DIMS, analyze_dataset_structure, check_dims, fidelity_report,
+                   leading_coordinates)
 from .procrustes import procrustes
 
 
@@ -34,7 +37,7 @@ class Run:
     dataset's PCoA runs at most once per run, in :meth:`pair`, and only for the
     stages that read it."""
 
-    def __init__(self, original, generated=None, model=None, profile=None, dims=10,
+    def __init__(self, original, generated=None, model=None, profile=None, dims=DEFAULT_DIMS,
                  bootstrap=0, seed=0, allow_reflections=True):
         if generated is not None and original.mu != generated.mu:
             raise StructuralError(
@@ -135,8 +138,9 @@ def write_report(doc, path, fmt):
 
     ``fmt`` is ``"json"`` (:func:`dump_json`) or ``"csv"``: a ``key,value``
     header, then one row per leaf in sorted key order, with nested keys
-    joined by ``.`` and list items as ``name[i]``. Either format raises
-    ``GestureError`` on a non-finite number before anything is written.
+    joined by ``.`` and list items as ``name[i]``; each value is its ``repr``,
+    quoted as CSV when it holds a comma or a double quote. Either format
+    raises ``GestureError`` on a non-finite number before anything is written.
     """
     if fmt == "csv":
         rows = list(_flatten(doc))
@@ -144,7 +148,11 @@ def write_report(doc, path, fmt):
             if isinstance(value, float) and not math.isfinite(value):
                 raise GestureError(
                     f"report has a non-finite value (NaN or infinity): {key}={value!r}")
-        text = "key,value\n" + "".join(f"{k},{v!r}\n" for k, v in rows)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((k, repr(v)) for k, v in rows)
+        text = buf.getvalue()
     else:
         text = dump_json(doc)
     if path:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pipeline
 from .errors import StructuralError
-from .model import N_JOINTS, RobotProfile, validate_pose
+from .model import N_JOINTS, RobotProfile, philox, validate_pose
 from .pipeline import PoseStream, window
 
 N_HARMONICS = 3    # randomized sinusoids mixed into each joint
@@ -42,7 +42,7 @@ def beat_gesture_stream(n_poses, rate_hz=4.0, seed=0, profile=None,
     if not np.isfinite(amplitude):
         raise StructuralError(f"amplitude must be finite, got {amplitude}")
     profile = profile or RobotProfile.default()
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = philox(seed)
     limits = profile.limits_array()
     center = limits.mean(axis=1)
     half_range = (limits[:, 1] - limits[:, 0]) / 2.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -627,6 +628,21 @@ class TestEvaluate:
         for argv in (["motion-stats", pair[0]], ["fgd", "--model", str(model), *pair]):
             assert main([*argv, "--out", str(tmp_path / "stage.json")]) == 0, argv[0]
 
+    def test_csv_value_with_a_comma_is_quoted(self, tmp_path):
+        pair = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"two_units_{seed}.csv"
+            assert main(["synth-corpus", "--poses", "8", "--mu", "4", "--seed", seed,
+                         "--out", str(path)]) == 0
+            pair.append(str(path))
+        out = tmp_path / "summary.csv"
+        assert main(["evaluate", *pair, "--format", "csv", "--out", str(out)]) == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows)
+        assert ["errors.originality",
+                repr("skipped: fidelity stage failed, no coordinates")] in rows
+
     def test_deterministic_output(self, corpus, tmp_path):
         _, ds = corpus
         out1 = tmp_path / "s1.json"
@@ -817,6 +833,12 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "argument --seed: must be at least 0, got -1" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_seed_that_is_not_an_integer_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        assert main(["synth-corpus", "--poses", "40", "--seed", "x", "--out", str(out)]) == 2
+        assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, message", [

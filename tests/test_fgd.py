@@ -196,6 +196,21 @@ class TestFrechetClosedForms:
                                  stats_from_features(feats_b))
         assert value == pytest.approx(0.0, abs=1e-9)
 
+    def test_permuted_large_features_read_zero(self):
+        # the same rows in another order; with traces near 2.4e7 each, the round-off
+        # of Tr S_a + Tr S_b - 2 cross can fall to -6e-8, below an absolute floor of 1e-8
+        for seed in range(10):
+            x = np.random.default_rng(seed).normal(size=(400, 24)) * 1000
+            y = x[np.random.default_rng(seed + 1000).permutation(400)]
+            sa, sb = stats_from_features(x), stats_from_features(y)
+            value = frechet_distance(sa, sb)
+            assert 0.0 <= value <= 1e-12 * (np.trace(sa[1]) + np.trace(sb[1]))
+
+    def test_indefinite_covariance_refused(self):
+        with pytest.raises(StructuralError, match="distance -3.0 below numerical-noise floor"):
+            frechet_distance(gauss_stats(np.zeros(3), -np.eye(3)),
+                             gauss_stats(np.zeros(3), np.zeros((3, 3))))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(StructuralError, match="feature dimensions do not match"):
             frechet_distance(gauss_stats([0.0], [[1.0]]),

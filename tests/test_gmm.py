@@ -15,14 +15,13 @@ from gesturemetrics.gmm import (
     _kmeanspp_centers,
     _log_gaussian,
     _m_step,
-    _rng,
     fit,
     load_model,
     posterior_matrix,
     sample,
     save_model,
 )
-from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
+from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix, philox
 from gesturemetrics.synth import beat_gesture_corpus
 
 D = N_JOINTS  # mu=1 keeps the tests fast
@@ -251,8 +250,8 @@ class TestAgainstReference:
         # three distinct rows: once all three are centers every distance is zero
         few = np.repeat(x[:3], 10, axis=0)
         for data, k in ((x, 12), (few, 6)):
-            assert np.array_equal(_kmeanspp_centers(data, k, _rng(seed)),
-                                  list_min_kmeanspp(data, k, _rng(seed)))
+            assert np.array_equal(_kmeanspp_centers(data, k, philox(seed)),
+                                  list_min_kmeanspp(data, k, philox(seed)))
 
 
 class TestTranslationInvariance:
@@ -307,6 +306,11 @@ class TestModelValidation:
         with pytest.raises(StructuralError):
             GmmModel(weights=np.array([0.5, 0.5]), means=np.zeros((3, D)),
                      covariance=np.eye(D), mu=1, dt=0.25)
+
+    def test_covariance_shape_checked(self):
+        with pytest.raises(StructuralError, match="covariance must be d x d"):
+            GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                     covariance=np.eye(D + 1), mu=1, dt=0.25)
 
     @pytest.mark.parametrize("field", ["weights", "means", "covariance", "dt"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -446,7 +450,7 @@ class TestSampling:
         def refuse(seed):
             raise AssertionError("sample drew units above the pose cap")
 
-        monkeypatch.setattr(gmm, "_rng", refuse)
+        monkeypatch.setattr(gmm, "philox", refuse)
         n = pipeline.MAX_POSES + 1                  # mu 1: one pose more than the cap
         with pytest.raises(StructuralError, match=f"n {n} units of 1 poses give more than "
                                                   f"{pipeline.MAX_POSES} poses"):

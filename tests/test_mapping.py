@@ -442,6 +442,12 @@ class TestFrameValidation:
         with pytest.raises(StructuralError):
             SkeletonFrame(layout=OPENNI_LAYOUT, body={"Head": (0, 0, 0)})
 
+    def test_openpose_wrong_keypoint_set(self):
+        body = make_openpose_body()
+        del body["MidHip"]
+        with pytest.raises(StructuralError, match="exactly the 25 body keypoints"):
+            SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
+
     def test_openpose_bad_hand_shape(self):
         with pytest.raises(StructuralError):
             SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
@@ -527,6 +533,15 @@ class TestFrameIO:
         assert len(frames) == 1
         assert frames[0].timestamp == 0.5
         assert frames[0].confidence["Nose"] == 0.9
+
+    def test_blank_lines_are_skipped_and_counted(self, tmp_path):
+        record = json.dumps(skeleton_record(OPENPOSE_LAYOUT, 0.0))
+        path = tmp_path / "frames.jsonl"
+        path.write_text("\n" + record + "\n  \n")
+        assert len(load_skeleton_frames(path, OPENPOSE_LAYOUT)) == 1
+        path.write_text("\n" + record + "\n  \n" + record + "\n")
+        with pytest.raises(ParseError, match="^line 4: frame timestamps"):
+            load_skeleton_frames(path, OPENPOSE_LAYOUT)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "frames.jsonl"

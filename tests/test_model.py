@@ -46,6 +46,16 @@ class TestProfile:
         with pytest.raises(StructuralError):
             RobotProfile(joint_limits=tuple(tuple(l) for l in bad))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda limits: limits[:-1], r"one \[min, max\] pair per joint"),
+        (lambda limits: tuple((0.0, 2.0) if name == "LHandOpen" else lim
+                              for name, lim in zip(JOINT_NAMES, limits)),
+         r"LHandOpen limits must be \[0, 1\]"),
+    ], ids=["13-pairs", "hand-open-to-2"])
+    def test_rejects_limits_of_another_count_or_hand_range(self, profile, edit, message):
+        with pytest.raises(StructuralError, match=message):
+            RobotProfile(joint_limits=edit(profile.joint_limits))
+
     def test_rejects_nonpositive_link_length(self, profile):
         with pytest.raises(StructuralError):
             RobotProfile(joint_limits=profile.joint_limits, upper_arm_length=0.0)

@@ -95,6 +95,11 @@ class TestCorrelationDistance:
         with pytest.raises(StructuralError):
             correlation_distance(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(10,), (10, 3, 2)])
+    def test_data_that_is_not_2d_rejected(self, shape):
+        with pytest.raises(StructuralError, match="expected an N x p data matrix"):
+            correlation_distance(np.zeros(shape))
+
     def test_column_whose_products_overflow_is_refused(self):
         # np.corrcoef would warn and give r = 0 (d = 1) against every column
         data = np.random.default_rng(6).normal(size=(60, 5))
@@ -217,6 +222,7 @@ class TestPcoa:
         (np.array([[0.0, -1.0], [-1.0, 0.0]]), "must be non-negative"),
         (np.array([[0.0, np.inf], [np.inf, 0.0]]), "must be finite"),
         (np.array([[0.0, np.nan], [np.nan, 0.0]]), "must be finite"),
+        (np.zeros((1, 1)), "need at least 2 units"),
     ])
     def test_malformed_distances_rejected(self, d, message):
         with pytest.raises(StructuralError, match=message):
@@ -340,6 +346,10 @@ class TestR2Recovery:
         y_g[:, 2] = y_g[:, 0]  # duplicated predictor
         _, flag = r2_recovery(y_o, y_g)
         assert flag
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(StructuralError, match="same number of rows"):
+            r2_recovery(np.zeros((5, 2)), np.zeros((4, 2)))
 
 
 class TestFidelityReport:

@@ -48,6 +48,11 @@ class TestStream:
             PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0, 1.0],
                        native_rate_hz=rate)
 
+    @pytest.mark.parametrize("shape", [(2, N_JOINTS - 1), (2 * N_JOINTS,), (2, 1, N_JOINTS)])
+    def test_values_must_be_t_by_14(self, shape):
+        with pytest.raises(StructuralError, match=f"stream values must be T x {N_JOINTS}"):
+            PoseStream(values=np.zeros(shape), timestamps=[0.0, 1.0], native_rate_hz=1.0)
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PoseStream)])
     def test_field_cannot_be_reassigned(self, name):
         stream = make_stream(3)
@@ -117,6 +122,11 @@ class TestPoseCap:
                                                   f"{pipeline.MAX_POSES} poses"):
             synth.beat_gesture_stream(n)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_synth_stream_without_poses_rejected(self, n):
+        with pytest.raises(StructuralError, match="need at least one pose"):
+            synth.beat_gesture_stream(n)
+
     def test_synth_reads_the_cap_at_call_time(self, monkeypatch):
         monkeypatch.setattr(pipeline, "MAX_POSES", 21)
         assert len(synth.beat_gesture_stream(21)) == 21
@@ -181,6 +191,11 @@ class TestWindow:
     def test_bad_mu_rejected(self):
         with pytest.raises(StructuralError):
             window(make_stream(10), 0)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_bad_stride_rejected(self, stride):
+        with pytest.raises(StructuralError, match="stride must be positive"):
+            window(make_stream(10), 2, stride=stride)
 
     def test_short_stream_rejected(self):
         with pytest.raises(StructuralError):
@@ -290,6 +305,13 @@ class TestDatasetHeaders:
     def test_dt_whose_cube_overflows_rejected(self, saved):
         with_header(saved, "dt", "1e200")
         with pytest.raises(ParseError, match="line 2: .*cubed"):
+            load_dataset(saved)
+
+    def test_file_without_header_row_names_its_line(self, saved):
+        meta = [line for line in saved.read_text().splitlines() if line.startswith("#")]
+        saved.write_text("".join(line + "\n" for line in meta))
+        with pytest.raises(ParseError, match=f"^line {len(meta) + 1}: dataset file has no "
+                                             f"header row"):
             load_dataset(saved)
 
     def test_missing_dt_rejected(self, saved):

@@ -204,6 +204,12 @@ class TestErrors:
         y_o = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         res = procrustes(y_o, y_o, mu=4)
         assert not res["anti_correlated"]
+        # a proper rotation of one axis is the identity, so -y cannot be turned onto y
+        y = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+        res = procrustes(y, -y, mu=1, allow_reflections=False)
+        assert res["anti_correlated"]
+        assert res["scale"] == 1e-12
+        assert res["ss"] == pytest.approx(10.0)
 
     @pytest.mark.parametrize("mu", [0, -1, 0.5])
     def test_mu_below_one_rejected(self, mu):
