@@ -8,19 +8,17 @@ originality is the Procrustes residual ss and its ss/(14 mu) normalization.
 
 import numpy as np
 
-from gesturemetrics.model import as_matrix
-from gesturemetrics.pcoa import analyze_dataset_structure, fidelity_report
-from gesturemetrics.report import originality
+from gesturemetrics.model import GestureDataset
+from gesturemetrics.report import STAGES, Run
 from gesturemetrics.synth import beat_gesture_corpus
 
 MU = 4
 
 
-def compare(name, matrix_o, matrix_g):
-    res_o = analyze_dataset_structure(matrix_o)
-    res_g = analyze_dataset_structure(matrix_g)
-    report = fidelity_report(res_o, res_g)
-    proc = originality(res_o, res_g, report["dims"])
+def compare(name, original, generated):
+    run = Run(original, generated)
+    report = STAGES["fidelity"](run)
+    proc = STAGES["originality"](run)
     r2 = np.array(report["r2"])
     print(f"\n== {name} ==")
     print(f"  R^2 per axis      : {np.round(r2, 3)}")
@@ -36,15 +34,16 @@ def compare(name, matrix_o, matrix_g):
 
 def main():
     rng = np.random.default_rng(0)
-    original = as_matrix(beat_gesture_corpus(2000, MU, seed=0))
-    print(f"reference corpus: {original.shape[0]} units of movement, mu={MU}")
+    original = beat_gesture_corpus(2000, MU, seed=0)
+    x = original.matrix
+    print(f"reference corpus: {len(original)} units of movement, mu={MU}")
 
     compare("exact copy (perfect fidelity, zero originality)",
-            original, original.copy())
+            original, GestureDataset(matrix=x, dt=original.dt))
     compare("noisy copy (sigma=0.05)",
-            original, original + rng.normal(0.0, 0.05, original.shape))
+            original, GestureDataset(matrix=x + rng.normal(0.0, 0.05, x.shape), dt=original.dt))
     compare("unrelated corpus (different generator seed)",
-            original, as_matrix(beat_gesture_corpus(2000, MU, seed=99)))
+            original, beat_gesture_corpus(2000, MU, seed=99))
 
 
 if __name__ == "__main__":

@@ -8,10 +8,9 @@ elbow trajectories.
 
 import numpy as np
 
-from gesturemetrics.fgd import fgd
 from gesturemetrics.gmm import fit, sample
-from gesturemetrics.model import GestureDataset, RobotProfile, as_matrix
-from gesturemetrics.motion import motion_report
+from gesturemetrics.model import GestureDataset, RobotProfile
+from gesturemetrics.report import STAGES, Run
 from gesturemetrics.synth import beat_gesture_corpus
 
 MU = 4
@@ -20,7 +19,7 @@ MU = 4
 def main():
     profile = RobotProfile.default()
     corpus = beat_gesture_corpus(4000, MU, seed=0)
-    x = as_matrix(corpus)
+    x = corpus.matrix
     train = GestureDataset(matrix=x[:800], dt=corpus.dt)
     heldout = GestureDataset(matrix=x[800:], dt=corpus.dt)
 
@@ -31,7 +30,7 @@ def main():
     rng = np.random.default_rng(1)
     limits = profile.limits_array()
     lo, hi = np.tile(limits[:, 0], MU), np.tile(limits[:, 1], MU)
-    held_x = as_matrix(heldout)
+    held_x = heldout.matrix
     candidates = {
         "held-out corpus": heldout,
         "mixture samples": sample(model, 200, seed=1),
@@ -44,8 +43,8 @@ def main():
     print(f"\n{'candidate':28s} {'FGD':>9s} {'E (boot)':>9s} {'sigma':>8s} "
           f"{'Rhand jerk':>11s} {'Rhand lpath':>12s}")
     for name, ds in candidates.items():
-        res = fgd(model, train, ds, bootstrap=30, seed=0)
-        motion = motion_report(ds, profile)
+        run = Run(train, ds, model=model, profile=profile, bootstrap=30, seed=0)
+        res, motion = STAGES["fgd"](run), STAGES["motion_generated"](run)
         print(f"{name:28s} {res['value']:9.4f} {res['bootstrap_mean']:9.4f} "
               f"{res['bootstrap_std']:8.4f} {motion['jerk_by_site']['Rhand']:11.3f} "
               f"{motion['path_length_by_site']['Rhand']:12.4f}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pipeline
 from .errors import ParseError, StructuralError, parse_json
-from .model import (N_JOINTS, GestureDataset, as_matrix, check_spread, check_symmetric, philox,
+from .model import (N_JOINTS, GestureDataset, check_dt, check_spread, check_symmetric, philox,
                     read_only)
 
 MODEL_FORMAT_VERSION = 1
@@ -27,8 +27,8 @@ DEFAULT_K = 24
 DEFAULT_MAX_ITER = 500
 DEFAULT_REL_TOL = 1e-7
 COV_REG = 1e-6
-# largest |row sum - 1| of a posterior matrix: 3.9e-13 at most on the benchmark's
-# evaluate inputs, 2.3e-8 once one cell of a 240-pose corpus is 1e12
+# largest |row sum - 1| of a posterior matrix: 4.4e-13 at most on the benchmark's
+# evaluate inputs (seeds 1-10), 0 up to a far cell of 1e14 in a 240-pose corpus, 1 from 1e15
 SIMPLEX_TOL = 1e-9
 
 
@@ -48,9 +48,11 @@ class GmmModel:
         for name in ("weights", "means", "covariance"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
         object.__setattr__(self, "log_likelihoods", tuple(self.log_likelihoods))
-        if not all(np.all(np.isfinite(a)) for a in
-                   (self.weights, self.means, self.covariance, self.dt)):
-            raise StructuralError("model weights, means, covariance and dt must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.covariance)):
+            raise StructuralError("model weights, means and covariance must be finite")
+        object.__setattr__(self, "dt", check_dt(self.dt))
+        if self.mu < 1:
+            raise StructuralError(f"model mu must be at least 1, got {self.mu}")
         if (self.weights.ndim != 1 or abs(self.weights.sum() - 1.0) > 1e-10
                 or np.any(self.weights < 0)):
             raise StructuralError("weights must be a non-negative vector that sums to 1")
@@ -138,7 +140,7 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
     ``rel_tol * |objective|`` ends the fit and is traced only if it did not
     fall (a fall that small is round-off).
     """
-    x = as_matrix(ds)
+    x = ds.matrix
     n, d = x.shape
     if k < 1:
         raise StructuralError(f"k must be at least 1, got {k}")
@@ -201,18 +203,20 @@ def fit(ds, k=DEFAULT_K, seed=0, max_iter=DEFAULT_MAX_ITER, rel_tol=DEFAULT_REL_
 
 def posterior_matrix(model, ds):
     """Responsibility vectors for every unit of a dataset (N x K); rows sum to 1.
+    A unit's row depends on that unit and the model alone, not on the other units.
 
     A unit whose log-likelihood is not finite, because its whitened squared
     distances to the components overflow, raises ``StructuralError``. So does a
     row whose sum strays from 1 by more than ``SIMPLEX_TOL``: far out of scale,
     the log-likelihoods grow so large that rounding them absorbs the terms of
     the log-sum that normalizes the row."""
-    x = as_matrix(ds)
+    x = ds.matrix
     if x.shape[1] != model.d:
         raise StructuralError(f"dataset dimension {x.shape[1]} does not match model d={model.d}")
+    # centred on a point the model fixes, so a unit's row depends on that unit alone;
     # an overflow shows as a NaN or infinite log-likelihood, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        block = np.vstack([x, model.means]) - x.mean(axis=0)
+        block = np.vstack([x, model.means]) - model.weights @ model.means
         resp, log_norm, _ = _e_step(block, len(x), model.covariance,
                                     np.log(model.weights + 1e-300))
     if not np.isfinite(log_norm).all():

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (DegenerateGeometryError, ParseError, StructuralError,
                      UnknownOrientationError, parse_json)
-from .model import JOINT_NAMES, Pose, RobotProfile, philox, read_only, validate_pose
+from .model import JOINT_INDEX, Pose, RobotProfile, philox, read_only, validate_pose
 from .pipeline import PoseStream
 
 OPENNI_LAYOUT = "openni15"
@@ -69,17 +69,19 @@ HAND_OPEN_SRC = (0.05, 0.20)                # wrist-middle distance (m)
 N_PIXELS = 1000.0                           # glove pixel normalizer N
 MAX_WRIST_YAW = 1.8239
 CONFIDENCE_THRESHOLD = 0.1                  # keypoints below it count as missing
+# largest |coordinate| of a keypoint: two keypoints differ by at most twice it per
+# axis, so every squared distance between them, at most 12 * MAX_COORD ** 2, is finite
+MAX_COORD = 1e153
 
-# positions in the 14-joint pose vector
-_INDEX = {name: i for i, name in enumerate(JOINT_NAMES)}
-_HEAD = slice(_INDEX["HeadYaw"], _INDEX["HeadPitch"] + 1)
+_HEAD = slice(JOINT_INDEX["HeadYaw"], JOINT_INDEX["HeadPitch"] + 1)
 _OPENNI_SET, _OPENPOSE_SET = frozenset(OPENNI_KEYPOINTS), frozenset(OPENPOSE_KEYPOINTS)
 
 
 @dataclass(frozen=True, eq=False)
 class SkeletonFrame:
     """One timestamped capture frame: ``body`` maps keypoint names to (x, y, z)
-    float triples, hands are 21 x 3 float arrays; every value must be finite.
+    float triples, hands are 21 x 3 float arrays; every value must be finite, and
+    every body and hand coordinate at most ``MAX_COORD`` in magnitude.
     After its checks the frame cannot change: its mappings and hands are read-only views.
     It compares and hashes by identity."""
 
@@ -96,6 +98,7 @@ class SkeletonFrame:
     def __post_init__(self):
         # the checks read the given dicts, whose get() is cheaper than a view's
         body, confidence, isfinite = self.body, self.confidence, math.isfinite
+        low, high = -MAX_COORD, MAX_COORD
         object.__setattr__(self, "body", MappingProxyType(body))
         object.__setattr__(self, "confidence", MappingProxyType(confidence))
         for key in ("left_hand", "right_hand"):
@@ -110,14 +113,18 @@ class SkeletonFrame:
             if body.keys() != _OPENPOSE_SET:
                 raise StructuralError("openpose25 frame must carry exactly the 25 body keypoints")
             for hand in (self.left_hand, self.right_hand):
-                if hand is not None and (hand.shape != (21, 3) or not np.isfinite(hand).all()):
-                    raise StructuralError("hand keypoint sets must be 21 x 3 finite values")
+                # the max of an array that holds a NaN is NaN, which fails the bound
+                if hand is not None and not (hand.shape == (21, 3) and abs(hand).max() <= high):
+                    raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
+                                          f"each at most {high:.3g} in magnitude")
         else:
             raise StructuralError(f"unsupported layout {self.layout!r}")
+        # a comparison is False for NaN, so the bound also refuses non-finite coordinates
         for name, (x, y, z) in body.items():
-            if not (isfinite(x) and isfinite(y) and isfinite(z)
+            if not (low <= x <= high and low <= y <= high and low <= z <= high
                     and isfinite(confidence.get(name, 1.0))):
-                raise StructuralError(f"keypoint {name} must be finite")
+                raise StructuralError(f"keypoint {name} must be finite, "
+                                      f"with coordinates at most {high:.3g} in magnitude")
         for key in ("head_orientation", "left_pixels", "right_pixels"):
             pair = getattr(self, key)
             if pair is not None and not all(map(isfinite, pair)):
@@ -316,7 +323,7 @@ class StreamMapper:
         values = self._values.tolist()
         try:
             for name, angle in arm_angles(frame).items():
-                values[_INDEX[name]] = angle
+                values[JOINT_INDEX[name]] = angle
         except (StructuralError, DegenerateGeometryError):
             pass  # hold previous arm values
 
@@ -338,11 +345,11 @@ class StreamMapper:
         for prefix, pixels in (("L", frame.left_pixels), ("R", frame.right_pixels)):
             if pixels is not None:
                 try:
-                    values[_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openni(*pixels)
+                    values[JOINT_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openni(*pixels)
                 except UnknownOrientationError:
                     pass  # keep previous wrist yaw
             # fingers are untracked: randomized per frame, seeded
-            values[_INDEX[prefix + "HandOpen"]] = self.rng.uniform(0.0, 1.0)
+            values[JOINT_INDEX[prefix + "HandOpen"]] = self.rng.uniform(0.0, 1.0)
 
     def _map_openpose_extras(self, frame, values):
         try:
@@ -357,9 +364,9 @@ class StreamMapper:
             (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
             if math.sqrt((px - tx) * (px - tx) + (py - ty) * (py - ty)) < 1e-12:
                 continue  # thumb and pinky tips coincide in the image: hold this hand
-            wrist = _INDEX[prefix + "WristYaw"]
+            wrist = JOINT_INDEX[prefix + "WristYaw"]
             values[wrist] = map_hand_yaw_openpose(hand, self.profile.joint_limits[wrist])
-            values[_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
+            values[JOINT_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
 
 
 def map_capture(frames, profile=None, seed=0):
@@ -406,7 +413,7 @@ def _frame_from_record(rec, line, layout):
                 a, b = kwargs[key] = tuple(map(float, pair))
                 if key.endswith("pixels") and min(a, b) < 0:
                     raise ParseError(f"{key} must be non-negative counts", line)
-        # SkeletonFrame checks the keypoint set, the hand shapes and finiteness
+        # SkeletonFrame checks the keypoint set, the hand shapes and the value bounds
         return SkeletonFrame(layout=layout, body=body, confidence=confidence,
                              timestamp=float(rec["timestamp"]), **kwargs)
     except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:

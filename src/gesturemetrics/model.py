@@ -35,6 +35,8 @@ JOINT_NAMES = (
     "RHandOpen",
 )
 
+JOINT_INDEX = {name: i for i, name in enumerate(JOINT_NAMES)}   # position in a pose vector
+
 HAND_OPEN_JOINTS = ("LHandOpen", "RHandOpen")
 
 
@@ -201,7 +203,7 @@ def column_labels(mu):
 
 @dataclass(frozen=True, eq=False)
 class GestureDataset:
-    """N units of movement as one N x (14*mu) float64 matrix, plus provenance.
+    """N units of movement as one N x (14*mu) matrix of finite floats, plus provenance.
 
     A unit of movement is mu consecutive poses sampled ``dt`` apart. Row
     layout: all 14 joints of pose t, then all 14 joints of pose t+dt, ...
@@ -221,6 +223,8 @@ class GestureDataset:
             raise StructuralError("dataset matrix must be 2-D, its width a multiple of 14")
         if self.matrix.shape[0] == 0 or self.matrix.shape[1] == 0:
             raise StructuralError("dataset needs at least one unit of movement of mu >= 1 poses")
+        if not np.isfinite(self.matrix).all():
+            raise StructuralError("dataset values must be finite")
         object.__setattr__(self, "dt", check_dt(self.dt))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz or 1.0 / self.dt))
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
@@ -244,5 +248,5 @@ class GestureDataset:
 
 
 def as_matrix(ds):
-    """The N x (14*mu) analysis matrix of a dataset."""
+    """``ds.matrix``. Kept only for the benchmark's set-up, which still calls it."""
     return ds.matrix

@@ -29,15 +29,14 @@ from itertools import repeat
 import numpy as np
 
 from .errors import InsufficientDataError, StructuralError
-from .model import JOINT_NAMES, N_JOINTS
+from .model import JOINT_INDEX, N_JOINTS
 
 SITES = ("Lhand", "Rhand", "Lelbow", "Relbow")
 HEAD_ANGLES = ("yaw", "pitch")
 
-_J = {name: i for i, name in enumerate(JOINT_NAMES)}
 _ARM = ("ShoulderPitch", "ShoulderRoll", "ElbowYaw", "ElbowRoll")
-_ARM_JOINTS = [[_J[side + joint] for joint in _ARM] for side in "LR"]
-_HEAD_JOINTS = [_J["HeadYaw"], _J["HeadPitch"]]     # HEAD_ANGLES order
+_ARM_JOINTS = [[JOINT_INDEX[side + joint] for joint in _ARM] for side in "LR"]
+_HEAD_JOINTS = [JOINT_INDEX["HeadYaw"], JOINT_INDEX["HeadPitch"]]     # HEAD_ANGLES order
 
 
 def forward_kinematics(values, profile):

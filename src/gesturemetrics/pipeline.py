@@ -30,7 +30,8 @@ _BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt 
 
 @dataclass(frozen=True, eq=False)
 class PoseStream:
-    """A T x 14 pose array with strictly increasing timestamps at a (nominal) native rate.
+    """A T x 14 pose array with strictly increasing timestamps at a (nominal) native rate,
+    all finite.
     The stream cannot change after its checks; its arrays are :func:`read_only` views.
     It compares and hashes by identity."""
 
@@ -46,6 +47,8 @@ class PoseStream:
             raise StructuralError(f"stream values must be T x {N_JOINTS}")
         if self.values.shape[0] == 0:
             raise StructuralError("pose stream must be non-empty")
+        if not (np.isfinite(self.values).all() and np.isfinite(self.timestamps).all()):
+            raise StructuralError("stream values and timestamps must be finite")
         if not (np.isfinite(self.native_rate_hz) and self.native_rate_hz > 0):
             raise StructuralError("stream rate must be finite and positive")
         if self.timestamps.shape != (self.values.shape[0],):
@@ -210,7 +213,8 @@ def load_dataset(path):
         check_dt(dt)
     except StructuralError as exc:
         raise ParseError(f"#{exc}", meta["dt"][1]) from exc
-    rate = _positive_header(meta, "rate_hz") if "rate_hz" in meta else 1.0 / dt
+    # without the header, GestureDataset takes the rate 1 / dt
+    rate = {"sample_rate_hz": _positive_header(meta, "rate_hz")} if "rate_hz" in meta else {}
     source = meta.get("source", ("", None))[0]
     body = lines[consumed:]
     if not body:
@@ -221,7 +225,7 @@ def load_dataset(path):
             f"header row does not match the mu={mu} column layout", consumed + 1)
     matrix = _read_rows(body[1:], consumed + 2, N_JOINTS * mu,
                         "dataset file contains no data rows")
-    return GestureDataset(matrix=matrix, dt=dt, source_tag=source, sample_rate_hz=rate)
+    return GestureDataset(matrix=matrix, dt=dt, source_tag=source, **rate)
 
 
 def save_stream(stream, path):

@@ -12,7 +12,7 @@ from . import __version__
 from .errors import GestureError, StructuralError
 from .fgd import check_bootstrap
 from .fgd import fgd as compute_fgd
-from .model import N_JOINTS, RobotProfile, as_matrix
+from .model import N_JOINTS, RobotProfile
 from .motion import motion_report
 from .pcoa import (DEFAULT_DIMS, analyze_dataset_structure, check_dims, fidelity_report,
                    leading_coordinates)
@@ -31,17 +31,19 @@ def originality(res_original, res_generated, dims, allow_reflections=True):
 class Run:
     """One run's inputs to the :data:`STAGES` entries, checked when built.
 
-    Two datasets of different ``mu``, ``dims`` below 1 or a negative
-    ``bootstrap`` raise ``StructuralError``, in that order. Without a
-    ``profile`` the motion stages use :meth:`RobotProfile.default`. Each
-    dataset's PCoA runs at most once per run, in :meth:`pair`, and only for the
-    stages that read it."""
+    Two datasets of different ``mu``, a model of another ``mu`` than the
+    original's, ``dims`` below 1 or a negative ``bootstrap`` raise
+    ``StructuralError``, in that order. Without a ``profile`` the motion
+    stages use :meth:`RobotProfile.default`. Each dataset's PCoA runs at most
+    once per run, in :meth:`pair`, and only for the stages that read it."""
 
     def __init__(self, original, generated=None, model=None, profile=None, dims=DEFAULT_DIMS,
                  bootstrap=0, seed=0, allow_reflections=True):
         if generated is not None and original.mu != generated.mu:
             raise StructuralError(
                 f"mu mismatch: original has {original.mu}, generated has {generated.mu}")
+        if model is not None and original.mu != model.mu:
+            raise StructuralError(f"mu mismatch: original has {original.mu}, model has {model.mu}")
         check_dims(dims)
         check_bootstrap(bootstrap)
         if profile is None:
@@ -55,8 +57,8 @@ class Run:
         after a failed attempt, raises without a retry."""
         if self._pair is None:
             self._pair = ()
-            self._pair = (analyze_dataset_structure(as_matrix(self.original)),
-                          analyze_dataset_structure(as_matrix(self.generated)))
+            self._pair = (analyze_dataset_structure(self.original.matrix),
+                          analyze_dataset_structure(self.generated.matrix))
         if not self._pair:
             raise StructuralError("skipped: fidelity stage failed, no coordinates")
         return self._pair

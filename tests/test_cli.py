@@ -11,6 +11,7 @@ import pytest
 
 import gesturemetrics
 from gesturemetrics.cli import main
+from gesturemetrics.gmm import load_model
 from gesturemetrics.mapping import OPENPOSE_KEYPOINTS
 from gesturemetrics.pipeline import load_dataset, load_stream, save_dataset
 from gesturemetrics.report import STAGES, Run, dump_json
@@ -59,6 +60,35 @@ def corpus(tmp_path):
     assert main(["synth-corpus", "--poses", "160", "--out", str(stream)]) == 0
     assert main(["window", "--mu", "4", str(stream), str(ds)]) == 0
     return stream, ds
+
+
+PRESCOTT = pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                              reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+
+
+def outputs_on_both_kernels(commands, tmp_path):
+    """Run the CLI argv lists ``commands``, each of which must exit 0, in one subprocess
+    on the default BLAS kernel and in one under ``OPENBLAS_CORETYPE=Prescott``, the SSE3
+    kernel every x86-64 host can run (by default OpenBLAS picks the host's own: Haswell,
+    SkylakeX, ...). ``{out}`` in an argument names the run's own output directory.
+    Returns ``{kernel: {file name: bytes}}`` for the files each run wrote there."""
+    script = ("import json, sys; from gesturemetrics.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n")
+    src_dir = os.path.dirname(os.path.dirname(gesturemetrics.__file__))
+    outputs = {}
+    for kernel in ("default", "Prescott"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+        out = tmp_path / kernel
+        out.mkdir()
+        argvs = [[arg.format(out=out) for arg in argv] for argv in commands]
+        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                       env=env, check=True, timeout=300)
+        outputs[kernel] = {path.name: path.read_bytes() for path in out.iterdir()}
+    return outputs
 
 
 class TestMap:
@@ -171,31 +201,37 @@ class TestMap:
         assert "line 5" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                        reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    @PRESCOTT
     def test_output_does_not_depend_on_the_blas_kernel(self, gen_inputs, tmp_path):
-        # Prescott is the SSE3 kernel every x86-64 host can run; by default
-        # OpenBLAS picks the host's own (Haswell, SkylakeX, ...)
-        for layout in ("openpose", "openni"):
+        layouts = ("openpose", "openni")
+        for layout in layouts:
             getattr(gen_inputs, f"write_{layout}_capture")(tmp_path / f"{layout}.jsonl", 300,
                                                            seed=1)
-        script = ("import sys; from gesturemetrics.cli import main\n"
-                  "for layout in ('openpose', 'openni'):\n"
-                  "    src, out = sys.argv[1] + '/' + layout + '.jsonl', sys.argv[2] + '/' + layout\n"
-                  "    assert main(['map', '--layout', layout, src, out]) == 0\n")
-        src_dir = os.path.dirname(os.path.dirname(gesturemetrics.__file__))
-        for kernel in ("default", "Prescott"):
-            env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-            if kernel != "default":
-                env["OPENBLAS_CORETYPE"] = kernel
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-            (tmp_path / kernel).mkdir()
-            subprocess.run([sys.executable, "-c", script, str(tmp_path), str(tmp_path / kernel)],
-                           env=env, check=True, timeout=300)
-        for layout in ("openpose", "openni"):
-            default = (tmp_path / "default" / layout).read_bytes()
-            assert len(default.splitlines()) == 302
-            assert (tmp_path / "Prescott" / layout).read_bytes() == default, layout
+        outputs = outputs_on_both_kernels(
+            [["map", "--layout", layout, str(tmp_path / f"{layout}.jsonl"), "{out}/" + layout]
+             for layout in layouts], tmp_path)
+        assert sorted(outputs["default"]) == sorted(layouts)
+        assert all(len(data.splitlines()) == 302 for data in outputs["default"].values())
+        assert outputs["Prescott"] == outputs["default"]
+
+    # keypoints far apart but finite: their difference would overflow to inf and map to NaN
+    @pytest.mark.parametrize("layout, far", [("openni", ("LElbow", "LHand")),
+                                             ("openpose", ("Nose", "Neck"))],
+                             ids=["openni", "openpose"])
+    def test_keypoints_whose_distance_overflows_are_input_failure(self, gen_inputs, tmp_path,
+                                                                  capsys, layout, far):
+        src = tmp_path / "frames.jsonl"
+        getattr(gen_inputs, f"write_{layout}_capture")(src, 6, seed=1)
+        records = [json.loads(line) for line in src.read_text().splitlines()]
+        for name, x in zip(far, (1e308, -1e308)):
+            records[2]["body"][name][0] = x
+        src.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "mapped.csv"
+        assert main(["map", "--layout", layout, str(src), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 3: bad skeleton record: keypoint {far[0]} must be "
+                              "finite") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestStreamCommands:
@@ -427,13 +463,13 @@ class TestModelCommands:
         assert not model.exists()
 
 
-def with_cell(clean, path, value, rows=(0,)):
-    """A copy of the dataset file ``clean`` at ``path`` whose 4th cell
-    (``LShoulderRoll[0]``) is ``value`` on the given body rows."""
+def with_cell(clean, path, value, rows=(0,), column=3):
+    """A copy of the dataset file ``clean`` at ``path`` whose cell ``column`` (by
+    default the 4th, ``LShoulderRoll[0]``) is ``value`` on the given body rows."""
     lines = clean.read_text().splitlines()
     for row in rows:
         cells = lines[5 + row].split(",")
-        cells[3] = value
+        cells[column] = value
         lines[5 + row] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -514,14 +550,24 @@ class TestOverflow:
             "fgd": self.WHITENED,
         }
 
-    # one cell far out of scale but finite: the log-likelihoods grow so large that
-    # rounding them pushes posterior rows off the simplex (at 1e15 the outlier's
-    # own row is [1, 1]), and FGD would read a shrinking distance
-    @pytest.mark.parametrize("value", ["1e12", "1e14", "1e15"])
+    # a unit far out of scale but finite: the log-likelihoods grow so large that
+    # rounding them pushes its posterior row off the simplex (it reads [1, 1]), and
+    # FGD would read a shrinking distance. A far LShoulderRoll[0] alone does so from
+    # 1e15 on; at 1e12 and 1e14 a second far cell moves the unit orthogonally to
+    # cov^-1 (m0 - m1), so that its log-likelihoods under both components grow alike
+    @pytest.mark.parametrize("value, alike", [("1e12", True), ("1e14", True),
+                                              ("1e15", False), ("1e20", False)],
+                             ids=["1e12", "1e14", "1e15", "1e20"])
     def test_posteriors_off_the_simplex_are_input_failure(self, overflow_corpus, tmp_path,
-                                                          capsys, value):
+                                                          capsys, value, alike):
         clean, _, model = overflow_corpus
         far = with_cell(clean, tmp_path / "far.csv", value)
+        if alike:
+            fitted = load_model(model)
+            pull = np.linalg.solve(fitted.covariance, fitted.means[0] - fitted.means[1])
+            k = int(np.argmax(np.abs(pull)))
+            assert k != 3
+            with_cell(far, far, str(float(-float(value) * pull[3] / pull[k])), column=k)
         out = tmp_path / "out.json"
         capsys.readouterr()
         assert main(["fgd", "--model", str(model), str(far), str(clean),
@@ -532,6 +578,19 @@ class TestOverflow:
         assert main(["evaluate", "--model", str(model), str(far), str(clean),
                      "--out", str(out)]) == 1
         assert json.loads(out.read_text())["errors"] == {"fgd": err[len("error: "):-1]}
+
+    # posteriors are centred on a point the model fixes, so a far unit moves no other
+    # unit's row; its own row rounds to [1, 0], and the feature statistics equal the
+    # clean corpus's on every kernel
+    @PRESCOTT
+    def test_far_copy_reads_zero_fgd_on_every_blas_kernel(self, overflow_corpus, tmp_path):
+        clean, _, model = overflow_corpus
+        values = ("1e9", "1e12", "1e14")
+        outputs = outputs_on_both_kernels(
+            [["fgd", "--model", str(model), str(with_cell(clean, tmp_path / f"{v}.csv", v)),
+              str(clean), "--out", "{out}/" + v] for v in values], tmp_path)
+        assert [json.loads(outputs["default"][v])["value"] for v in values] == [0.0] * 3
+        assert outputs["Prescott"] == outputs["default"]
 
 
 class TestEvaluate:
@@ -572,6 +631,19 @@ class TestEvaluate:
             assert main([*argv, str(ds4), str(ds8)]) == 2, argv[0]
             err = capsys.readouterr().err
             assert err == "error: mu mismatch: original has 4, generated has 8\n", argv[0]
+
+    def test_model_of_another_mu_is_input_failure(self, tmp_path, capsys):
+        a, b, mu2, model = (tmp_path / name for name in ("a.csv", "b.csv", "mu2.csv", "m.json"))
+        for path, mu, seed in ((a, "4", "0"), (b, "4", "1"), (mu2, "2", "2")):
+            assert main(["synth-corpus", "--poses", "400", "--mu", mu, "--seed", seed,
+                         "--out", str(path)]) == 0
+        assert main(["gmm-train", "--k", "2", str(mu2), "--out", str(model)]) == 0
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        for command in ("fgd", "evaluate"):
+            assert main([command, "--model", str(model), str(a), str(b), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: mu mismatch: original has 4, model has 2\n"
+            assert not out.exists()
 
     def test_summary_blocks_equal_single_stage_documents(self, corpus, tmp_path):
         _, ds = corpus
@@ -847,6 +919,7 @@ class TestErrors:
         ("covariance", float("nan"), "must be finite"),
         ("dt", float("inf"), "must be finite"),
         ("mu", 3, "is not 14 * mu"),
+        ("dt", 0.0, "dt must be finite and positive"),
     ])
     @pytest.mark.parametrize("command", ["generate", "fgd"])
     def test_bad_model_file_is_input_failure(self, corpus, tmp_path, capsys, command,

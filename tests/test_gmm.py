@@ -324,6 +324,19 @@ class TestModelValidation:
         with pytest.raises(StructuralError, match="must be finite"):
             GmmModel(mu=1, **parts)
 
+    def test_mu_must_be_at_least_one(self):
+        # d = 14 * mu holds at mu 0 too, but sample would divide by mu
+        with pytest.raises(StructuralError, match="mu must be at least 1, got 0"):
+            GmmModel(weights=np.array([1.0]), means=np.zeros((1, 0)),
+                     covariance=np.zeros((0, 0)), mu=0, dt=0.25)
+
+    # the dataset rule (model.check_dt), so a model's samples always form a dataset
+    @pytest.mark.parametrize("dt", [0.0, -0.25, 1e-300])
+    def test_dt_must_be_a_dataset_dt(self, dt):
+        with pytest.raises(StructuralError, match="dt"):
+            GmmModel(weights=np.array([1.0]), means=np.zeros((1, D)),
+                     covariance=np.eye(D), mu=1, dt=dt)
+
     def test_dimension_must_be_fourteen_mu(self):
         with pytest.raises(StructuralError, match="not 14 \\* mu"):
             GmmModel(weights=np.array([1.0]), means=np.zeros((1, 4 * D)),
@@ -401,6 +414,21 @@ class TestPosterior:
         assert mat.shape == (15, 2)
         for i, row in enumerate(as_matrix(ds)):
             assert np.allclose(mat[i], posteriors(model, row)[0], atol=1e-12)
+
+    # scored around a point the model fixes, a unit's row depends on that unit alone: a
+    # far unit, which moves the dataset's own mean, or a subset leaves the other rows as
+    # they are, up to the blocking of the BLAS products
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_does_not_depend_on_the_other_units(self, seed):
+        corpus = beat_gesture_corpus(800, 4, seed=seed)
+        model = fit(corpus, k=4, seed=seed)
+        x = sample(model, 300, seed=seed).matrix.copy()
+        x[0, 3] = 1e6
+        full = posterior_matrix(model, GestureDataset(matrix=x, dt=corpus.dt))
+        rng = np.random.default_rng(seed)
+        for rows in ([1], np.arange(1, 8), rng.choice(np.arange(1, 300), 100, replace=False)):
+            alone = posterior_matrix(model, GestureDataset(matrix=x[rows], dt=corpus.dt))
+            assert np.allclose(alone, full[rows], rtol=0.0, atol=1e-13), len(rows)
 
     def test_dimension_mismatch_rejected(self):
         model = toy_model()

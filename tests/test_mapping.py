@@ -461,6 +461,9 @@ class TestFrameValidation:
         ("head_orientation", (0.1, math.nan)),
         ("right_pixels", (math.inf, 3.0)),
         ("timestamp", math.nan),
+        # finite, but far enough apart that the limb vector overflows and maps to NaN
+        ("body", {"LElbow": (1e308, 1.5, 0.0), "LWrist": (-1e308, 1.5, 0.0)}),
+        ("right_hand", np.array([[1e308, 0.0, 0.0]] * 20 + [[-1e308, 0.0, 0.0]])),
     ])
     def test_non_finite_value_rejected_when_built(self, field, value):
         frame = make_tpose_frame()

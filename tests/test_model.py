@@ -216,6 +216,14 @@ class TestDataset:
         with pytest.raises(StructuralError):
             GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25, sample_rate_hz=rate)
 
+    # save_dataset would write a cell that load_dataset refuses
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_values_must_be_finite(self, value):
+        matrix = np.zeros((2, N_JOINTS))
+        matrix[1, 3] = value
+        with pytest.raises(StructuralError, match="dataset values must be finite"):
+            GestureDataset(matrix=matrix, dt=0.25)
+
     # line breaks that str.splitlines() honours, spaces that the reader strips
     # and a tag that UTF-8 cannot encode (a lone surrogate, as an undecodable
     # command-line argument arrives)

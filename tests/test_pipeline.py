@@ -48,6 +48,15 @@ class TestStream:
             PoseStream(values=np.zeros((2, N_JOINTS)), timestamps=[0.0, 1.0],
                        native_rate_hz=rate)
 
+    # save_stream would write a cell that load_stream refuses
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["values", "timestamps"])
+    def test_values_and_timestamps_must_be_finite(self, name, value):
+        given = {"values": np.zeros((3, N_JOINTS)), "timestamps": np.arange(3.0)}
+        given[name][-1 if value > 0 else 0, ...] = value     # keeps timestamps increasing
+        with pytest.raises(StructuralError, match="must be finite"):
+            PoseStream(native_rate_hz=4.0, **given)
+
     @pytest.mark.parametrize("shape", [(2, N_JOINTS - 1), (2 * N_JOINTS,), (2, 1, N_JOINTS)])
     def test_values_must_be_t_by_14(self, shape):
         with pytest.raises(StructuralError, match=f"stream values must be T x {N_JOINTS}"):

@@ -13,8 +13,12 @@ class TestRun:
     def test_arguments_are_checked_when_built_mu_first(self):
         ds4 = beat_gesture_corpus(64, 4)
         ds8 = beat_gesture_corpus(64, 8)
+        model2 = fit(beat_gesture_corpus(64, 2), k=1)
         for generated, kwargs, message in (
-                (ds8, {"dims": 0, "bootstrap": -1}, "mu mismatch: original has 4, generated has 8"),
+                (ds8, {"model": model2, "dims": 0, "bootstrap": -1},
+                 "mu mismatch: original has 4, generated has 8"),
+                (ds4, {"model": model2, "dims": 0, "bootstrap": -1},
+                 "mu mismatch: original has 4, model has 2"),
                 (ds4, {"dims": 0, "bootstrap": -1}, "dims must be at least 1, got 0"),
                 (ds4, {"bootstrap": -1}, "bootstrap must be at least 0, got -1")):
             with pytest.raises(StructuralError, match=message):
