@@ -23,8 +23,8 @@ and its joint group holds its last value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -74,69 +74,70 @@ CONFIDENCE_THRESHOLD = 0.1                  # keypoints below it count as missin
 MAX_COORD = 1e153
 
 _HEAD = slice(JOINT_INDEX["HeadYaw"], JOINT_INDEX["HeadPitch"] + 1)
-_OPENNI_SET, _OPENPOSE_SET = frozenset(OPENNI_KEYPOINTS), frozenset(OPENPOSE_KEYPOINTS)
+# the row of each keypoint name in a frame's keypoints array, per layout
+_ROW = {OPENNI_LAYOUT: {name: i for i, name in enumerate(OPENNI_KEYPOINTS)},
+        OPENPOSE_LAYOUT: {name: i for i, name in enumerate(OPENPOSE_KEYPOINTS)}}
+_KEYPOINT_SET = "{} frame must carry exactly the {} body keypoints"
+_KEYPOINT_BOUND = np.array([MAX_COORD, MAX_COORD, MAX_COORD, np.finfo(float).max])
+_PAIRS = ("head_orientation", "left_pixels", "right_pixels")
 
 
 @dataclass(frozen=True, eq=False)
 class SkeletonFrame:
-    """One timestamped capture frame: ``body`` maps keypoint names to (x, y, z)
-    float triples, hands are 21 x 3 float arrays; every value must be finite, and
-    every body and hand coordinate at most ``MAX_COORD`` in magnitude.
-    After its checks the frame cannot change: its mappings and hands are read-only views.
-    It compares and hashes by identity."""
+    """One timestamped capture frame: ``keypoints`` holds one (x, y, z, confidence) row
+    per name of ``OPENNI_KEYPOINTS`` or ``OPENPOSE_KEYPOINTS``, in that order, and hands
+    are 21 x 3. Every value must be finite, every coordinate at most ``MAX_COORD`` in
+    magnitude and every pixel count non-negative. After its checks the frame cannot
+    change: its arrays are read-only views. It compares and hashes by identity."""
 
     layout: str
-    body: dict
+    keypoints: np.ndarray
     left_hand: np.ndarray | None = None
     right_hand: np.ndarray | None = None
     timestamp: float = 0.0
-    confidence: dict = field(default_factory=dict)
     head_orientation: tuple | None = None   # (beta, gamma) Euler, OpenNI only
     left_pixels: tuple | None = None        # (palm, back) counts, OpenNI only
     right_pixels: tuple | None = None
 
     def __post_init__(self):
-        # the checks read the given dicts, whose get() is cheaper than a view's
-        body, confidence, isfinite = self.body, self.confidence, math.isfinite
-        low, high = -MAX_COORD, MAX_COORD
-        object.__setattr__(self, "body", MappingProxyType(body))
-        object.__setattr__(self, "confidence", MappingProxyType(confidence))
-        for key in ("left_hand", "right_hand"):
+        names = _ROW.get(self.layout)
+        if names is None:
+            raise StructuralError(f"unsupported layout {self.layout!r}")
+        for key in ("keypoints", "left_hand", "right_hand"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, read_only(getattr(self, key)))
-        if self.layout == OPENNI_LAYOUT:
-            if body.keys() != _OPENNI_SET:
-                raise StructuralError("openni15 frame must carry exactly the 15 OpenNI keypoints")
-            if self.left_hand is not None or self.right_hand is not None:
+        if self.keypoints.shape != (len(names), 4):
+            raise StructuralError(_KEYPOINT_SET.format(self.layout, len(names)))
+        for hand in (self.left_hand, self.right_hand):
+            if hand is not None and self.layout == OPENNI_LAYOUT:
                 raise StructuralError("openni15 frames carry no hand keypoints")
-        elif self.layout == OPENPOSE_LAYOUT:
-            if body.keys() != _OPENPOSE_SET:
-                raise StructuralError("openpose25 frame must carry exactly the 25 body keypoints")
-            for hand in (self.left_hand, self.right_hand):
-                # the max of an array that holds a NaN is NaN, which fails the bound
-                if hand is not None and not (hand.shape == (21, 3) and abs(hand).max() <= high):
-                    raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
-                                          f"each at most {high:.3g} in magnitude")
-        else:
-            raise StructuralError(f"unsupported layout {self.layout!r}")
-        # a comparison is False for NaN, so the bound also refuses non-finite coordinates
-        for name, (x, y, z) in body.items():
-            if not (low <= x <= high and low <= y <= high and low <= z <= high
-                    and isfinite(confidence.get(name, 1.0))):
-                raise StructuralError(f"keypoint {name} must be finite, "
-                                      f"with coordinates at most {high:.3g} in magnitude")
-        for key in ("head_orientation", "left_pixels", "right_pixels"):
-            pair = getattr(self, key)
-            if pair is not None and not all(map(isfinite, pair)):
-                raise StructuralError(f"{key} must be finite")
-        if not isfinite(self.timestamp):
+            # the max of an array that holds a NaN is NaN, which fails the bound
+            if hand is not None and not (hand.shape == (21, 3) and abs(hand).max() <= MAX_COORD):
+                raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
+                                      f"each at most {MAX_COORD:.3g} in magnitude")
+        # a comparison is False for NaN, so the bounds refuse non-finite values too; a
+        # confidence need only be finite, so its bound is the largest float
+        within = (abs(self.keypoints) <= _KEYPOINT_BOUND).all(axis=1)
+        if not within.all():
+            raise StructuralError(f"keypoint {list(names)[within.argmin()]} must be finite, "
+                                  f"with coordinates at most {MAX_COORD:.3g} in magnitude")
+        for key in _PAIRS:
+            if getattr(self, key) is not None:
+                pair = tuple(map(float, getattr(self, key)))
+                object.__setattr__(self, key, pair)
+                if len(pair) != 2 or not all(map(math.isfinite, pair)):
+                    raise StructuralError(f"{key} must be 2 finite numbers")
+                if key.endswith("pixels") and min(pair) < 0:
+                    raise StructuralError(f"{key} must be non-negative counts")
+        if not math.isfinite(self.timestamp):
             raise StructuralError("timestamp must be finite")
 
     def point(self, name):
-        """The stored (x, y, z) triple; StructuralError if below ``CONFIDENCE_THRESHOLD``."""
-        if self.confidence.get(name, 1.0) < CONFIDENCE_THRESHOLD:
+        """The keypoint's (x, y, z) floats; StructuralError below ``CONFIDENCE_THRESHOLD``."""
+        x, y, z, confidence = self.keypoints[_ROW[self.layout][name]].tolist()
+        if confidence < CONFIDENCE_THRESHOLD:
             raise StructuralError(f"keypoint {name} below confidence threshold")
-        return self.body[name]
+        return x, y, z
 
 
 def range_conv(x, src, dst):
@@ -391,30 +392,29 @@ def _frame_from_record(rec, line, layout):
     try:
         if rec["layout"] != layout:
             raise ParseError(f"frame layout {rec['layout']!r} does not match {layout!r}", line)
-        if not isinstance(rec["body"], dict):
+        body = rec["body"]
+        if not isinstance(body, dict):
             raise ParseError("body must be a JSON object", line)
         if "timestamp" not in rec:
             raise ParseError("skeleton record has no timestamp", line)
-        body = {}
-        confidence = {}
-        for name, coords in rec["body"].items():
+        names = _ROW[layout]
+        if body.keys() != names.keys():
+            raise StructuralError(_KEYPOINT_SET.format(layout, len(names)))
+        rows = []   # in layout order
+        for name in names:
+            coords = body[name]
             if not isinstance(coords, list) or not 3 <= len(coords) <= 4:
                 raise ParseError(f"keypoint {name} must be a list of 3 or 4 numbers", line)
-            x, y, z, *rest = map(float, coords)
-            body[name] = (x, y, z)
-            if rest:
-                confidence[name] = rest[0]
-        kwargs = {key: rec.get(key) for key in ("left_hand", "right_hand")}
-        for key in ("head_orientation", "left_pixels", "right_pixels"):
-            pair = rec.get(key)
-            if pair is not None:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise ParseError(f"{key} must be a list of 2 numbers", line)
-                a, b = kwargs[key] = tuple(map(float, pair))
-                if key.endswith("pixels") and min(a, b) < 0:
-                    raise ParseError(f"{key} must be non-negative counts", line)
-        # SkeletonFrame checks the keypoint set, the hand shapes and the value bounds
-        return SkeletonFrame(layout=layout, body=body, confidence=confidence,
+            rows.append(coords if len(coords) == 4 else [*coords, 1.0])
+        kwargs = {key: rec.get(key) for key in ("left_hand", "right_hand", *_PAIRS)}
+        numbers = [*rows, [rec["timestamp"]], *filter(None, map(kwargs.get, _PAIRS))]
+        for hand in (kwargs["left_hand"], kwargs["right_hand"]):
+            numbers += hand or ()   # its rows
+        # float() and numpy would also take strings and booleans
+        if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
+            raise ParseError("capture values must be JSON numbers", line)
+        # SkeletonFrame checks the pairs, the hand shapes and the value bounds
+        return SkeletonFrame(layout=layout, keypoints=np.array(rows, dtype=float),
                              timestamp=float(rec["timestamp"]), **kwargs)
     except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc

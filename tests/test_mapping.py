@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,22 @@ def make_openpose_body(**overrides):
     })
     body.update(overrides)
     return body
+
+
+def keypoints(body, confidence=None):
+    """A frame's keypoints array from ``body``, a name -> (x, y, z) dict: one (x, y, z,
+    confidence) row per name, in the order of the layout that holds every name of
+    ``body``, with confidence 1.0 unless ``confidence`` maps the name to another value.
+    A body that lacks names of its layout gives fewer rows."""
+    names = OPENNI_KEYPOINTS if body.keys() <= set(OPENNI_KEYPOINTS) else OPENPOSE_KEYPOINTS
+    confidence = confidence or {}
+    return np.array([(*body[name], confidence.get(name, 1.0)) for name in names if name in body])
+
+
+def coords(frame, name):
+    """The stored (x, y, z) of a keypoint, whatever its confidence."""
+    names = OPENNI_KEYPOINTS if frame.layout == OPENNI_LAYOUT else OPENPOSE_KEYPOINTS
+    return tuple(frame.keypoints[names.index(name), :3].tolist())
 
 
 def make_hand(center=(0.0, 0.0, 0.0), spread=0.08, opening=0.15):
@@ -224,13 +241,13 @@ def random_arm_frame(rng):
         f = 0.25 * f / np.linalg.norm(f)
         body[prefix + "Elbow"] = tuple(el.tolist())
         body[prefix + "Wrist"] = tuple((el + f).tolist())
-    return SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
+    return SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body))
 
 
 def arm_oracle(frame):
     """Independent recomputation of the documented arm-angle convention
     using explicit acos / atan2 constructions."""
-    get = lambda n: np.asarray(frame.body[n], dtype=float)
+    get = lambda n: np.asarray(coords(frame, n))
     neck, hip = get("Neck"), get("MidHip")
     lsh, rsh = get("LShoulder"), get("RShoulder")
     down = (hip - neck) / np.linalg.norm(hip - neck)
@@ -261,7 +278,7 @@ class TestArms:
         body = make_openpose_body(
             LElbow=(0.2, 1.2, 0.0), LWrist=(0.2, 0.9, 0.0),
             RElbow=(-0.2, 1.2, 0.0), RWrist=(-0.2, 0.9, 0.0))
-        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body))
         angles = arm_angles(frame)
         assert angles["LElbowRoll"] == pytest.approx(0.0, abs=1e-9)
         assert angles["RElbowRoll"] == pytest.approx(0.0, abs=1e-9)
@@ -269,7 +286,7 @@ class TestArms:
     def test_perpendicular_forearm_right_angle(self, profile):
         body = make_openpose_body(
             LElbow=(0.2, 1.2, 0.0), LWrist=(0.2, 1.2, 0.3))
-        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body))
         angles = arm_angles(frame)
         assert abs(angles["LElbowRoll"]) == pytest.approx(math.pi / 2, abs=1e-9)
 
@@ -284,7 +301,7 @@ class TestArms:
 
     def test_zero_length_limb_rejected(self):
         body = make_openpose_body(LElbow=(0.2, 1.5, 0.0), LShoulder=(0.2, 1.5, 0.0))
-        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body))
         with pytest.raises(DegenerateGeometryError):
             arm_angles(frame)
 
@@ -305,12 +322,16 @@ def make_openni_body():
     return body
 
 
-def make_tpose_frame():
-    body = make_openpose_body(
+def make_tpose_body():
+    return make_openpose_body(
         LElbow=(0.5, 1.5, 0.0), LWrist=(0.8, 1.5, 0.0),
         RElbow=(-0.5, 1.5, 0.0), RWrist=(-0.8, 1.5, 0.0),
         Nose=(0.0, 1.67, 0.0))
-    return SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body, timestamp=0.0)
+
+
+def make_tpose_frame():
+    return SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(make_tpose_body()),
+                         timestamp=0.0)
 
 
 class TestStreamMapper:
@@ -342,8 +363,8 @@ class TestStreamMapper:
         held = first.values.copy()
         first.values[:] = 0.5
         # a neck below the confidence threshold holds arms and head; no hands
-        low = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_tpose_frame().body,
-                            confidence={"Neck": 0.0})
+        low = SkeletonFrame(layout=OPENPOSE_LAYOUT,
+                            keypoints=keypoints(make_tpose_body(), {"Neck": 0.0}))
         assert np.array_equal(mapper.map_frame(low).values, held)
 
     def test_openni_head_yaw_clamped_once(self, profile):
@@ -351,16 +372,18 @@ class TestStreamMapper:
         yaw, _ = map_head_openni((3.0, 0.0), body["Neck"], body["Head"])
         hi = profile.joint_limits[0][1]
         assert yaw == pytest.approx(3.0) and yaw > hi
-        frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body, head_orientation=(3.0, 0.0))
+        frame = SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(body),
+                              head_orientation=(3.0, 0.0))
         pose = StreamMapper(profile=profile).map_frame(frame)
         assert pose.values[0] == hi
         assert pose.n_clamped == 1 + n_outside_limits(arm_angles(frame), profile)
 
     def test_negative_pixel_count_raises(self):
-        body = {name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}
-        frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body, left_pixels=(-1, 5))
-        with pytest.raises(StructuralError):
-            StreamMapper().map_frame(frame)
+        with pytest.raises(StructuralError, match="left_pixels must be non-negative counts"):
+            SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(make_openni_body()),
+                          left_pixels=(-1, 5))
+        with pytest.raises(StructuralError, match="non-negative"):
+            map_hand_yaw_openni(-1, 5)
 
     def test_identical_frames_identical_poses_openpose(self):
         mapper = StreamMapper(seed=5)
@@ -371,7 +394,7 @@ class TestStreamMapper:
     def test_missing_hand_holds_previous(self):
         mapper = StreamMapper(seed=0)
         with_hand = SkeletonFrame(layout=OPENPOSE_LAYOUT,
-                                  body=make_tpose_frame().body,
+                                  keypoints=make_tpose_frame().keypoints,
                                   right_hand=make_hand(center=(-0.8, 1.5, 0.0)))
         p1 = mapper.map_frame(with_hand)
         p2 = mapper.map_frame(make_tpose_frame())
@@ -382,9 +405,9 @@ class TestStreamMapper:
 
     def test_coincident_thumb_pinky_holds_that_hand(self, profile):
         mapper = StreamMapper(profile=profile)
-        body = make_tpose_frame().body
+        tpose = make_tpose_frame().keypoints
         first = mapper.map_frame(SkeletonFrame(
-            layout=OPENPOSE_LAYOUT, body=body,
+            layout=OPENPOSE_LAYOUT, keypoints=tpose,
             left_hand=make_hand(spread=0.06, opening=0.10),
             right_hand=make_hand(spread=0.06, opening=0.10)))
         left = make_hand(spread=0.08, opening=0.15)
@@ -392,12 +415,12 @@ class TestStreamMapper:
         # same x and y, 0.1 m apart in depth: the spread alone would move the wrist yaw
         right[HAND_PINKY_TIP] = right[HAND_THUMB_TIP] + (0.0, 0.0, 0.1)
         second = mapper.map_frame(SkeletonFrame(
-            layout=OPENPOSE_LAYOUT, body=body, left_hand=left, right_hand=right))
+            layout=OPENPOSE_LAYOUT, keypoints=tpose, left_hand=left, right_hand=right))
         for name in ("RWristYaw", "RHandOpen"):
             idx = JOINT_NAMES.index(name)
             assert second.values[idx] == first.values[idx], name
         left_only = StreamMapper(profile=profile).map_frame(SkeletonFrame(
-            layout=OPENPOSE_LAYOUT, body=body, left_hand=left))
+            layout=OPENPOSE_LAYOUT, keypoints=tpose, left_hand=left))
         for name in ("LWristYaw", "LHandOpen"):
             idx = JOINT_NAMES.index(name)
             assert second.values[idx] == left_only.values[idx] != first.values[idx], name
@@ -408,7 +431,7 @@ class TestStreamMapper:
         narrow = dataclasses.replace(profile, joint_limits=tuple(limits))
         hand = make_hand(spread=0.06)  # thumb-pinky distance 0.12 m
         pose = StreamMapper(profile=narrow).map_frame(SkeletonFrame(
-            layout=OPENPOSE_LAYOUT, body=make_tpose_frame().body,
+            layout=OPENPOSE_LAYOUT, keypoints=make_tpose_frame().keypoints,
             left_hand=hand, right_hand=hand))
         t = (0.12 - HAND_YAW_SRC[0]) / (HAND_YAW_SRC[1] - HAND_YAW_SRC[0])
         for name in ("LWristYaw", "RWristYaw"):
@@ -418,7 +441,7 @@ class TestStreamMapper:
 
     def test_openni_seeded_fingers_deterministic(self):
         body = make_openni_body()
-        frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body,
+        frame = SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(body),
                               head_orientation=(0.1, 0.0), left_pixels=(500, 10),
                               right_pixels=(10, 500))
         run1 = StreamMapper(seed=7).map_frame(frame).values
@@ -427,7 +450,7 @@ class TestStreamMapper:
 
     def test_openni_non_finger_joints_seed_independent(self):
         body = make_openni_body()
-        frame = SkeletonFrame(layout=OPENNI_LAYOUT, body=body,
+        frame = SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(body),
                               head_orientation=(0.1, 0.0))
         a = StreamMapper(seed=1).map_frame(frame).values
         b = StreamMapper(seed=2).map_frame(frame).values
@@ -440,17 +463,17 @@ class TestStreamMapper:
 class TestFrameValidation:
     def test_openni_wrong_keypoint_set(self):
         with pytest.raises(StructuralError):
-            SkeletonFrame(layout=OPENNI_LAYOUT, body={"Head": (0, 0, 0)})
+            SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints({"Head": (0, 0, 0)}))
 
     def test_openpose_wrong_keypoint_set(self):
         body = make_openpose_body()
         del body["MidHip"]
         with pytest.raises(StructuralError, match="exactly the 25 body keypoints"):
-            SkeletonFrame(layout=OPENPOSE_LAYOUT, body=body)
+            SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body))
 
     def test_openpose_bad_hand_shape(self):
         with pytest.raises(StructuralError):
-            SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
+            SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(make_openpose_body()),
                           left_hand=np.zeros((20, 3)))
 
     @pytest.mark.parametrize("field, value", [
@@ -466,23 +489,48 @@ class TestFrameValidation:
         ("right_hand", np.array([[1e308, 0.0, 0.0]] * 20 + [[-1e308, 0.0, 0.0]])),
     ])
     def test_non_finite_value_rejected_when_built(self, field, value):
+        """``body`` and ``confidence`` values replace those of the T-pose in ``keypoints``."""
         frame = make_tpose_frame()
         if field == "body":
-            value = {**frame.body, **value}
+            field, value = "keypoints", keypoints({**make_tpose_body(), **value})
+        elif field == "confidence":
+            field, value = "keypoints", keypoints(make_tpose_body(), value)
         with pytest.raises(StructuralError, match="finite"):
             dataclasses.replace(frame, **{field: value})
 
+    def test_first_bad_keypoint_in_layout_order_is_named(self):
+        body = {**make_tpose_body(), "LWrist": (math.nan, 0.0, 0.0), "Neck": (1e200, 1.5, 0.0)}
+        with pytest.raises(StructuralError, match="^keypoint Neck must be finite"):
+            SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body))
+        with pytest.raises(StructuralError, match="^keypoint Nose must be finite"):
+            SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(body, {"Nose": math.inf}))
+
+    @pytest.mark.parametrize("key, pair", [("head_orientation", (0.1,)),
+                                           ("left_pixels", (300.0, 100.0, 5.0)),
+                                           ("right_pixels", ())])
+    def test_pair_of_another_length_rejected_when_built(self, key, pair):
+        with pytest.raises(StructuralError, match=f"^{key} must be 2 finite numbers"):
+            SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(make_openni_body()),
+                          **{key: pair})
+
+    def test_pairs_are_held_as_float_tuples(self):
+        frame = SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(make_openni_body()),
+                              head_orientation=[1, 0], left_pixels=[300, 100])
+        assert frame.head_orientation == (1.0, 0.0) and frame.left_pixels == (300.0, 100.0)
+        assert type(frame.left_pixels) is tuple and type(frame.left_pixels[0]) is float
+
     def test_unknown_layout(self):
         with pytest.raises(StructuralError):
-            SkeletonFrame(layout="kinect", body={})
+            SkeletonFrame(layout="kinect", keypoints=np.zeros((15, 4)))
 
     def test_point_below_threshold_raises(self):
         assert CONFIDENCE_THRESHOLD == 0.1
-        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
-                              confidence={"Nose": 0.1})
-        assert frame.point("Nose")[1] == 1.65
-        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(),
-                              confidence={"Nose": 0.05})
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT,
+                              keypoints=keypoints(make_openpose_body(), {"Nose": 0.1}))
+        assert frame.point("Nose") == (0.0, 1.65, 0.0)
+        assert all(type(value) is float for value in frame.point("Nose"))
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT,
+                              keypoints=keypoints(make_openpose_body(), {"Nose": 0.05}))
         with pytest.raises(StructuralError, match="Nose"):
             frame.point("Nose")
 
@@ -510,12 +558,22 @@ class TestFrameImmutable:
     @pytest.mark.parametrize("name, key, value", [
         ("body", "Neck", (math.nan, 1.4, 0.0)), ("confidence", "Nose", math.nan)])
     def test_mappings_refuse_item_assignment(self, frame, name, key, value):
-        with pytest.raises(TypeError):
-            getattr(frame, name)[key] = value
+        """A keypoint's coordinates (``name`` body) and its confidence are read-only
+        columns of ``keypoints``."""
+        columns = slice(0, 3) if name == "body" else 3
+        with pytest.raises(ValueError, match="read-only"):
+            frame.keypoints[OPENPOSE_KEYPOINTS.index(key), columns] = value
+
+    def test_keypoints_are_a_read_only_view_of_the_callers_array(self):
+        rows = keypoints(make_openpose_body())
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=rows)
+        assert np.shares_memory(frame.keypoints, rows)
+        assert rows.flags.writeable and not frame.keypoints.flags.writeable
 
     def test_hand_is_a_read_only_view_of_the_callers_array(self):
         hand = make_hand()
-        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, body=make_openpose_body(), left_hand=hand)
+        frame = SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(make_openpose_body()),
+                              left_hand=hand)
         assert np.shares_memory(frame.left_hand, hand)
         assert hand.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -523,6 +581,17 @@ class TestFrameImmutable:
 
 
 MISSING = object()     # a field that test_malformed_record_names_its_line leaves out
+# capture values that JSON holds as strings or booleans: float() and numpy would take them
+NOT_NUMBERS = [
+    (OPENNI_LAYOUT, "LElbow", [0.2, "0.218467", 2.0]),
+    (OPENNI_LAYOUT, "timestamp", "0.25"),
+    (OPENNI_LAYOUT, "RHand", [True, 1.2, 2.0]),
+    (OPENNI_LAYOUT, "LElbow", [0.2, 1.2, 2.0, "0.9"]),
+    (OPENNI_LAYOUT, "head_orientation", ["0.1", 0.0]),
+    (OPENNI_LAYOUT, "left_pixels", [300, False]),
+    (OPENPOSE_LAYOUT, "left_hand", [[True, 0.0, 0.0]] + np.zeros((20, 3)).tolist()),
+    (OPENPOSE_LAYOUT, "Nose", [0.0, 1.6, 0.0, True]),
+]
 
 
 class TestFrameIO:
@@ -535,7 +604,9 @@ class TestFrameIO:
         frames = load_skeleton_frames(path, OPENPOSE_LAYOUT)
         assert len(frames) == 1
         assert frames[0].timestamp == 0.5
-        assert frames[0].confidence["Nose"] == 0.9
+        nose, neck = (frames[0].keypoints[OPENPOSE_KEYPOINTS.index(name)].tolist()
+                      for name in ("Nose", "Neck"))
+        assert nose == [0.0, 1.6, 0.0, 0.9] and neck == [0.0, 0.0, 0.0, 1.0]
 
     def test_blank_lines_are_skipped_and_counted(self, tmp_path):
         record = json.dumps(skeleton_record(OPENPOSE_LAYOUT, 0.0))
@@ -590,6 +661,7 @@ class TestFrameIO:
         (OPENNI_LAYOUT, "timestamp", MISSING),
         (OPENPOSE_LAYOUT, "timestamp", MISSING),
         (OPENNI_LAYOUT, None, [1, 2]),
+        *NOT_NUMBERS,
     ])
     def test_malformed_record_names_its_line(self, tmp_path, layout, field, value):
         """``field`` None makes ``value`` the whole record; MISSING leaves ``field`` out."""
@@ -597,6 +669,8 @@ class TestFrameIO:
         bad = skeleton_record(layout, 0.25)
         message = {"body": "body must be a JSON object",
                    None: "skeleton record must be a JSON object"}.get(field, "")
+        if any(case == (layout, field, value) for case in NOT_NUMBERS):
+            message = "capture values must be JSON numbers"
         if field is None:
             bad = value
         elif value is MISSING:
@@ -609,6 +683,21 @@ class TestFrameIO:
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ParseError, match=f"^line 2: {message}"):
+            load_skeleton_frames(path, layout)
+
+    @pytest.mark.parametrize("layout", [OPENNI_LAYOUT, OPENPOSE_LAYOUT])
+    @pytest.mark.parametrize("change", ["missing", "extra", "replaced"])
+    def test_record_with_another_keypoint_set_names_its_line(self, tmp_path, layout, change):
+        bad = skeleton_record(layout, 0.25)
+        names = OPENNI_KEYPOINTS if layout == OPENNI_LAYOUT else OPENPOSE_KEYPOINTS
+        if change != "extra":
+            del bad["body"][names[-1]]
+        if change != "missing":
+            bad["body"]["Chin"] = [0.0, 0.0, 0.0]
+        path = tmp_path / "frames.jsonl"
+        path.write_text(json.dumps(skeleton_record(layout, 0.0)) + "\n" + json.dumps(bad) + "\n")
+        message = f"{layout} frame must carry exactly the {len(names)} body keypoints"
+        with pytest.raises(ParseError, match=f"^line 2: bad skeleton record: {message}$"):
             load_skeleton_frames(path, layout)
 
     @pytest.mark.parametrize("expected, other", [(OPENNI_LAYOUT, OPENPOSE_LAYOUT),
@@ -625,6 +714,26 @@ class TestFrameIO:
 
 # perfbench capture writers by name -> the layout of the records they write
 CAPTURE_LAYOUTS = {"openpose": OPENPOSE_LAYOUT, "openni": OPENNI_LAYOUT}
+# most bytes a loaded frame may hold, its arrays and tuples included. On the seed-5
+# captures below, frames held 2,720 (OpenPose, hands in most frames) and 1,228 (OpenNI)
+# with Python 3.11 and numpy 2.4; frames that kept a name -> tuple dict of the body and
+# another of the confidences held 8,784 and 4,719.
+FRAME_BYTES = {"openpose": 4500, "openni": 2500}
+
+
+class TestFrameFootprint:
+    @pytest.mark.parametrize("layout", ["openpose", "openni"])
+    def test_loaded_frames_hold_one_keypoints_array(self, gen_inputs, tmp_path, layout):
+        path = tmp_path / "capture.jsonl"
+        getattr(gen_inputs, f"write_{layout}_capture")(path, 300, seed=5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            frames = load_skeleton_frames(path, CAPTURE_LAYOUTS[layout])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held / len(frames) < FRAME_BYTES[layout]
 
 
 def skeleton_record(layout, timestamp):
@@ -767,14 +876,14 @@ class TestScalarMatchesNumpyOracle:
             else:
                 assert_arm_angles_match(arm_angles(frame), want)
             if frame.layout == OPENNI_LAYOUT:
-                head = (frame.head_orientation, frame.body["Neck"], frame.body["Head"])
+                head = (frame.head_orientation, coords(frame, "Neck"), coords(frame, "Head"))
                 assert map_head_openni(*head) == pytest.approx(numpy_head_openni(*head),
                                                                abs=ULPS * math.ulp(1.0))
                 for pixels in (frame.left_pixels, frame.right_pixels):
                     if pixels is not None and max(pixels) > 0:
                         assert map_hand_yaw_openni(*pixels) == numpy_hand_yaw_openni(*pixels)
                 continue
-            nose_neck = (frame.body["Nose"], frame.body["Neck"])
+            nose_neck = (coords(frame, "Nose"), coords(frame, "Neck"))
             for got, want in zip(map_head_openpose(*nose_neck, profile),
                                  numpy_head_openpose(*nose_neck, profile)):
                 assert_within_ulps(got, want, "head")
@@ -824,11 +933,9 @@ def captures(gen_inputs, tmp_path_factory):
 
 def shifted(frame, offset):
     """The frame with every body and hand keypoint moved by ``offset``."""
-    dx, dy, dz = offset
-    body = {name: (x + dx, y + dy, z + dz) for name, (x, y, z) in frame.body.items()}
     hands = {key: None if hand is None else hand + np.array(offset)
              for key, hand in (("left_hand", frame.left_hand), ("right_hand", frame.right_hand))}
-    return dataclasses.replace(frame, body=body, **hands)
+    return dataclasses.replace(frame, keypoints=frame.keypoints + (*offset, 0.0), **hands)
 
 
 def rotated(frame, angle):
@@ -836,10 +943,11 @@ def rotated(frame, angle):
     vertical (y) axis, the camera walking round the subject."""
     c, s = math.cos(angle), math.sin(angle)
     rotation = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-    body = {name: tuple(rotation @ point) for name, point in frame.body.items()}
+    turned = frame.keypoints.copy()
+    turned[:, :3] = turned[:, :3] @ rotation.T
     hands = {key: None if hand is None else hand @ rotation.T
              for key, hand in (("left_hand", frame.left_hand), ("right_hand", frame.right_hand))}
-    return dataclasses.replace(frame, body=body, **hands)
+    return dataclasses.replace(frame, keypoints=turned, **hands)
 
 
 # the head angle each layout reads in the camera frame: OpenPose HeadYaw from the

@@ -268,7 +268,7 @@ MAKERS = {
     "GmmModel": lambda: GmmModel(weights=[0.5, 0.5], means=np.zeros((2, N_JOINTS)),
                                  covariance=np.eye(N_JOINTS), mu=1, dt=0.25),
     "SkeletonFrame": lambda: SkeletonFrame(
-        layout=OPENNI_LAYOUT, body={name: (0.0, 0.0, 0.0) for name in OPENNI_KEYPOINTS}),
+        layout=OPENNI_LAYOUT, keypoints=np.zeros((len(OPENNI_KEYPOINTS), 4))),
 }
 
 
