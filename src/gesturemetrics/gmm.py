@@ -93,14 +93,14 @@ def _kmeanspp_centers(x, k, rng):
 
 
 def _sq_dists(y, z):
-    """Squared distances (N x K) between the rows of y and z; pass both centred on the data."""
+    """Squared distances (N x K) between rows of y and z, centred on the data or the model mean."""
     return np.sum(y * y, axis=1)[:, None] - 2.0 * (y @ z.T) + np.sum(z * z, axis=1)
 
 
 def _log_gaussian(block, n, covariance):
-    """Log density of the first n rows of block under components centred at the rest
-    (shared cov), and tr(cov^-1) = ||L^-1||_F^2 from the same Cholesky factor L. Centre
-    block on the data: on offset, ill-conditioned data the whitened distances would cancel."""
+    """Log density of the first n rows of block under components centred at the rest (shared
+    cov), and tr(cov^-1) = ||L^-1||_F^2 from the Cholesky factor L. ``fit`` centres block on
+    the data, ``posterior_matrix`` on ``weights @ means``: far off centre, distances cancel."""
     d = block.shape[1]
     chol = np.linalg.cholesky(covariance)
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))

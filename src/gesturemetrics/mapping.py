@@ -79,16 +79,17 @@ _ROW = {OPENNI_LAYOUT: {name: i for i, name in enumerate(OPENNI_KEYPOINTS)},
         OPENPOSE_LAYOUT: {name: i for i, name in enumerate(OPENPOSE_KEYPOINTS)}}
 _KEYPOINT_SET = "{} frame must carry exactly the {} body keypoints"
 _KEYPOINT_BOUND = np.array([MAX_COORD, MAX_COORD, MAX_COORD, np.finfo(float).max])
-_PAIRS = ("head_orientation", "left_pixels", "right_pixels")
+_EXTRAS = {OPENNI_LAYOUT: ("head_orientation", "left_pixels", "right_pixels"),
+           OPENPOSE_LAYOUT: ("left_hand", "right_hand")}   # the fields each mapper reads
 
 
 @dataclass(frozen=True, eq=False)
 class SkeletonFrame:
     """One timestamped capture frame: ``keypoints`` holds one (x, y, z, confidence) row
-    per name of ``OPENNI_KEYPOINTS`` or ``OPENPOSE_KEYPOINTS``, in that order, and hands
-    are 21 x 3. Every value must be finite, every coordinate at most ``MAX_COORD`` in
-    magnitude and every pixel count non-negative. After its checks the frame cannot
-    change: its arrays are read-only views. It compares and hashes by identity."""
+    per name of ``OPENNI_KEYPOINTS`` or ``OPENPOSE_KEYPOINTS``, in that order, and of the
+    optional fields only its layout's ``_EXTRAS`` may be set; hands are 21 x 3. Values must
+    be finite, coordinates at most ``MAX_COORD`` in magnitude, pixel counts non-negative.
+    Its arrays are read-only views, it cannot change, and it compares and hashes by identity."""
 
     layout: str
     keypoints: np.ndarray
@@ -103,14 +104,15 @@ class SkeletonFrame:
         names = _ROW.get(self.layout)
         if names is None:
             raise StructuralError(f"unsupported layout {self.layout!r}")
+        for key in _EXTRAS[OPENPOSE_LAYOUT if self.layout == OPENNI_LAYOUT else OPENNI_LAYOUT]:
+            if getattr(self, key) is not None:
+                raise StructuralError(f"{self.layout} frames carry no {key}")
         for key in ("keypoints", "left_hand", "right_hand"):
             if getattr(self, key) is not None:
                 object.__setattr__(self, key, read_only(getattr(self, key)))
         if self.keypoints.shape != (len(names), 4):
             raise StructuralError(_KEYPOINT_SET.format(self.layout, len(names)))
         for hand in (self.left_hand, self.right_hand):
-            if hand is not None and self.layout == OPENNI_LAYOUT:
-                raise StructuralError("openni15 frames carry no hand keypoints")
             # the max of an array that holds a NaN is NaN, which fails the bound
             if hand is not None and not (hand.shape == (21, 3) and abs(hand).max() <= MAX_COORD):
                 raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
@@ -121,7 +123,7 @@ class SkeletonFrame:
         if not within.all():
             raise StructuralError(f"keypoint {list(names)[within.argmin()]} must be finite, "
                                   f"with coordinates at most {MAX_COORD:.3g} in magnitude")
-        for key in _PAIRS:
+        for key in _EXTRAS[OPENNI_LAYOUT]:     # the pairs
             if getattr(self, key) is not None:
                 pair = tuple(map(float, getattr(self, key)))
                 object.__setattr__(self, key, pair)
@@ -406,16 +408,16 @@ def _frame_from_record(rec, line, layout):
             if not isinstance(coords, list) or not 3 <= len(coords) <= 4:
                 raise ParseError(f"keypoint {name} must be a list of 3 or 4 numbers", line)
             rows.append(coords if len(coords) == 4 else [*coords, 1.0])
-        kwargs = {key: rec.get(key) for key in ("left_hand", "right_hand", *_PAIRS)}
-        numbers = [*rows, [rec["timestamp"]], *filter(None, map(kwargs.get, _PAIRS))]
-        for hand in (kwargs["left_hand"], kwargs["right_hand"]):
+        kw = {key: rec.get(key) for key in chain.from_iterable(_EXTRAS.values())}
+        numbers = [*rows, [rec["timestamp"]], *filter(None, map(kw.get, _EXTRAS[OPENNI_LAYOUT]))]
+        for hand in map(kw.get, _EXTRAS[OPENPOSE_LAYOUT]):
             numbers += hand or ()   # its rows
         # float() and numpy would also take strings and booleans
         if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
             raise ParseError("capture values must be JSON numbers", line)
-        # SkeletonFrame checks the pairs, the hand shapes and the value bounds
+        # SkeletonFrame refuses the other layout's fields, checks pairs, hands and bounds
         return SkeletonFrame(layout=layout, keypoints=np.array(rows, dtype=float),
-                             timestamp=float(rec["timestamp"]), **kwargs)
+                             timestamp=float(rec["timestamp"]), **kw)
     except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc
 

@@ -70,10 +70,10 @@ class RobotProfile:
     motion metrics.
     """
 
-    joint_limits: tuple = ()
-    upper_arm_length: float = 0.1812
-    forearm_length: float = 0.15
-    shoulder_offset: float = 0.1497
+    joint_limits: tuple
+    upper_arm_length: float
+    forearm_length: float
+    shoulder_offset: float
 
     def __post_init__(self):
         if len(self.joint_limits) != N_JOINTS:

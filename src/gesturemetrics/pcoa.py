@@ -117,7 +117,7 @@ def pcoa(d):
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     dropped = float(np.sum(np.abs(evals[evals < 0])))
-    cutoff = EIG_TOL * max(evals[0], 0.0) if evals.size else 0.0
+    cutoff = EIG_TOL * max(evals[0], 0.0)
     keep = evals > cutoff
     evals, evecs = evals[keep], evecs[:, keep]
     # deterministic sign: largest-magnitude component of each axis positive

@@ -34,7 +34,6 @@ from gesturemetrics.model import (
     N_JOINTS,
     GestureDataset,
     RobotProfile,
-    as_matrix,
 )
 from gesturemetrics.motion import jerk, path_length
 from gesturemetrics.pcoa import analyze_dataset_structure, fidelity_report, pcoa
@@ -56,7 +55,7 @@ def test_criterion_01_metric_identity_suite():
         start = time.perf_counter()
         ds = beat_gesture_corpus(400, 4, seed=0)
         assert len(ds) == 100
-        matrix = as_matrix(ds)
+        matrix = ds.matrix
         res_o = analyze_dataset_structure(matrix)
         res_g = analyze_dataset_structure(matrix.copy())
         report = fidelity_report(res_o, res_g)
@@ -175,7 +174,7 @@ def test_criterion_07_fgd_ordering_experiment():
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             truth = GmmModel(weights=np.full(8, 1.0 / 8), means=center + 0.2 * dirs,
                              covariance=0.04 ** 2 * np.eye(dim), mu=4, dt=0.25)
-            pool = as_matrix(sample(truth, 5000, seed=seed))
+            pool = sample(truth, 5000, seed=seed).matrix
             train = GestureDataset(matrix=pool[:2500], dt=0.25)
             held = pool[2500:]
             heldout = GestureDataset(matrix=held, dt=0.25)

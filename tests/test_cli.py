@@ -189,6 +189,7 @@ class TestMap:
         ("left_pixels", ["a", 3]),
         ("right_pixels", [-5, 3]),
         ("head_orientation", [0.1]),
+        ("left_hand", [[0.0, 0.0, 0.0]] * 21),     # OpenPose frames alone carry hands
     ])
     def test_malformed_capture_is_input_failure(self, tmp_path, capsys, field, value):
         src = tmp_path / "frames.jsonl"

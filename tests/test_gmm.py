@@ -21,7 +21,7 @@ from gesturemetrics.gmm import (
     sample,
     save_model,
 )
-from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix, philox
+from gesturemetrics.model import N_JOINTS, GestureDataset, philox
 from gesturemetrics.synth import beat_gesture_corpus
 
 D = N_JOINTS  # mu=1 keeps the tests fast
@@ -44,7 +44,7 @@ class TestFit:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(0)
         ds = gaussian_dataset(rng, 200)
-        x = as_matrix(ds)
+        x = ds.matrix
         model = fit(ds, k=1, seed=0)
         assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(model.means[0], x.mean(axis=0), atol=1e-8)
@@ -95,7 +95,7 @@ class TestFit:
 
     def test_covariance_symmetric_at_large_magnitude(self):
         rng = np.random.default_rng(23)
-        x = 1e6 * (as_matrix(two_cluster_dataset(rng, 100)) + 5.0)
+        x = 1e6 * (two_cluster_dataset(rng, 100).matrix + 5.0)
         model = fit(GestureDataset(matrix=x, dt=0.25), k=3, seed=0)
         assert np.array_equal(model.covariance, model.covariance.T)
 
@@ -261,7 +261,7 @@ class TestTranslationInvariance:
     def test_offset_leaves_posteriors_and_fit_unchanged(self, offset):
         shift = np.array(offset)
         ds = two_cluster_dataset(np.random.default_rng(24), 80)
-        x = as_matrix(ds)
+        x = ds.matrix
         moved = GestureDataset(matrix=x + shift, dt=0.25)
         model = fit(ds, k=3, seed=1)
         shifted = GmmModel(weights=model.weights, means=model.means + shift,
@@ -412,7 +412,7 @@ class TestPosterior:
         ds = gaussian_dataset(rng, 15)
         mat = posterior_matrix(model, ds)
         assert mat.shape == (15, 2)
-        for i, row in enumerate(as_matrix(ds)):
+        for i, row in enumerate(ds.matrix):
             assert np.allclose(mat[i], posteriors(model, row)[0], atol=1e-12)
 
     # scored around a point the model fixes, a unit's row depends on that unit alone: a
@@ -443,7 +443,7 @@ class TestSampling:
         model = toy_model()
         n = 100_000
         ds = sample(model, n, seed=0)
-        x = as_matrix(ds)
+        x = ds.matrix
         mix_mean = model.weights @ model.means
         # per-dimension variance of the mixture with unit shared covariance
         second = model.weights @ (model.means ** 2 + 1.0)
@@ -454,14 +454,14 @@ class TestSampling:
 
     def test_component_frequencies(self):
         model = toy_model()
-        x = as_matrix(sample(model, 50_000, seed=1))
+        x = sample(model, 50_000, seed=1).matrix
         frac_right = float(np.mean(x[:, 0] > 0))
         assert frac_right == pytest.approx(0.7, abs=0.01)
 
     def test_deterministic_given_seed(self):
         model = toy_model()
-        a = as_matrix(sample(model, 100, seed=9))
-        b = as_matrix(sample(model, 100, seed=9))
+        a = sample(model, 100, seed=9).matrix
+        b = sample(model, 100, seed=9).matrix
         assert np.array_equal(a, b)
 
     def test_preserves_mu_and_dt(self):

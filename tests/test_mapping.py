@@ -334,6 +334,21 @@ def make_tpose_frame():
                          timestamp=0.0)
 
 
+def extra_fields(layout):
+    """A valid value, as a record holds it, of each optional field of ``layout``'s frames."""
+    if layout == OPENNI_LAYOUT:
+        return {"head_orientation": [0.1, 0.0], "left_pixels": [300, 100],
+                "right_pixels": [100, 300]}
+    return {"left_hand": make_hand().tolist(), "right_hand": make_hand().tolist()}
+
+
+# each optional field with a valid value, on a frame or record of the layout that lacks it
+FOREIGN_FIELDS = [(layout, field, value)
+                  for layout, other in ((OPENNI_LAYOUT, OPENPOSE_LAYOUT),
+                                        (OPENPOSE_LAYOUT, OPENNI_LAYOUT))
+                  for field, value in extra_fields(other).items()]
+
+
 class TestStreamMapper:
     def test_tpose_shoulder_roll_near_quarter_turn(self, profile):
         pose = StreamMapper(profile=profile).map_frame(make_tpose_frame())
@@ -489,14 +504,23 @@ class TestFrameValidation:
         ("right_hand", np.array([[1e308, 0.0, 0.0]] * 20 + [[-1e308, 0.0, 0.0]])),
     ])
     def test_non_finite_value_rejected_when_built(self, field, value):
-        """``body`` and ``confidence`` values replace those of the T-pose in ``keypoints``."""
+        """``body`` and ``confidence`` values replace those of the T-pose in ``keypoints``;
+        the pairs go on an OpenNI frame, the only layout that carries them."""
         frame = make_tpose_frame()
+        if field in ("head_orientation", "right_pixels"):
+            frame = SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(make_openni_body()))
         if field == "body":
             field, value = "keypoints", keypoints({**make_tpose_body(), **value})
         elif field == "confidence":
             field, value = "keypoints", keypoints(make_tpose_body(), value)
         with pytest.raises(StructuralError, match="finite"):
             dataclasses.replace(frame, **{field: value})
+
+    @pytest.mark.parametrize("layout, field, value", FOREIGN_FIELDS)
+    def test_field_of_the_other_layout_rejected_when_built(self, layout, field, value):
+        body = make_openni_body() if layout == OPENNI_LAYOUT else make_openpose_body()
+        with pytest.raises(StructuralError, match=f"^{layout} frames carry no {field}$"):
+            SkeletonFrame(layout=layout, keypoints=keypoints(body), **{field: value})
 
     def test_first_bad_keypoint_in_layout_order_is_named(self):
         body = {**make_tpose_body(), "LWrist": (math.nan, 0.0, 0.0), "Neck": (1e200, 1.5, 0.0)}
@@ -662,6 +686,7 @@ class TestFrameIO:
         (OPENPOSE_LAYOUT, "timestamp", MISSING),
         (OPENNI_LAYOUT, None, [1, 2]),
         *NOT_NUMBERS,
+        *FOREIGN_FIELDS,
     ])
     def test_malformed_record_names_its_line(self, tmp_path, layout, field, value):
         """``field`` None makes ``value`` the whole record; MISSING leaves ``field`` out."""
@@ -671,6 +696,8 @@ class TestFrameIO:
                    None: "skeleton record must be a JSON object"}.get(field, "")
         if any(case == (layout, field, value) for case in NOT_NUMBERS):
             message = "capture values must be JSON numbers"
+        if any(case == (layout, field, value) for case in FOREIGN_FIELDS):
+            message = f"bad skeleton record: {layout} frames carry no {field}$"
         if field is None:
             bad = value
         elif value is MISSING:
@@ -738,14 +765,9 @@ class TestFrameFootprint:
 
 def skeleton_record(layout, timestamp):
     """A valid capture record of either layout, as written to a JSONL file."""
-    if layout == OPENNI_LAYOUT:
-        body = {name: [0.0, 0.0, 0.0] for name in OPENNI_KEYPOINTS}
-        return {"layout": layout, "timestamp": timestamp, "body": body,
-                "head_orientation": [0.1, 0.0], "left_pixels": [300, 100],
-                "right_pixels": [100, 300]}
-    body = {name: [0.0, 0.0, 0.0] for name in OPENPOSE_KEYPOINTS}
-    return {"layout": layout, "timestamp": timestamp, "body": body,
-            "left_hand": make_hand().tolist(), "right_hand": make_hand().tolist()}
+    names = OPENNI_KEYPOINTS if layout == OPENNI_LAYOUT else OPENPOSE_KEYPOINTS
+    return {"layout": layout, "timestamp": timestamp,
+            "body": {name: [0.0, 0.0, 0.0] for name in names}, **extra_fields(layout)}
 
 
 # The numpy implementation that the scalar mappers replaced, kept as their

@@ -40,11 +40,11 @@ class TestProfile:
         idx = JOINT_NAMES.index("LHandOpen")
         assert profile.joint_limits[idx] == (0.0, 1.0)
 
-    def test_rejects_empty_interval(self):
-        bad = [list(lim) for lim in RobotProfile.default().joint_limits]
+    def test_rejects_empty_interval(self, profile):
+        bad = [list(lim) for lim in profile.joint_limits]
         bad[0] = [1.0, 1.0]
         with pytest.raises(StructuralError):
-            RobotProfile(joint_limits=tuple(tuple(l) for l in bad))
+            dataclasses.replace(profile, joint_limits=tuple(tuple(l) for l in bad))
 
     @pytest.mark.parametrize("edit, message", [
         (lambda limits: limits[:-1], r"one \[min, max\] pair per joint"),
@@ -54,11 +54,11 @@ class TestProfile:
     ], ids=["13-pairs", "hand-open-to-2"])
     def test_rejects_limits_of_another_count_or_hand_range(self, profile, edit, message):
         with pytest.raises(StructuralError, match=message):
-            RobotProfile(joint_limits=edit(profile.joint_limits))
+            dataclasses.replace(profile, joint_limits=edit(profile.joint_limits))
 
     def test_rejects_nonpositive_link_length(self, profile):
         with pytest.raises(StructuralError):
-            RobotProfile(joint_limits=profile.joint_limits, upper_arm_length=0.0)
+            dataclasses.replace(profile, upper_arm_length=0.0)
 
     @pytest.mark.parametrize("text", [b"[" * 5000, b"\xff{}"], ids=["deeply-nested", "not-utf8"])
     def test_undecodable_file_rejected(self, tmp_path, text):
@@ -139,7 +139,7 @@ def units_of(poses, mu, dt=0.25):
     poses = np.asarray(poses, dtype=float)
     stream = PoseStream(values=poses, timestamps=dt * np.arange(len(poses)),
                         native_rate_hz=1.0 / dt)
-    return as_matrix(window(stream, mu))
+    return window(stream, mu).matrix
 
 
 class TestFlatten:
@@ -185,26 +185,30 @@ class TestDataset:
         ds = GestureDataset(matrix=rng.uniform(size=(5, N_JOINTS * mu)), dt=0.25)
         assert ds.mu == mu
         assert len(ds) == 5
-        assert as_matrix(ds).shape == (5, N_JOINTS * mu)
+        assert ds.matrix.shape == (5, N_JOINTS * mu)
 
     def test_single_unit_matrix(self):
         row = [float(i) for i in range(N_JOINTS)]
         ds = GestureDataset(matrix=[row], dt=0.25)
-        assert as_matrix(ds).dtype == np.float64
-        assert np.array_equal(as_matrix(ds), np.array([row]))
+        assert ds.matrix.dtype == np.float64
+        assert np.array_equal(ds.matrix, np.array([row]))
 
     def test_three_by_56(self):
         rng = np.random.default_rng(7)
         ds = GestureDataset(matrix=rng.normal(size=(3, 56)), dt=0.25)
         assert ds.mu == 4
         assert ds.sample_rate_hz == 4.0
-        assert as_matrix(ds).shape == (3, 56)
+        assert ds.matrix.shape == (3, 56)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(StructuralError):
             GestureDataset(matrix=np.zeros((0, N_JOINTS)), dt=0.25)
         with pytest.raises(StructuralError):
             GestureDataset(matrix=np.zeros(N_JOINTS), dt=0.25)
+
+    def test_as_matrix_is_the_matrix(self):
+        ds = GestureDataset(matrix=np.zeros((2, N_JOINTS)), dt=0.25)
+        assert as_matrix(ds) is ds.matrix
 
     @pytest.mark.parametrize("dt", [0.0, -0.25, float("inf"), float("nan")])
     def test_dt_must_be_finite_and_positive(self, dt):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gesturemetrics import pipeline, synth
 from gesturemetrics.errors import ParseError, StructuralError
-from gesturemetrics.model import N_JOINTS, GestureDataset, as_matrix
+from gesturemetrics.model import N_JOINTS, GestureDataset
 from gesturemetrics.pipeline import (
     PoseStream,
     load_dataset,
@@ -180,21 +180,21 @@ class TestWindow:
         stream = make_stream(8, fn=lambda t: t)
         ds = window(stream, 4)
         assert len(ds) == 2
-        first, second = as_matrix(ds).reshape(2, 4, N_JOINTS)
+        first, second = ds.matrix.reshape(2, 4, N_JOINTS)
         assert np.array_equal(first, stream.values[:4])
         assert np.array_equal(second, stream.values[4:])
 
     def test_concatenated_windows_reproduce_prefix(self):
         stream = make_stream(11, fn=lambda t: np.cos(t))
         ds = window(stream, 4)
-        rebuilt = as_matrix(ds).reshape(-1, N_JOINTS)
+        rebuilt = ds.matrix.reshape(-1, N_JOINTS)
         assert np.array_equal(rebuilt, stream.values[:8])
 
     def test_explicit_stride_overlap(self):
         stream = make_stream(10, fn=lambda t: t)
         ds = window(stream, 4, stride=2)
         assert len(ds) == 4
-        for i, row in enumerate(as_matrix(ds)):
+        for i, row in enumerate(ds.matrix):
             assert np.array_equal(row.reshape(4, N_JOINTS), stream.values[2 * i:2 * i + 4])
 
     def test_bad_mu_rejected(self):
@@ -222,7 +222,7 @@ class TestDatasetIO:
         assert back.mu == ds.mu
         assert back.dt == ds.dt
         assert back.source_tag == "unit-test"
-        assert np.array_equal(as_matrix(back), as_matrix(ds))
+        assert np.array_equal(back.matrix, ds.matrix)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         ds = window(make_stream(4), 1)
@@ -248,7 +248,7 @@ class TestDatasetIO:
         path = tmp_path / "ds.csv"
         save_dataset(ds, path)
         back = load_dataset(path)
-        assert as_matrix(back).shape == (2, 56)
+        assert back.matrix.shape == (2, 56)
 
     def test_every_row_short_of_a_column_names_first_row(self, tmp_path):
         path = tmp_path / "ds.csv"
