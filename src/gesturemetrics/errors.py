@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all modules, and the one JSON decoder."""
+"""Exception hierarchy shared by all modules, the one JSON decoder and its one number rule."""
 
 import json
+from itertools import chain
 
 
 class GestureError(Exception):
@@ -40,3 +41,11 @@ def parse_json(text, what, line=None):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{what}: {exc}", line) from exc
+
+
+def json_numbers(rows, what, line=None):
+    """Raise ``ParseError(what, line)`` unless every row is a JSON array of JSON numbers:
+    ``float()`` and numpy would also read a string or a boolean."""
+    if not (set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        raise ParseError(what, line)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline
-from .errors import ParseError, StructuralError, parse_json
+from .errors import ParseError, StructuralError, json_numbers, parse_json
 from .model import (N_JOINTS, GestureDataset, check_dt, check_spread, check_symmetric, philox,
                     read_only)
 
@@ -56,7 +56,7 @@ class GmmModel:
         if (self.weights.ndim != 1 or abs(self.weights.sum() - 1.0) > 1e-10
                 or np.any(self.weights < 0)):
             raise StructuralError("weights must be a non-negative vector that sums to 1")
-        if self.means.shape != (self.k, self.d):
+        if self.means.ndim != 2 or len(self.means) != self.k:
             raise StructuralError("means must be K x d")
         if self.d != N_JOINTS * self.mu:
             raise StructuralError(f"model dimension d={self.d} is not 14 * mu (mu={self.mu})")
@@ -274,10 +274,10 @@ def load_model(path):
             if isinstance(doc[key], bool):      # JSON true, which operator.index reads as 1
                 raise ParseError(f"{key} must be a JSON integer, not a boolean")
         arrays = [np.array(doc[key], dtype=object)     # keeps each entry's JSON type
-                  for key in ("weights", "means", "covariance", "dt")]
-        if not {type(v) for a in arrays for v in a.flat} <= {int, float}:
-            raise ParseError("malformed model file: dt and every array entry must be JSON numbers")
-        model = GmmModel(*arrays[:3], mu=operator.index(doc["mu"]), dt=float(doc["dt"]))
+                  for key in ("weights", "means", "covariance")]
+        json_numbers([[doc["dt"]], *(a.ravel().tolist() for a in arrays)],
+                     "malformed model file: dt and every array entry must be JSON numbers")
+        model = GmmModel(*arrays, mu=operator.index(doc["mu"]), dt=float(doc["dt"]))
         if (model.k, model.d) != (operator.index(doc["k"]), operator.index(doc["d"])):
             raise ParseError("model matrix shapes disagree with declared k/d")
     except KeyError as exc:

@@ -29,7 +29,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (DegenerateGeometryError, ParseError, StructuralError,
-                     UnknownOrientationError, parse_json)
+                     UnknownOrientationError, json_numbers, parse_json)
 from .model import JOINT_INDEX, Pose, RobotProfile, philox, read_only, validate_pose
 from .pipeline import PoseStream
 
@@ -107,16 +107,20 @@ class SkeletonFrame:
         for key in _EXTRAS[OPENPOSE_LAYOUT if self.layout == OPENNI_LAYOUT else OPENNI_LAYOUT]:
             if getattr(self, key) is not None:
                 raise StructuralError(f"{self.layout} frames carry no {key}")
-        for key in ("keypoints", "left_hand", "right_hand"):
-            if getattr(self, key) is not None:
-                object.__setattr__(self, key, read_only(getattr(self, key)))
+        object.__setattr__(self, "keypoints", read_only(self.keypoints))
         if self.keypoints.shape != (len(names), 4):
             raise StructuralError(_KEYPOINT_SET.format(self.layout, len(names)))
-        for hand in (self.left_hand, self.right_hand):
-            # the max of an array that holds a NaN is NaN, which fails the bound
-            if hand is not None and not (hand.shape == (21, 3) and abs(hand).max() <= MAX_COORD):
-                raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
-                                      f"each at most {MAX_COORD:.3g} in magnitude")
+        for key in ("left_hand", "right_hand"):
+            if getattr(self, key) is not None:
+                try:
+                    hand = read_only(getattr(self, key))
+                except (TypeError, ValueError, OverflowError):  # ragged, or not floats
+                    hand = np.empty(0)
+                # the max of an array that holds a NaN is NaN, which fails the bound
+                if not (hand.shape == (21, 3) and abs(hand).max() <= MAX_COORD):
+                    raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
+                                          f"each at most {MAX_COORD:.3g} in magnitude")
+                object.__setattr__(self, key, hand)
         # a comparison is False for NaN, so the bounds refuse non-finite values too; a
         # confidence need only be finite, so its bound is the largest float
         within = (abs(self.keypoints) <= _KEYPOINT_BOUND).all(axis=1)
@@ -379,12 +383,13 @@ def map_capture(frames, profile=None, seed=0):
     no frames raise ``StructuralError``."""
     if not frames:
         raise StructuralError("no frames in input")
+    timestamps = [f.timestamp for f in frames]
+    if not all(a < b for a, b in zip(timestamps, timestamps[1:])):
+        raise StructuralError("frame timestamps must be strictly increasing")
     mapper = StreamMapper(profile, seed)
     values = np.array([mapper.map_frame(frame).values for frame in frames])
-    span = frames[-1].timestamp - frames[0].timestamp
-    rate = (len(frames) - 1) / span if len(frames) > 1 else 1.0
-    return PoseStream(values=values, timestamps=[f.timestamp for f in frames],
-                      native_rate_hz=rate)
+    rate = (len(frames) - 1) / (timestamps[-1] - timestamps[0]) if len(frames) > 1 else 1.0
+    return PoseStream(values=values, timestamps=timestamps, native_rate_hz=rate)
 
 
 def _frame_from_record(rec, line, layout):
@@ -409,12 +414,13 @@ def _frame_from_record(rec, line, layout):
                 raise ParseError(f"keypoint {name} must be a list of 3 or 4 numbers", line)
             rows.append(coords if len(coords) == 4 else [*coords, 1.0])
         kw = {key: rec.get(key) for key in chain.from_iterable(_EXTRAS.values())}
-        numbers = [*rows, [rec["timestamp"]], *filter(None, map(kw.get, _EXTRAS[OPENNI_LAYOUT]))]
-        for hand in map(kw.get, _EXTRAS[OPENPOSE_LAYOUT]):
-            numbers += hand or ()   # its rows
-        # float() and numpy would also take strings and booleans
-        if not set(map(type, chain.from_iterable(numbers))) <= {int, float}:
-            raise ParseError("capture values must be JSON numbers", line)
+        numbers = [*rows, [rec["timestamp"]]]
+        for key in _EXTRAS[layout]:     # a pair is one row, a hand adds its rows
+            if kw[key] is not None:
+                if not isinstance(kw[key], list):
+                    raise ParseError(f"{key} must be a JSON array", line)
+                numbers += kw[key] if layout == OPENPOSE_LAYOUT else [kw[key]]
+        json_numbers(numbers, "capture values must be JSON numbers", line)
         # SkeletonFrame refuses the other layout's fields, checks pairs, hands and bounds
         return SkeletonFrame(layout=layout, keypoints=np.array(rows, dtype=float),
                              timestamp=float(rec["timestamp"]), **kw)

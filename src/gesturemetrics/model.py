@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError, StructuralError, parse_json
+from .errors import ParseError, StructuralError, json_numbers, parse_json
 
 N_JOINTS = 14
 
@@ -54,13 +54,6 @@ def philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _number(value):
-    """A JSON number as a float; ``float`` alone would also take strings and booleans."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class RobotProfile:
     """Joint limits and link lengths of the target robot.
@@ -94,19 +87,22 @@ class RobotProfile:
 
     @classmethod
     def from_dict(cls, doc):
-        joints = doc["joints"]
+        for key in ("joints", "link_lengths"):
+            if not isinstance(doc[key], dict):
+                raise TypeError(f"{key} must be a JSON object")
+        joints, links = doc["joints"], doc["link_lengths"]
         if set(joints) != set(JOINT_NAMES):
             missing = set(JOINT_NAMES) - set(joints)
             extra = set(joints) - set(JOINT_NAMES)
             raise StructuralError(f"bad joint set (missing={sorted(missing)}, extra={sorted(extra)})")
-        links = doc["link_lengths"]
-        return cls(
-            joint_limits=tuple((_number(lo), _number(hi)) for lo, hi in
-                               (joints[name] for name in JOINT_NAMES)),
-            upper_arm_length=_number(links["upper_arm"]),
-            forearm_length=_number(links["forearm"]),
-            shoulder_offset=_number(links["shoulder_offset"]),
-        )
+        limits = [joints[name] for name in JOINT_NAMES]
+        lengths = [links["upper_arm"], links["forearm"], links["shoulder_offset"]]
+        json_numbers([*limits, lengths],
+                     "malformed robot profile: joint limits and link lengths must be JSON numbers")
+        for name, limit in zip(JOINT_NAMES, limits):
+            if len(limit) != 2:
+                raise ValueError(f"{name} limit must be a [lo, hi] pair")
+        return cls(tuple(tuple(map(float, limit)) for limit in limits), *map(float, lengths))
 
     @classmethod
     def from_file(cls, path):

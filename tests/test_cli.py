@@ -726,6 +726,10 @@ class TestEvaluate:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# a profile value that breaks the one JSON-number rule (errors.json_numbers)
+PROFILE_NOT_NUMBERS = "malformed robot profile: joint limits and link lengths must be JSON numbers"
+
+
 class TestErrors:
     def test_missing_input_file(self, tmp_path):
         assert main(["motion-stats", str(tmp_path / "nope.csv")]) == 2
@@ -1010,10 +1014,13 @@ class TestErrors:
         (lambda doc: {**doc, "mu": 4.5}, "malformed model file"),
         (lambda doc: {**doc, "mu": True}, "mu must be a JSON integer, not a boolean"),
         (lambda doc: {**doc, "dt": True}, "dt and every array entry must be JSON numbers"),
-        (lambda doc: {**doc, "means": doc["means"][0]}, "malformed model file"),
+        (lambda doc: {**doc, "means": doc["means"][0]}, "error: means must be K x d\n"),
         (lambda doc: [doc], "model file must hold a JSON object"),
+        (lambda doc: {**doc, "means": []}, "error: means must be K x d\n"),
+        (lambda doc: {**doc, "dt": [0.25]}, "dt and every array entry must be JSON numbers"),
     ], ids=["missing-key", "non-numeric-array", "non-integer-mu", "fractional-mu",
-            "boolean-mu", "boolean-dt", "one-dimensional-means", "not-an-object"])
+            "boolean-mu", "boolean-dt", "one-dimensional-means", "not-an-object",
+            "empty-means", "array-dt"])
     def test_malformed_model_file_is_input_failure(self, corpus, tmp_path, capsys, edit,
                                                    message):
         _, ds = corpus
@@ -1031,23 +1038,32 @@ class TestErrors:
         (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "link_lengths"}),
          "robot profile has no 'link_lengths' entry"),
         (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": [1.0]}}),
-         "malformed robot profile"),
+         "malformed robot profile: HeadYaw limit must be a [lo, hi] pair"),
         (lambda doc: json.dumps({**doc, "link_lengths": {**doc["link_lengths"],
                                                          "forearm": "abc"}}),
-         "malformed robot profile"),
+         PROFILE_NOT_NUMBERS),
         (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": ["-2", 2]}}),
-         "malformed robot profile: expected a JSON number, got '-2'"),
+         PROFILE_NOT_NUMBERS),
         (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": [-2, True]}}),
-         "malformed robot profile: expected a JSON number, got True"),
+         PROFILE_NOT_NUMBERS),
         (lambda doc: json.dumps({**doc, "link_lengths": {**doc["link_lengths"],
                                                          "forearm": "0.15"}}),
-         "malformed robot profile: expected a JSON number, got '0.15'"),
+         PROFILE_NOT_NUMBERS),
         (lambda doc: json.dumps(doc)[:-1], "robot profile is not valid JSON"),
         (lambda doc: "[" * 5000, "robot profile is not valid JSON"),
         (lambda doc: json.dumps([doc]), "robot profile must hold a JSON object"),
+        (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": [1, 2, 3]}}),
+         "malformed robot profile: HeadYaw limit must be a [lo, hi] pair"),
+        (lambda doc: json.dumps({**doc, "link_lengths": 5}),
+         "malformed robot profile: link_lengths must be a JSON object"),
+        (lambda doc: json.dumps({**doc, "joints": 5}),
+         "malformed robot profile: joints must be a JSON object"),
+        (lambda doc: json.dumps({**doc, "joints": {**doc["joints"], "HeadYaw": 5}}),
+         PROFILE_NOT_NUMBERS),
     ], ids=["missing-link-lengths", "one-value-limit", "non-numeric-length",
             "string-limit", "boolean-limit", "numeric-string-length",
-            "invalid-json", "deeply-nested", "not-an-object"])
+            "invalid-json", "deeply-nested", "not-an-object", "three-value-limit",
+            "scalar-link-lengths", "scalar-joints", "scalar-limit"])
     def test_malformed_profile_is_input_failure(self, corpus, tmp_path, capsys, write,
                                                 message):
         _, ds = corpus

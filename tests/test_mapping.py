@@ -516,6 +516,14 @@ class TestFrameValidation:
         with pytest.raises(StructuralError, match="finite"):
             dataclasses.replace(frame, **{field: value})
 
+    @pytest.mark.parametrize("hand", [{}, "", [[1, 2, 3]] * 20 + [[1, 2]],
+                                      [["a", "b", "c"]] * 21, [[10 ** 400, 0, 0]] * 21],
+                             ids=["object", "empty-string", "ragged", "strings", "beyond-float"])
+    def test_hand_that_is_not_21_by_3_numbers_fails_with_the_hand_rule(self, hand):
+        with pytest.raises(StructuralError, match="^hand keypoint sets must be 21 x 3 finite"):
+            SkeletonFrame(layout=OPENPOSE_LAYOUT, keypoints=keypoints(make_openpose_body()),
+                          left_hand=hand)
+
     @pytest.mark.parametrize("layout, field, value", FOREIGN_FIELDS)
     def test_field_of_the_other_layout_rejected_when_built(self, layout, field, value):
         body = make_openni_body() if layout == OPENNI_LAYOUT else make_openpose_body()
@@ -616,6 +624,18 @@ NOT_NUMBERS = [
     (OPENPOSE_LAYOUT, "left_hand", [[True, 0.0, 0.0]] + np.zeros((20, 3)).tolist()),
     (OPENPOSE_LAYOUT, "Nose", [0.0, 1.6, 0.0, True]),
 ]
+# optional fields that are present but not JSON arrays, falsy ones included
+NOT_ARRAYS = [
+    (OPENNI_LAYOUT, "left_pixels", 0),
+    (OPENNI_LAYOUT, "head_orientation", False),
+    (OPENNI_LAYOUT, "left_pixels", 5),
+    (OPENNI_LAYOUT, "right_pixels", ""),
+    (OPENPOSE_LAYOUT, "right_hand", 0),
+    (OPENPOSE_LAYOUT, "left_hand", {}),
+    (OPENPOSE_LAYOUT, "left_hand", ""),
+]
+FLAT_HAND = (OPENPOSE_LAYOUT, "left_hand", [1, 2, 3])     # numbers, not rows of them
+RAGGED_HAND = (OPENPOSE_LAYOUT, "left_hand", [[1, 2, 3]] * 20 + [[1, 2]])
 
 
 class TestFrameIO:
@@ -687,6 +707,9 @@ class TestFrameIO:
         (OPENNI_LAYOUT, None, [1, 2]),
         *NOT_NUMBERS,
         *FOREIGN_FIELDS,
+        *NOT_ARRAYS,
+        FLAT_HAND,
+        RAGGED_HAND,
     ])
     def test_malformed_record_names_its_line(self, tmp_path, layout, field, value):
         """``field`` None makes ``value`` the whole record; MISSING leaves ``field`` out."""
@@ -694,8 +717,12 @@ class TestFrameIO:
         bad = skeleton_record(layout, 0.25)
         message = {"body": "body must be a JSON object",
                    None: "skeleton record must be a JSON object"}.get(field, "")
-        if any(case == (layout, field, value) for case in NOT_NUMBERS):
-            message = "capture values must be JSON numbers"
+        if any(case == (layout, field, value) for case in [*NOT_NUMBERS, FLAT_HAND]):
+            message = "capture values must be JSON numbers$"
+        if any(case == (layout, field, value) for case in NOT_ARRAYS):
+            message = f"{field} must be a JSON array$"
+        if (layout, field, value) == RAGGED_HAND:
+            message = "bad skeleton record: hand keypoint sets must be 21 x 3 finite values"
         if any(case == (layout, field, value) for case in FOREIGN_FIELDS):
             message = f"bad skeleton record: {layout} frames carry no {field}$"
         if field is None:
@@ -1040,6 +1067,16 @@ class TestMapCapture:
     def test_no_frames_is_structural_error(self):
         with pytest.raises(StructuralError, match="^no frames in input$"):
             map_capture([])
+
+    @pytest.mark.parametrize("order", ["equal-ends", "repeated", "decreasing"])
+    def test_timestamps_that_do_not_increase_are_refused(self, captures, order):
+        """Equal first and last timestamps would divide by a zero span, decreasing ones
+        give a negative rate: both get the reader's own rule."""
+        a, b, c = captures["openpose"][:3]
+        frames = {"equal-ends": [a, b, a], "repeated": [a, b, b, c], "decreasing": [c, b, a]}
+        with pytest.raises(StructuralError,
+                           match="^frame timestamps must be strictly increasing$"):
+            map_capture(frames[order])
 
     def test_pose_carries_values_and_clamp_count_only(self):
         pose = StreamMapper().map_frame(make_tpose_frame())
