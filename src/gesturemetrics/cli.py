@@ -15,7 +15,7 @@ from .errors import GestureError, ParseError, StructuralError
 from .mapping import OPENNI_LAYOUT, OPENPOSE_LAYOUT, load_skeleton_frames, map_capture
 from .model import RobotProfile
 from .procrustes import procrustes
-from .report import STAGES, Run, evaluate, write_report, write_spectra_csv, write_spectrum_svg
+from .report import STAGES, Run, evaluate, write_report, write_spectrum_svg
 
 EXIT_OK = 0
 EXIT_METRIC_FAILURE = 1
@@ -71,7 +71,7 @@ def _run(args):
 def _write_spectra(args, fidelity):
     spectra = (fidelity["eigen_spectrum_original"], fidelity["eigen_spectrum_generated"])
     if args.spectrum_csv:
-        write_spectra_csv(args.spectrum_csv, *spectra)
+        pipeline.save_spectra(args.spectrum_csv, *spectra)
     if args.svg:
         write_spectrum_svg(args.svg, *spectra)
 

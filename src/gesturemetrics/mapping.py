@@ -129,7 +129,10 @@ class SkeletonFrame:
                                   f"with coordinates at most {MAX_COORD:.3g} in magnitude")
         for key in _EXTRAS[OPENNI_LAYOUT]:     # the pairs
             if getattr(self, key) is not None:
-                pair = tuple(map(float, getattr(self, key)))
+                try:
+                    pair = tuple(map(float, getattr(self, key)))
+                except (TypeError, ValueError, OverflowError):  # not numbers: fails the length
+                    pair = ()
                 object.__setattr__(self, key, pair)
                 if len(pair) != 2 or not all(map(math.isfinite, pair)):
                     raise StructuralError(f"{key} must be 2 finite numbers")

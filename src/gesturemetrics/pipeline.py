@@ -1,16 +1,19 @@
-"""Pose-stream processing and dataset file IO.
+"""Pose-stream processing and table file IO.
 
 CSV formats
 -----------
-Every file is UTF-8 text.
+Every table file is UTF-8 text in one layout (:func:`_write_table`): ``#key=value``
+header lines, one row of column labels, then one row of ``repr`` values per line, so a
+save/load round trip is exact.
 
-Pose stream: comment header ``#rate_hz=...``, a column header
-``timestamp,HeadYaw,...,RHandOpen`` and one pose per row.
+Pose stream: header ``#rate_hz=...``, labels ``timestamp,HeadYaw,...,RHandOpen`` and
+one pose per row.
 
-Gesture dataset: comment header ``#mu=...``, ``#dt=...``, ``#source=...``,
-a column header ``HeadYaw[0],...,RHandOpen[mu-1]`` and one flattened unit
-of movement per row. Values are written with ``repr`` so a save/load round
-trip is exact.
+Gesture dataset: headers ``#mu=...``, ``#dt=...``, ``#rate_hz=...``, ``#source=...``,
+labels ``HeadYaw[0],...,RHandOpen[mu-1]`` and one flattened unit of movement per row.
+
+Spectra: no header, labels ``dimension,eigenvalue_original,eigenvalue_generated`` and one
+row per PCoA dimension.
 """
 
 from __future__ import annotations
@@ -124,19 +127,18 @@ def _read_text(path):
         raise ParseError(f"not UTF-8 text: {exc}", data.count(b"\n", 0, exc.start) + 1) from exc
 
 
-def _parse_meta(lines):
-    """Comment-header ``#key=value`` pairs as key -> (value text, line number)."""
-    meta = {}
-    consumed = 0
-    for line in lines:
-        if not line.startswith("#"):
-            break
-        consumed += 1
-        body = line[1:].strip()
-        if "=" in body:
-            key, _, val = body.partition("=")
-            meta[key.strip()] = (val.strip(), consumed)
-    return meta, consumed
+def _read_table(path):
+    """A table file's leading ``#`` lines as key -> (value text, line number) for each
+    ``#key=value`` among them, the line number of the first line after them, and the
+    lines from there on."""
+    lines = _read_text(path).splitlines()
+    headers, n = {}, 0
+    while n < len(lines) and lines[n].startswith("#"):
+        key, equals, value = lines[n][1:].partition("=")
+        n += 1
+        if equals:
+            headers[key.strip()] = (value.strip(), n)
+    return headers, n + 1, lines[n:]
 
 
 def _positive_header(meta, key, integral=False):
@@ -188,25 +190,24 @@ def _read_rows(lines, first_line, width, empty_message):
                 raise ParseError(f"non-finite cell {cell!r}", lineno)
 
 
-def _write_rows(fh, array):
-    # repr of a Python float round-trips exactly
-    for row in array.tolist():
-        fh.write(",".join(map(repr, row)) + "\n")
+def _write_table(path, headers, labels, rows):
+    """Write one table file: a ``#key=value`` line per ``headers`` item, the ``labels``,
+    then a line per row of ``rows`` (sequences of Python numbers, whose ``repr``
+    round-trips exactly)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"#{key}={value}\n" for key, value in headers.items())
+        fh.write(",".join(labels) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_dataset(ds, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#mu={ds.mu}\n")
-        fh.write(f"#dt={ds.dt!r}\n")
-        fh.write(f"#rate_hz={ds.sample_rate_hz!r}\n")
-        fh.write(f"#source={ds.source_tag}\n")
-        fh.write(",".join(column_labels(ds.mu)) + "\n")
-        _write_rows(fh, ds.matrix)
+    _write_table(path, {"mu": ds.mu, "dt": ds.dt, "rate_hz": ds.sample_rate_hz,
+                        "source": ds.source_tag}, column_labels(ds.mu), ds.matrix.tolist())
 
 
 def load_dataset(path):
-    lines = _read_text(path).splitlines()
-    meta, consumed = _parse_meta(lines)
+    meta, first, body = _read_table(path)
     mu = _positive_header(meta, "mu", integral=True)
     dt = _positive_header(meta, "dt")
     try:
@@ -216,37 +217,30 @@ def load_dataset(path):
     # without the header, GestureDataset takes the rate 1 / dt
     rate = {"sample_rate_hz": _positive_header(meta, "rate_hz")} if "rate_hz" in meta else {}
     source = meta.get("source", ("", None))[0]
-    body = lines[consumed:]
     if not body:
-        raise ParseError("dataset file has no header row", consumed + 1)
+        raise ParseError("dataset file has no header row", first)
     header = body[0].split(",")
     if len(header) != N_JOINTS * mu or header != column_labels(mu):
-        raise ParseError(
-            f"header row does not match the mu={mu} column layout", consumed + 1)
-    matrix = _read_rows(body[1:], consumed + 2, N_JOINTS * mu,
-                        "dataset file contains no data rows")
+        raise ParseError(f"header row does not match the mu={mu} column layout", first)
+    matrix = _read_rows(body[1:], first + 1, N_JOINTS * mu, "dataset file contains no data rows")
     return GestureDataset(matrix=matrix, dt=dt, source_tag=source, **rate)
 
 
 def save_stream(stream, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#rate_hz={stream.native_rate_hz!r}\n")
-        fh.write("timestamp," + ",".join(JOINT_NAMES) + "\n")
-        _write_rows(fh, np.column_stack([stream.timestamps, stream.values]))
+    _write_table(path, {"rate_hz": stream.native_rate_hz}, ["timestamp", *JOINT_NAMES],
+                 np.column_stack([stream.timestamps, stream.values]).tolist())
 
 
 def load_stream(path):
-    lines = _read_text(path).splitlines()
-    meta, consumed = _parse_meta(lines)
+    meta, first, body = _read_table(path)
     rate = _positive_header(meta, "rate_hz")
-    body = lines[consumed:]
     if not body or body[0].split(",") != ["timestamp", *JOINT_NAMES]:
-        raise ParseError("stream file header row is malformed", consumed + 1)
-    rows = _read_rows(body[1:], consumed + 2, N_JOINTS + 1, "stream file contains no poses")
+        raise ParseError("stream file header row is malformed", first)
+    rows = _read_rows(body[1:], first + 1, N_JOINTS + 1, "stream file contains no poses")
     increasing = np.diff(rows[:, 0]) > 0
     if not increasing.all():
         # row i + 1 is the first whose timestamp is not after its predecessor's
-        line_numbers = [n for n, line in enumerate(body[1:], start=consumed + 2) if line.strip()]
+        line_numbers = [n for n, line in enumerate(body[1:], start=first + 1) if line.strip()]
         raise ParseError("timestamps must be strictly increasing",
                          line_numbers[int(np.argmin(increasing)) + 1])
     return PoseStream(values=rows[:, 1:], timestamps=rows[:, 0], native_rate_hz=rate)
@@ -254,7 +248,12 @@ def load_stream(path):
 
 def load_matrix(path):
     """Comma-separated float rows (e.g. PCoA coordinates) after any leading ``#`` lines."""
-    lines = _read_text(path).splitlines()
-    _, consumed = _parse_meta(lines)
-    width = next((len(line.split(",")) for line in lines[consumed:] if line.strip()), 0)
-    return _read_rows(lines[consumed:], consumed + 1, width, "matrix file contains no rows")
+    _, first, lines = _read_table(path)
+    width = next((len(line.split(",")) for line in lines if line.strip()), 0)
+    return _read_rows(lines, first, width, "matrix file contains no rows")
+
+
+def save_spectra(path, spectrum_original, spectrum_generated):
+    """Write two PCoA eigenvalue spectra, one row per dimension from 1."""
+    _write_table(path, {}, ["dimension", "eigenvalue_original", "eigenvalue_generated"],
+                 zip(range(1, len(spectrum_original) + 1), spectrum_original, spectrum_generated))

@@ -164,13 +164,6 @@ def write_report(doc, path, fmt):
         sys.stdout.write(text)
 
 
-def write_spectra_csv(path, spectrum_original, spectrum_generated):
-    with open(path, "w") as fh:
-        fh.write("dimension,eigenvalue_original,eigenvalue_generated\n")
-        for i, (a, b) in enumerate(zip(spectrum_original, spectrum_generated), start=1):
-            fh.write(f"{i},{a!r},{b!r}\n")
-
-
 def write_spectrum_svg(path, spectrum_original, spectrum_generated):
     """Paired-bar chart of two eigenvalue spectra (static, no dependencies)."""
     width, height = 640, 320

@@ -539,7 +539,11 @@ class TestFrameValidation:
 
     @pytest.mark.parametrize("key, pair", [("head_orientation", (0.1,)),
                                            ("left_pixels", (300.0, 100.0, 5.0)),
-                                           ("right_pixels", ())])
+                                           ("right_pixels", ()),
+                                           ("left_pixels", 0),
+                                           ("left_pixels", {"a": 1}),
+                                           ("right_pixels", "ab"),
+                                           ("head_orientation", [10**400, 1])])
     def test_pair_of_another_length_rejected_when_built(self, key, pair):
         with pytest.raises(StructuralError, match=f"^{key} must be 2 finite numbers"):
             SkeletonFrame(layout=OPENNI_LAYOUT, keypoints=keypoints(make_openni_body()),
