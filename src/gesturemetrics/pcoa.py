@@ -176,6 +176,15 @@ def check_dims(dims):
         raise StructuralError(f"dims must be at least 1, got {dims}")
 
 
+def check_spectra(spectrum_original, spectrum_generated):
+    """The length of two spectra written side by side, one row or bar pair per
+    dimension; ``StructuralError`` naming both lengths unless they are equal."""
+    n, m = len(spectrum_original), len(spectrum_generated)
+    if n != m:
+        raise StructuralError(f"spectra must have equal lengths, got {n} and {m}")
+    return n
+
+
 def leading_coordinates(res_original, res_generated, dims):
     """The first ``dims`` principal coordinates of both results, or fewer
     when either result retained fewer dimensions."""

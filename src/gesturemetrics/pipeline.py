@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ParseError, StructuralError
 from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels, read_only
+from .pcoa import check_spectra
 
 MAX_POSES = 10_000_000   # the most poses a pose array may hold: about 1 GB of values
 _BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt of CSV bodies
@@ -192,8 +193,8 @@ def _read_rows(lines, first_line, width, empty_message):
 
 def _write_table(path, headers, labels, rows):
     """Write one table file: a ``#key=value`` line per ``headers`` item, the ``labels``,
-    then a line per row of ``rows`` (sequences of Python numbers, whose ``repr``
-    round-trips exactly)."""
+    then a line per row drawn from ``rows``: sequences of Python numbers (whose ``repr``
+    round-trips exactly), each written as it is drawn, so no table is held as a list."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"#{key}={value}\n" for key, value in headers.items())
         fh.write(",".join(labels) + "\n")
@@ -202,8 +203,8 @@ def _write_table(path, headers, labels, rows):
 
 
 def save_dataset(ds, path):
-    _write_table(path, {"mu": ds.mu, "dt": ds.dt, "rate_hz": ds.sample_rate_hz,
-                        "source": ds.source_tag}, column_labels(ds.mu), ds.matrix.tolist())
+    headers = {"mu": ds.mu, "dt": ds.dt, "rate_hz": ds.sample_rate_hz, "source": ds.source_tag}
+    _write_table(path, headers, column_labels(ds.mu), map(np.ndarray.tolist, ds.matrix))
 
 
 def load_dataset(path):
@@ -228,7 +229,7 @@ def load_dataset(path):
 
 def save_stream(stream, path):
     _write_table(path, {"rate_hz": stream.native_rate_hz}, ["timestamp", *JOINT_NAMES],
-                 np.column_stack([stream.timestamps, stream.values]).tolist())
+                 ([float(t), *v.tolist()] for t, v in zip(stream.timestamps, stream.values)))
 
 
 def load_stream(path):
@@ -254,6 +255,7 @@ def load_matrix(path):
 
 
 def save_spectra(path, spectrum_original, spectrum_generated):
-    """Write two PCoA eigenvalue spectra, one row per dimension from 1."""
+    """Write two PCoA eigenvalue spectra of equal length, one row per dimension from 1."""
+    n = check_spectra(spectrum_original, spectrum_generated)
     _write_table(path, {}, ["dimension", "eigenvalue_original", "eigenvalue_generated"],
-                 zip(range(1, len(spectrum_original) + 1), spectrum_original, spectrum_generated))
+                 zip(range(1, n + 1), spectrum_original, spectrum_generated))

@@ -14,8 +14,8 @@ from .fgd import check_bootstrap
 from .fgd import fgd as compute_fgd
 from .model import N_JOINTS, RobotProfile
 from .motion import motion_report
-from .pcoa import (DEFAULT_DIMS, analyze_dataset_structure, check_dims, fidelity_report,
-                   leading_coordinates)
+from .pcoa import (DEFAULT_DIMS, analyze_dataset_structure, check_dims, check_spectra,
+                   fidelity_report, leading_coordinates)
 from .procrustes import procrustes
 
 
@@ -165,9 +165,9 @@ def write_report(doc, path, fmt):
 
 
 def write_spectrum_svg(path, spectrum_original, spectrum_generated):
-    """Paired-bar chart of two eigenvalue spectra (static, no dependencies)."""
+    """Paired-bar chart of two eigenvalue spectra of equal length (static, no dependencies)."""
     width, height = 640, 320
-    n = len(spectrum_original)
+    n = check_spectra(spectrum_original, spectrum_generated)
     top = max(max(spectrum_original, default=0.0),
               max(spectrum_generated, default=0.0), 1e-12)
     margin = 30

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,13 @@ class TestDatasetIO:
         assert back.dt == ds.dt
         assert back.source_tag == "unit-test"
         assert np.array_equal(back.matrix, ds.matrix)
+        # a matrix in another memory layout writes the same bytes
+        strided = np.zeros((2 * len(ds.matrix), 2 * ds.matrix.shape[1]))
+        strided[::2, ::2] = ds.matrix
+        for matrix in (np.asfortranarray(ds.matrix), strided[::2, ::2]):
+            assert not matrix.flags.c_contiguous
+            save_dataset(dataclasses.replace(ds, matrix=matrix), tmp_path / "other.csv")
+            assert (tmp_path / "other.csv").read_bytes() == path.read_bytes()
 
     def test_wrong_column_count_names_line(self, tmp_path):
         ds = window(make_stream(4), 1)
@@ -283,6 +291,29 @@ class TestDatasetIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="line 8"):
             load_dataset(path)
+
+
+class TestSaveMemory:
+    @pytest.mark.parametrize("table", ["dataset", "stream"])
+    def test_save_holds_about_one_row_of_python_floats(self, tmp_path, table):
+        # the whole table as a list of Python floats would take about 4x the array's bytes
+        rng = np.random.default_rng(0)
+        if table == "dataset":
+            saved = GestureDataset(matrix=rng.normal(size=(20_000, 4 * N_JOINTS)), dt=0.25)
+            save, array = save_dataset, saved.matrix
+        else:
+            saved = PoseStream(values=rng.normal(size=(20_000, N_JOINTS)),
+                               timestamps=np.arange(20_000) / 4.0, native_rate_hz=4.0)
+            save, array = save_stream, saved.values
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save(saved, tmp_path / "table.csv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < array.nbytes / 2
 
 
 def with_header(path, key, value):

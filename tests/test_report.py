@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from gesturemetrics.errors import StructuralError
 from gesturemetrics.gmm import fit
 from gesturemetrics.model import GestureDataset, RobotProfile
-from gesturemetrics.report import STAGES, Run, evaluate
+from gesturemetrics.pipeline import save_spectra
+from gesturemetrics.report import STAGES, Run, evaluate, write_spectrum_svg
 from gesturemetrics.synth import beat_gesture_corpus
 
 
@@ -68,3 +69,17 @@ class TestUnitOrder:
         assert fidelity["r2"] == pytest.approx(want_fidelity["r2"], rel=0, abs=1e-12)
         assert STAGES["originality"](got)["ss"] == pytest.approx(
             STAGES["originality"](want)["ss"], rel=1e-12)
+
+
+class TestSpectrumFiles:
+    @pytest.mark.parametrize("write", [save_spectra, write_spectrum_svg], ids=["csv", "svg"])
+    @pytest.mark.parametrize("spectra", [([3.0, 2.0, 1.0], [5.0]), ([5.0], [3.0, 2.0, 1.0])],
+                             ids=["generated-shorter", "original-shorter"])
+    def test_spectra_of_unequal_length_are_refused_before_a_file_opens(self, tmp_path, write,
+                                                                       spectra):
+        path = tmp_path / "spectra"
+        lengths = tuple(map(len, spectra))
+        with pytest.raises(StructuralError,
+                           match="^spectra must have equal lengths, got %d and %d$" % lengths):
+            write(path, *spectra)
+        assert not path.exists()
