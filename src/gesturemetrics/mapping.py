@@ -73,7 +73,6 @@ CONFIDENCE_THRESHOLD = 0.1                  # keypoints below it count as missin
 # axis, so every squared distance between them, at most 12 * MAX_COORD ** 2, is finite
 MAX_COORD = 1e153
 
-_HEAD = slice(JOINT_INDEX["HeadYaw"], JOINT_INDEX["HeadPitch"] + 1)
 # the row of each keypoint name in a frame's keypoints array, per layout
 _ROW = {OPENNI_LAYOUT: {name: i for i, name in enumerate(OPENNI_KEYPOINTS)},
         OPENPOSE_LAYOUT: {name: i for i, name in enumerate(OPENPOSE_KEYPOINTS)}}
@@ -81,6 +80,7 @@ _KEYPOINT_SET = "{} frame must carry exactly the {} body keypoints"
 _KEYPOINT_BOUND = np.array([MAX_COORD, MAX_COORD, MAX_COORD, np.finfo(float).max])
 _EXTRAS = {OPENNI_LAYOUT: ("head_orientation", "left_pixels", "right_pixels"),
            OPENPOSE_LAYOUT: ("left_hand", "right_hand")}   # the fields each mapper reads
+_NO_HAND = np.full((21, 3), np.nan)   # stands in for a missing hand, which holds its joints
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,254 +143,254 @@ class SkeletonFrame:
 
     def point(self, name):
         """The keypoint's (x, y, z) floats; StructuralError below ``CONFIDENCE_THRESHOLD``."""
-        x, y, z, confidence = self.keypoints[_ROW[self.layout][name]].tolist()
-        if confidence < CONFIDENCE_THRESHOLD:
-            raise StructuralError(f"keypoint {name} below confidence threshold")
-        return x, y, z
+        return _one(_point, self.keypoints, self.layout, name)
 
 
 def range_conv(x, src, dst):
-    """Clamped affine map from the source interval onto the target interval.
-
-    Monotone on [src_min, src_max]; endpoints map to endpoints.
-    """
-    s0, s1 = src
-    d0, d1 = dst
+    """Clamped affine map from the source interval onto the target interval, of a value
+    or of each entry of an array; monotone on [src_min, src_max], endpoints to endpoints."""
+    (s0, s1), (d0, d1) = src, dst
     if not s1 > s0:
         raise StructuralError("source interval must be non-empty")
-    t = (min(max(x, s0), s1) - s0) / (s1 - s0)
+    t = (np.clip(x, s0, s1) - s0) / (s1 - s0)
     return d0 + t * (d1 - d0)
 
 
-# 3-vectors are float triples and a dot product is a0*b0 + a1*b1 + a2*b2 in
-# that order, so no result depends on which BLAS kernel the host selects.
-def _sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
+# The mappers take one frame or T of them: a 3-vector is 3 rows of a value or of T, and
+# a check is an (error type, message, mask of the frames that pass) triple. A dot product
+# is a0*b0 + a1*b1 + a2*b2 in that order, so each entry rounds as that sum of Python
+# floats would on any BLAS or SIMD kernel; inverse trig is ``math``'s, per entry, since
+# numpy's SIMD loops round otherwise on some hosts.
 def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _norm(v):
-    return math.sqrt(_dot(v, v))
-
-
-def _minus_scaled(v, d, axis):
-    return (v[0] - d * axis[0], v[1] - d * axis[1], v[2] - d * axis[2])
+    return np.sqrt(_dot(v, v))
 
 
 def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
-def _unit(v, what):
+def _math(fn, *columns):
+    return np.asarray(np.frompyfunc(fn, len(columns), 1)(*columns), dtype=float)
+
+
+def _unit(v, what, checks):
     norm = _norm(v)
-    if norm < 1e-12:
-        raise DegenerateGeometryError(f"zero-length {what} vector")
-    return (v[0] / norm, v[1] / norm, v[2] / norm)
+    checks.append((DegenerateGeometryError, f"zero-length {what} vector", norm >= 1e-12))
+    return v / norm
 
 
-def _rotate_about_vertical(v, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    x, y, z = v
-    return (x * c + z * s, y, -x * s + z * c)
+def _point(kp, layout, name, checks):
+    """Keypoint ``name`` of a frame's K x 4 keypoints, or of T frames' K x 4 x T."""
+    point = kp[_ROW[layout][name]]
+    checks.append((StructuralError, f"keypoint {name} below confidence threshold",
+                   point[3] >= CONFIDENCE_THRESHOLD))
+    return point[:3]
+
+
+def _passed(checks):
+    return np.logical_and.reduce([ok for _, _, ok in checks])
+
+
+def _one(kernel, *args):
+    """``kernel`` on one frame: its values as floats, or its first failed check's error."""
+    checks = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = kernel(*args, checks)
+    for error, message, ok in checks:
+        if not ok:
+            raise error(message)
+    return tuple(map(float, out))
+
+
+def _head_openni(beta, neck, head, checks):
+    x, y, z = hn = np.subtract(head, neck)
+    checks.append((DegenerateGeometryError, "head and neck keypoints coincide", _norm(hn) >= 1e-12))
+    c, s = math.cos(-math.pi / 2), math.sin(-math.pi / 2)
+    return beta, _math(math.atan2, -x * s + z * c, y)   # hn turned -pi/2 about y
 
 
 def map_head_openni(head_orientation, neck, head):
-    """Raw (unclamped) head yaw/pitch from OpenNI tracker output.
+    """Raw (unclamped) head yaw/pitch from OpenNI tracker output: yaw is beta of the
+    tracker's (beta, gamma) Euler angles ``head_orientation``, and pitch the arctangent
+    of the head-neck vector after a -pi/2 rotation about the vertical axis."""
+    return _one(_head_openni, head_orientation[0], neck, head)
 
-    ``head_orientation`` carries the tracker's (beta, gamma) Euler angles.
-    Yaw is beta; gamma is unused. Pitch is the arctangent of the head-neck
-    vector after a -pi/2 rotation about the vertical axis.
-    """
-    beta, _ = head_orientation
-    hn = _sub(head, neck)
-    if _norm(hn) < 1e-12:
-        raise DegenerateGeometryError("head and neck keypoints coincide")
-    r = _rotate_about_vertical(hn, -math.pi / 2)
-    return float(beta), math.atan2(r[2], r[1])
+
+def _head_openpose(nose, neck, limits, checks):
+    nn = np.subtract(nose, neck)
+    norm = _norm(nn)
+    checks.append((DegenerateGeometryError, "nose and neck keypoints coincide", norm >= 1e-12))
+    yaw = range_conv(-_math(math.asin, np.clip(nn[0] / norm, -1.0, 1.0)), HEAD_YAW_SRC, limits[0])
+    return yaw, range_conv(norm, HEAD_PITCH_SRC, limits[1])
 
 
 def map_head_openpose(nose, neck, profile):
-    """Head yaw/pitch from the nose-neck vector.
+    """Head yaw/pitch from the nose-neck vector: pitch from its length, yaw from its
+    angle to the vertical axis, both pushed through :func:`range_conv` onto the
+    robot's head ranges."""
+    return _one(_head_openpose, nose, neck, profile.joint_limits)
 
-    Pitch is proportional to the nose-neck distance; yaw comes from the
-    angle between the nose-neck vector and the vertical axis, both pushed
-    through :func:`range_conv` onto the robot's head ranges.
-    """
-    nn = _sub(nose, neck)
-    norm = _norm(nn)
-    if norm < 1e-12:
-        raise DegenerateGeometryError("nose and neck keypoints coincide")
-    limits = profile.joint_limits
-    pitch = range_conv(norm, HEAD_PITCH_SRC, limits[1])
-    yaw_angle = -math.asin(min(max(nn[0] / norm, -1.0), 1.0))
-    yaw = range_conv(yaw_angle, HEAD_YAW_SRC, limits[0])
-    return float(yaw), float(pitch)
+
+def _spread(hand, a, b):
+    hand = np.asarray(hand, dtype=float)
+    return _norm((hand[..., a, :] - hand[..., b, :]).T)
 
 
 def map_hand_yaw_openpose(hand, dst):
-    """Wrist yaw from the thumb-pinky fingertip distance, mapped from
-    ``HAND_YAW_SRC`` onto that wrist's ``(lo, hi)`` limits ``dst``."""
-    d = _norm(_sub(hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]))
-    return float(range_conv(d, HAND_YAW_SRC, dst))
+    """Wrist yaw from the thumb-pinky fingertip distance, mapped from ``HAND_YAW_SRC``
+    onto that wrist's ``(lo, hi)`` limits ``dst``; per hand of a T x 21 x 3 block."""
+    return range_conv(_spread(hand, HAND_THUMB_TIP, HAND_PINKY_TIP), HAND_YAW_SRC, dst)
 
 
 def map_hand_opening_openpose(hand):
-    """Finger opening in [0, 1] from the wrist-to-middle-fingertip distance."""
-    d = _norm(_sub(hand[HAND_MIDDLE_TIP], hand[HAND_WRIST]))
-    return float(range_conv(d, HAND_OPEN_SRC, (0.0, 1.0)))
+    """Finger opening in [0, 1] from the wrist-to-middle-fingertip distance; per
+    hand of a T x 21 x 3 block."""
+    return range_conv(_spread(hand, HAND_MIDDLE_TIP, HAND_WRIST), HAND_OPEN_SRC, (0.0, 1.0))
+
+
+def _hand_yaw_openni(palm, back, checks):
+    checks.append((StructuralError, "pixel counts must be non-negative", (palm >= 0) & (back >= 0)))
+    checks.append((UnknownOrientationError, "no glove pixels visible", (palm != 0) | (back != 0)))
+    yaw = np.where(palm >= back, palm, back - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW
+    return (np.clip(yaw, -MAX_WRIST_YAW, MAX_WRIST_YAW),)
 
 
 def map_hand_yaw_openni(palm_pixels, back_pixels):
     """Wrist yaw from glove pixel counts (palm vs back dominance)."""
-    if palm_pixels < 0 or back_pixels < 0:
-        raise StructuralError("pixel counts must be non-negative")
-    if palm_pixels == 0 and back_pixels == 0:
-        raise UnknownOrientationError("no glove pixels visible")
-    biggest = max(palm_pixels, back_pixels)
-    if palm_pixels >= back_pixels:
-        yaw = biggest / N_PIXELS * MAX_WRIST_YAW
-    else:
-        yaw = (biggest - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW
-    return float(min(max(yaw, -MAX_WRIST_YAW), MAX_WRIST_YAW))
+    return _one(_hand_yaw_openni, palm_pixels, back_pixels)[0]
 
 
-def arm_angles(frame):
-    """Raw (unclamped) shoulder pitch/roll and elbow yaw/roll for both arms.
+_ARM_JOINTS = tuple(n for n in JOINT_INDEX if "Shoulder" in n or "Elbow" in n)  # in pose order
 
-    Returns a dict keyed by joint name covering the 8 arm joints. Raises
-    DegenerateGeometryError on zero-length limb vectors and StructuralError
-    when a required keypoint is below ``CONFIDENCE_THRESHOLD``.
-    """
-    hip_ref, wrist = ("Torso", "Hand") if frame.layout == OPENNI_LAYOUT else ("MidHip", "Wrist")
-    neck = frame.point("Neck")
-    lsh, rsh = frame.point("LShoulder"), frame.point("RShoulder")
-    down = _unit(_sub(frame.point(hip_ref), neck), "torso")
-    lat_left = _unit(_sub(lsh, rsh), "shoulder line")
-    fwd = _unit(_cross(lat_left, down), "forward axis")
 
-    out = {}
-    for side, prefix, sign, sh, lat in (
-            ("left", "L", -1.0, lsh, lat_left),
-            ("right", "R", 1.0, rsh, (-lat_left[0], -lat_left[1], -lat_left[2]))):
-        el = frame.point(prefix + "Elbow")
-        wr = frame.point(prefix + wrist)
-        u = _sub(el, sh)
-        f = _sub(wr, el)
-        uh = _unit(u, f"{side} upper-arm")
-        fh = _unit(f, f"{side} forearm")
-
+def _arm_angles(kp, layout, checks):
+    hip_ref, wrist = ("Torso", "Hand") if layout == OPENNI_LAYOUT else ("MidHip", "Wrist")
+    neck = _point(kp, layout, "Neck", checks)
+    lsh, rsh = _point(kp, layout, "LShoulder", checks), _point(kp, layout, "RShoulder", checks)
+    down = _unit(_point(kp, layout, hip_ref, checks) - neck, "torso", checks)
+    lat_left = _unit(lsh - rsh, "shoulder line", checks)
+    fwd = _unit(_cross(lat_left, down), "forward axis", checks)
+    out = []
+    for side, prefix, sign, sh, lat in (("left", "L", -1.0, lsh, lat_left),
+                                        ("right", "R", 1.0, rsh, -lat_left)):
+        el = _point(kp, layout, prefix + "Elbow", checks)
+        f = _point(kp, layout, prefix + wrist, checks) - el
+        uh = _unit(el - sh, f"{side} upper-arm", checks)
+        fh = _unit(f, f"{side} forearm", checks)
         along = _dot(uh, lat)
-        roll = math.pi / 2 - math.acos(min(max(along, -1.0), 1.0))
-        u_sag = _minus_scaled(uh, along, lat)
+        roll = math.pi / 2 - _math(math.acos, np.clip(along, -1.0, 1.0))
+        u_sag = uh - along * lat
         norm = _norm(u_sag)
-        if norm < 1e-9:
-            pitch = 0.0
-        else:
-            u_sag = (u_sag[0] / norm, u_sag[1] / norm, u_sag[2] / norm)
-            pitch = math.atan2(_dot(u_sag, fwd), _dot(u_sag, down))
-        elbow_roll = sign * math.acos(min(max(_dot(uh, fh), -1.0), 1.0))
-
-        ref = _minus_scaled(down, _dot(down, uh), uh)
-        if _norm(ref) < 1e-9:
-            ref = _minus_scaled(fwd, _dot(fwd, uh), uh)
-        e2 = _unit(ref, "elbow reference")
+        u_sag = u_sag / norm
+        # an upper arm along the lateral axis has no sagittal part: pitch 0
+        pitch = np.where(norm < 1e-9, 0.0,
+                         _math(math.atan2, _dot(u_sag, fwd), _dot(u_sag, down)))
+        elbow_roll = sign * _math(math.acos, np.clip(_dot(uh, fh), -1.0, 1.0))
+        ref = down - _dot(down, uh) * uh
+        # an upper arm along torso-down measures yaw from forward instead
+        ref = np.where(_norm(ref) < 1e-9, fwd - _dot(fwd, uh) * uh, ref)
+        e2 = _unit(ref, "elbow reference", checks)
         e3 = _cross(uh, e2)
-        f_perp = _minus_scaled(f, _dot(f, uh), uh)
-        if _norm(f_perp) < 1e-9:
-            elbow_yaw = 0.0  # forearm along upper arm: yaw undefined, hold zero
-        else:
-            elbow_yaw = math.atan2(_dot(f_perp, e3), _dot(f_perp, e2))
-
-        out[prefix + "ShoulderPitch"] = float(pitch)
+        f_perp = f - _dot(f, uh) * uh
+        # forearm along upper arm: yaw undefined, hold zero
+        elbow_yaw = np.where(_norm(f_perp) < 1e-9, 0.0,
+                             _math(math.atan2, _dot(f_perp, e3), _dot(f_perp, e2)))
         # outward abduction is positive on the left, negative on the right
-        out[prefix + "ShoulderRoll"] = float(roll if side == "left" else -roll)
-        out[prefix + "ElbowYaw"] = float(elbow_yaw)
-        out[prefix + "ElbowRoll"] = float(elbow_roll)
+        out += [pitch, roll if side == "left" else -roll, elbow_yaw, elbow_roll]
     return out
 
 
-class StreamMapper:
-    """Maps a sequence of skeleton frames to validated poses.
+def arm_angles(frame):
+    """Raw (unclamped) shoulder pitch/roll and elbow yaw/roll for both arms, as a dict
+    keyed by joint name. Raises DegenerateGeometryError on zero-length limb vectors and
+    StructuralError when a required keypoint is below ``CONFIDENCE_THRESHOLD``."""
+    return dict(zip(_ARM_JOINTS, _one(_arm_angles, frame.keypoints, frame.layout)))
 
-    Holds the last pose as one 14-value array (joints missing from a frame
-    keep their held value) and the seeded generator behind OpenNI's random
-    finger openings. Every frame's raw angles are clamped once, by
-    :func:`validate_pose`. Frames must be fed in stream order; each layout
-    stream gets its own mapper.
-    """
+
+class StreamMapper:
+    """Maps a sequence of skeleton frames to validated poses. Holds the last pose as
+    one 14-value array (joints missing from a frame keep their held value) and the
+    seeded generator behind OpenNI's random finger openings. Frames must be fed in
+    stream order; each layout stream gets its own mapper."""
 
     def __init__(self, profile=None, seed=0):
         self.profile = profile or RobotProfile.default()
         self.rng = philox(seed)
         self._values = self.profile.limits_array().mean(axis=1)
 
+    def map_frames(self, frames):
+        """The (T, 14) poses of ``frames``, all of one layout, and each one's clamp count.
+        Each joint group is computed for all T frames at once, and its fresh values are
+        clamped once, by :func:`validate_pose`; where it cannot be computed it holds."""
+        layouts = {frame.layout for frame in frames}
+        if len(layouts) != 1:
+            raise StructuralError(f"frames must share one layout, got {sorted(layouts)}")
+        raw = np.empty((len(frames), len(self._values)))
+        fresh = np.zeros(raw.shape, dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for names, columns, ok in self._groups(frames, layouts.pop()):
+                for name, column in zip(names, columns):
+                    raw[:, JOINT_INDEX[name]], fresh[:, JOINT_INDEX[name]] = column, ok
+        clamped, n_clamped = validate_pose(np.where(fresh, raw, self._values), self.profile)
+        # each entry takes the clamped value of the last frame where it was fresh
+        last = np.maximum.accumulate(np.where(fresh, np.arange(len(frames))[:, None], -1))
+        values = np.where(last >= 0, np.take_along_axis(clamped, last, axis=0), self._values)
+        self._values = values[-1].copy()
+        return values, n_clamped
+
     def map_frame(self, frame):
-        values = self._values.tolist()
-        try:
-            for name, angle in arm_angles(frame).items():
-                values[JOINT_INDEX[name]] = angle
-        except (StructuralError, DegenerateGeometryError):
-            pass  # hold previous arm values
+        values, n_clamped = self.map_frames([frame])
+        return Pose(values=values[0], n_clamped=int(n_clamped[0]))
 
-        if frame.layout == OPENNI_LAYOUT:
-            self._map_openni_extras(frame, values)
-        else:
-            self._map_openpose_extras(frame, values)
-
-        self._values, n_clamped = validate_pose(values, self.profile)
-        return Pose(values=self._values.copy(), n_clamped=int(n_clamped))
-
-    def _map_openni_extras(self, frame, values):
-        if frame.head_orientation is not None:
-            try:
-                values[_HEAD] = map_head_openni(frame.head_orientation, frame.point("Neck"),
-                                                frame.point("Head"))
-            except (StructuralError, DegenerateGeometryError):
-                pass  # hold previous head values
-        for prefix, pixels in (("L", frame.left_pixels), ("R", frame.right_pixels)):
-            if pixels is not None:
-                try:
-                    values[JOINT_INDEX[prefix + "WristYaw"]] = map_hand_yaw_openni(*pixels)
-                except UnknownOrientationError:
-                    pass  # keep previous wrist yaw
-            # fingers are untracked: randomized per frame, seeded
-            values[JOINT_INDEX[prefix + "HandOpen"]] = self.rng.uniform(0.0, 1.0)
-
-    def _map_openpose_extras(self, frame, values):
-        try:
-            values[_HEAD] = map_head_openpose(frame.point("Nose"), frame.point("Neck"),
-                                              self.profile)
-        except (StructuralError, DegenerateGeometryError):
-            pass  # hold previous head values
-        for prefix, hand in (("L", frame.left_hand), ("R", frame.right_hand)):
-            if hand is None:
-                continue  # hold previous hand values
-            hand = hand.tolist()
-            (tx, ty, _), (px, py, _) = hand[HAND_THUMB_TIP], hand[HAND_PINKY_TIP]
-            if math.sqrt((px - tx) * (px - tx) + (py - ty) * (py - ty)) < 1e-12:
-                continue  # thumb and pinky tips coincide in the image: hold this hand
-            wrist = JOINT_INDEX[prefix + "WristYaw"]
-            values[wrist] = map_hand_yaw_openpose(hand, self.profile.joint_limits[wrist])
-            values[JOINT_INDEX[prefix + "HandOpen"]] = map_hand_opening_openpose(hand)
+    def _groups(self, frames, layout):
+        """Each joint group as (joint names, T-value columns, mask of the fresh frames)."""
+        kp = np.stack([frame.keypoints for frame in frames], axis=-1)   # K x 4 x T
+        limits, arms, head = self.profile.joint_limits, [], []   # the two groups' checks
+        yield _ARM_JOINTS, _arm_angles(kp, layout, arms), _passed(arms)
+        if layout == OPENPOSE_LAYOUT:
+            nose, neck = (_point(kp, layout, name, head) for name in ("Nose", "Neck"))
+            yield ("HeadYaw", "HeadPitch"), _head_openpose(nose, neck, limits, head), _passed(head)
+            for prefix, key in (("L", "left_hand"), ("R", "right_hand")):
+                hands = np.stack([_NO_HAND if hand is None else hand
+                                  for hand in (getattr(frame, key) for frame in frames)])
+                yaw = map_hand_yaw_openpose(hands, limits[JOINT_INDEX[prefix + "WristYaw"]])
+                # thumb and pinky tips that coincide in the image hold that hand too
+                dx, dy = (hands[:, HAND_PINKY_TIP, :2] - hands[:, HAND_THUMB_TIP, :2]).T
+                yield ((prefix + "WristYaw", prefix + "HandOpen"),
+                       (yaw, map_hand_opening_openpose(hands)), np.sqrt(dx * dx + dy * dy) >= 1e-12)
+            return
+        beta = np.array([np.nan if frame.head_orientation is None else frame.head_orientation[0]
+                         for frame in frames])   # NaN where missing, which holds the head
+        neck, top = (_point(kp, layout, name, head) for name in ("Neck", "Head"))
+        yield (("HeadYaw", "HeadPitch"), _head_openni(beta, neck, top, head),
+               _passed(head) & ~np.isnan(beta))
+        # fingers are untracked: randomized per frame, seeded, left then right
+        fingers = self.rng.uniform(0.0, 1.0, size=(len(frames), 2))
+        for side, (prefix, key) in enumerate((("L", "left_pixels"), ("R", "right_pixels"))):
+            # absent counts read as (0, 0), which hold the wrist yaw as no pixels seen do
+            palm, back = np.array([getattr(frame, key) or (0.0, 0.0) for frame in frames]).T
+            pixels = []
+            yield (prefix + "WristYaw",), _hand_yaw_openni(palm, back, pixels), _passed(pixels)
+            yield (prefix + "HandOpen",), (fingers[:, side],), np.full(len(frames), True)
 
 
 def map_capture(frames, profile=None, seed=0):
     """The :class:`PoseStream` of capture frames, as from :func:`load_skeleton_frames`,
-    mapped in order by one :class:`StreamMapper`. Its rate is the mean frame rate,
-    ``(len(frames) - 1) / (last timestamp - first)``, and 1 Hz for a single frame;
-    no frames raise ``StructuralError``."""
+    mapped by one :meth:`StreamMapper.map_frames` call. Its rate is the mean frame
+    rate, ``(len(frames) - 1) / (last timestamp - first)``, and 1 Hz for a single
+    frame; no frames, or frames of more than one layout, raise ``StructuralError``."""
     if not frames:
         raise StructuralError("no frames in input")
     timestamps = [f.timestamp for f in frames]
     if not all(a < b for a, b in zip(timestamps, timestamps[1:])):
         raise StructuralError("frame timestamps must be strictly increasing")
-    mapper = StreamMapper(profile, seed)
-    values = np.array([mapper.map_frame(frame).values for frame in frames])
+    values, _ = StreamMapper(profile, seed).map_frames(frames)
     rate = (len(frames) - 1) / (timestamps[-1] - timestamps[0]) if len(frames) > 1 else 1.0
     return PoseStream(values=values, timestamps=timestamps, native_rate_hz=rate)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gesturemetrics import mapping
 from gesturemetrics.errors import (
     DegenerateGeometryError,
     ParseError,
@@ -1039,18 +1040,20 @@ class TestMetamorphic:
 
 class TestMapCapture:
     @pytest.mark.parametrize("layout", ["openpose", "openni"])
-    def test_maps_every_frame_once_in_order(self, captures, profile, monkeypatch, layout):
+    def test_maps_every_frame_once_in_order(self, captures, profile, layout):
+        """One block call equals the frames fed one at a time, and two block calls
+        split anywhere: the held pose and the finger draws carry across calls."""
         frames = captures[layout]
-        mapper = StreamMapper(profile, seed=3)
-        expected = [mapper.map_frame(frame).values for frame in frames]
-        mapped = []
-        map_frame = StreamMapper.map_frame
-        monkeypatch.setattr(StreamMapper, "map_frame",
-                            lambda self, frame: mapped.append(frame) or map_frame(self, frame))
-        stream = map_capture(frames, profile, seed=3)
-        assert mapped == frames
-        assert np.array_equal(stream.values, expected)
-        assert stream.timestamps.tolist() == [frame.timestamp for frame in frames]
+        for seed in (0, 3, 8):
+            mapper = StreamMapper(profile, seed=seed)
+            expected = [mapper.map_frame(frame).values for frame in frames]
+            stream = map_capture(frames, profile, seed=seed)
+            assert np.array_equal(stream.values, expected)
+            assert stream.timestamps.tolist() == [frame.timestamp for frame in frames]
+            for split in (1, 2, 37, len(frames) - 1):
+                mapper = StreamMapper(profile, seed=seed)
+                halves = [mapper.map_frames(part)[0] for part in (frames[:split], frames[split:])]
+                assert np.array_equal(np.concatenate(halves), expected), (seed, split)
 
     def test_seed_drives_the_openni_fingers(self, captures):
         a, b = (map_capture(captures["openni"], seed=s).values for s in (1, 2))
@@ -1085,3 +1088,150 @@ class TestMapCapture:
     def test_pose_carries_values_and_clamp_count_only(self):
         pose = StreamMapper().map_frame(make_tpose_frame())
         assert [f.name for f in dataclasses.fields(pose)] == ["values", "n_clamped"]
+
+    def test_frames_of_two_layouts_are_refused_before_any_is_mapped(self, captures, profile,
+                                                                      monkeypatch):
+        """Frames built in code could mix layouts; none of them is mapped, so no clamp
+        runs, and a mapper that refuses them keeps its held pose and its finger draws."""
+        openni = captures["openni"][:3]
+        mixed = [*openni, captures["openpose"][3]]
+        message = r"^frames must share one layout, got \['openni15', 'openpose25'\]$"
+        clamps = []
+        with monkeypatch.context() as patch:
+            patch.setattr(mapping, "validate_pose", lambda *args: clamps.append(args))
+            with pytest.raises(StructuralError, match=message):
+                map_capture(mixed, profile)
+        assert clamps == []
+        mapper = StreamMapper(profile, seed=5)
+        with pytest.raises(StructuralError, match=message):
+            mapper.map_frames(mixed)
+        assert np.array_equal(mapper.map_frames(openni)[0],
+                              StreamMapper(profile, seed=5).map_frames(openni)[0])
+
+
+ARMS = tuple(name for name in JOINT_NAMES if "Shoulder" in name or "Elbow" in name)
+HEAD = ("HeadYaw", "HeadPitch")
+# Two tracked poses in which every joint maps to another value. Bodies use OpenPose names
+# and move points of make_openpose_body (make_openni_body for OpenNI, whose frames read
+# Nose as Head and the wrists as LHand and RHand). Hands are (spread, opening).
+HOLD_POSES = (
+    {"body": {"Nose": (0.02, 1.66, -0.03), "LElbow": (0.35, 1.3, -0.1),
+              "LWrist": (0.45, 1.1, -0.25), "RElbow": (-0.33, 1.28, -0.05),
+              "RWrist": (-0.4, 1.05, -0.2)},
+     "hands": (0.06, 0.12), "head_orientation": (0.2, 0.0), "pixels": ((300, 100), (100, 300))},
+    {"body": {"Nose": (-0.03, 1.68, -0.02), "LElbow": (0.3, 1.25, -0.15),
+              "LWrist": (0.4, 1.2, -0.38), "RElbow": (-0.36, 1.32, -0.12),
+              "RWrist": (-0.5, 1.15, -0.3)},
+     "hands": (0.07, 0.15), "head_orientation": (-0.3, 0.1), "pixels": ((500, 50), (80, 400))},
+)
+OPENNI_NAMES = {"Nose": "Head", "LWrist": "LHand", "RWrist": "RHand"}
+
+
+def hold_frame(layout, index, timestamp, body=None, confidence=None, **fields):
+    """Frame ``HOLD_POSES[index]`` of ``layout``, with ``body`` points moved, keypoint
+    ``confidence`` values and optional ``fields`` replacing those of the pose."""
+    pose = HOLD_POSES[index]
+    points = {**pose["body"], **(body or {})}
+    if layout == OPENPOSE_LAYOUT:
+        base = make_openpose_body()
+        hand = make_hand(spread=pose["hands"][0], opening=pose["hands"][1])
+        extras = {"left_hand": hand, "right_hand": hand}
+    else:
+        base = make_openni_body()
+        points = {OPENNI_NAMES.get(name, name): xyz for name, xyz in points.items()}
+        extras = {"head_orientation": pose["head_orientation"],
+                  "left_pixels": pose["pixels"][0], "right_pixels": pose["pixels"][1]}
+    return SkeletonFrame(layout=layout, keypoints=keypoints({**base, **points}, confidence),
+                         timestamp=timestamp, **{**extras, **fields})
+
+
+def coincident_tips_hand():
+    hand = make_hand(spread=0.07, opening=0.15)
+    hand[HAND_PINKY_TIP] = hand[HAND_THUMB_TIP] + (0.0, 0.0, 0.1)   # apart in depth only
+    return hand
+
+
+# (layout, case, changes to the second frame, the joints it holds)
+HOLD_CASES = [
+    *[(layout, "low-confidence neck", {"confidence": {"Neck": 0.05}}, ARMS + HEAD)
+      for layout in (OPENPOSE_LAYOUT, OPENNI_LAYOUT)],
+    *[(layout, "zero-length forearm",
+       {"body": {"LWrist": HOLD_POSES[1]["body"]["LElbow"]}}, ARMS)
+      for layout in (OPENPOSE_LAYOUT, OPENNI_LAYOUT)],
+    (OPENPOSE_LAYOUT, "missing hand", {"right_hand": None}, ("RWristYaw", "RHandOpen")),
+    (OPENNI_LAYOUT, "missing hand", {"right_pixels": None}, ("RWristYaw",)),
+    (OPENPOSE_LAYOUT, "coincident tips", {"right_hand": coincident_tips_hand()},
+     ("RWristYaw", "RHandOpen")),
+    (OPENNI_LAYOUT, "no glove pixels", {"left_pixels": (0, 0)}, ("LWristYaw",)),
+    (OPENNI_LAYOUT, "no head orientation", {"head_orientation": None}, HEAD),
+]
+# (case, second-frame arm points, the values they give): branches that map, not hold
+ARM_BRANCHES = [
+    ("straight arm",        # the forearm continues the upper arm: elbow yaw 0
+     {"LWrist": (0.38, 1.05, -0.27), "RWrist": (-0.52, 1.14, -0.24)},
+     {"LElbowYaw": 0.0, "RElbowYaw": 0.0}),
+    ("upper arm along the lateral axis",    # no sagittal part: shoulder pitch 0
+     {"LElbow": (0.5, 1.5, 0.0), "LWrist": (0.6, 1.4, -0.15),
+      "RElbow": (-0.5, 1.5, 0.0), "RWrist": (-0.6, 1.4, -0.15)},
+     {"LShoulderPitch": 0.0, "RShoulderPitch": 0.0}),
+    ("upper arm along torso-down",    # yaw from forward (-z here), lateral axis +x
+     {"LElbow": (0.2, 1.2, 0.0), "LWrist": (0.3, 1.2, -0.2),
+      "RElbow": (-0.2, 1.2, 0.0), "RWrist": (-0.3, 1.2, -0.2)},
+     {"LElbowYaw": math.atan2(0.1, 0.2), "RElbowYaw": math.atan2(-0.1, 0.2)}),
+]
+
+
+def assert_block_matches_frames(frames, profile, seed):
+    """``map_capture`` gives what one mapper fed frame by frame gives, with the same
+    clamp counts, and leaves the same held pose and finger generator behind: a last
+    frame with every keypoint missing and no optional field maps to the same pose."""
+    layout = frames[0].layout
+    one = StreamMapper(profile, seed)
+    poses = [one.map_frame(frame) for frame in frames]
+    block = StreamMapper(profile, seed)
+    values, n_clamped = block.map_frames(frames)
+    assert np.array_equal(map_capture(frames, profile, seed).values, values)
+    assert np.array_equal(values, [pose.values for pose in poses])
+    assert n_clamped.tolist() == [pose.n_clamped for pose in poses]
+    names = OPENNI_KEYPOINTS if layout == OPENNI_LAYOUT else OPENPOSE_KEYPOINTS
+    blind = hold_frame(layout, 0, frames[-1].timestamp + 1.0,
+                       confidence=dict.fromkeys(names, 0.0),
+                       **dict.fromkeys(extra_fields(layout)))
+    assert np.array_equal(block.map_frame(blind).values, one.map_frame(blind).values)
+
+
+class TestHoldBranches:
+    @pytest.mark.parametrize("layout, case, changes, held", HOLD_CASES,
+                             ids=[f"{layout}-{case}" for layout, case, _, _ in HOLD_CASES])
+    def test_held_joints_keep_the_previous_frames_values(self, profile, layout, case,
+                                                         changes, held):
+        frames = [hold_frame(layout, 0, 0.0), hold_frame(layout, 1, 0.1, **changes)]
+        values = map_capture(frames, profile, seed=2).values
+        for i, name in enumerate(JOINT_NAMES):
+            if name in held:
+                assert values[1, i] == values[0, i], name
+            else:
+                assert values[1, i] != values[0, i], name
+        assert_block_matches_frames(frames, profile, seed=2)
+
+    @pytest.mark.parametrize("layout", [OPENPOSE_LAYOUT, OPENNI_LAYOUT])
+    @pytest.mark.parametrize("case, body, expected", ARM_BRANCHES,
+                             ids=[case for case, _, _ in ARM_BRANCHES])
+    def test_arm_branches_map_the_frame(self, profile, layout, case, body, expected):
+        frames = [hold_frame(layout, 0, 0.0), hold_frame(layout, 1, 0.1, body=body)]
+        values = map_capture(frames, profile, seed=2).values
+        for name, value in expected.items():
+            assert values[1, JOINT_NAMES.index(name)] == pytest.approx(value, abs=1e-12), name
+        assert_block_matches_frames(frames, profile, seed=2)
+
+    @pytest.mark.parametrize("layout", [OPENPOSE_LAYOUT, OPENNI_LAYOUT])
+    def test_every_case_in_one_capture(self, profile, layout):
+        """All cases of a layout, one after another between tracked frames, as one block."""
+        frames = [hold_frame(layout, 0, 0.0)]
+        changes = [changes for case_layout, _, changes, _ in HOLD_CASES if case_layout == layout]
+        changes += [{"body": body} for _, body, _ in ARM_BRANCHES]
+        for i, change in enumerate(changes):
+            frames += [hold_frame(layout, 1, 2 * i + 1.0, **change),
+                       hold_frame(layout, i % 2, 2 * i + 2.0)]
+        for seed in (0, 7):
+            assert_block_matches_frames(frames, profile, seed)
