@@ -1,4 +1,4 @@
-"""Retargeting walkthrough: captured skeleton frames to a robot pose stream.
+"""Retargeting walkthrough: a captured skeleton stream to a robot pose stream.
 
 Builds a short synthetic OpenNI-15 capture of a waving person, maps it onto
 the 14 upper-body joints, resamples to 4 Hz and cuts units of movement.
@@ -45,19 +45,20 @@ def wave_frames(path, n=40, rate_hz=10.0):
 
 def main():
     with tempfile.TemporaryDirectory(prefix="retarget-demo-") as workdir:
-        capture = Path(workdir) / "capture.jsonl"
-        wave_frames(capture)
-        print(f"capture: {capture} (40 frames at 10 Hz)")
-        frames = load_skeleton_frames(capture, OPENNI_LAYOUT)
+        path = Path(workdir) / "capture.jsonl"
+        wave_frames(path)
+        print(f"capture: {path} (40 frames at 10 Hz)")
+        capture = load_skeleton_frames(path, OPENNI_LAYOUT)   # one Capture of arrays
 
     profile = RobotProfile.default()
-    stream = map_capture(frames, profile, seed=0)
+    stream = map_capture(capture, profile, seed=0)
     print(f"mapped: {len(stream)} poses at {stream.native_rate_hz} Hz (the mean frame rate)")
 
     print("\nfirst mapped pose (rad / open fraction):")
     for name, value in zip(JOINT_NAMES, stream.values[0]):
         print(f"  {name:16s} {value:+.3f}")
-    print(f"  clamped joints in frame 0: {StreamMapper(profile).map_frame(frames[0]).n_clamped}")
+    _, n_clamped = StreamMapper(profile).map_frames(capture)
+    print(f"  clamped joints in frame 0: {n_clamped[0]}")
 
     stream4 = resample(stream, 4.0)
     ds = window(stream4, 4, source_tag="wave-demo")

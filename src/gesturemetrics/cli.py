@@ -27,9 +27,9 @@ def _load_profile(args):
 
 
 def _cmd_map(args):
-    frames = load_skeleton_frames(
+    capture = load_skeleton_frames(
         args.input, OPENNI_LAYOUT if args.layout == "openni" else OPENPOSE_LAYOUT)
-    pipeline.save_stream(map_capture(frames, _load_profile(args), args.seed), args.output)
+    pipeline.save_stream(map_capture(capture, _load_profile(args), args.seed), args.output)
     return EXIT_OK
 
 

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import (DegenerateGeometryError, ParseError, StructuralError,
                      UnknownOrientationError, json_numbers, parse_json)
-from .model import JOINT_INDEX, Pose, RobotProfile, philox, read_only, validate_pose
+from .model import JOINT_INDEX, RobotProfile, philox, read_only, validate_pose
 from .pipeline import PoseStream
 
 OPENNI_LAYOUT = "openni15"
@@ -80,70 +79,89 @@ _KEYPOINT_SET = "{} frame must carry exactly the {} body keypoints"
 _KEYPOINT_BOUND = np.array([MAX_COORD, MAX_COORD, MAX_COORD, np.finfo(float).max])
 _EXTRAS = {OPENNI_LAYOUT: ("head_orientation", "left_pixels", "right_pixels"),
            OPENPOSE_LAYOUT: ("left_hand", "right_hand")}   # the fields each mapper reads
-_NO_HAND = np.full((21, 3), np.nan)   # stands in for a missing hand, which holds its joints
+_SHAPE = {"left_hand": (21, 3), "right_hand": (21, 3),   # each optional field's shape in a frame
+          "head_orientation": (2,), "left_pixels": (2,), "right_pixels": (2,)}
+_RULE = {key: f"hand keypoint sets must be 21 x 3 finite values, each at most {MAX_COORD:.3g} "
+              "in magnitude" if key.endswith("hand") else f"{key} must be 2 finite numbers"
+         for key in _SHAPE}
+_INCREASING = "frame timestamps must be strictly increasing"
 
 
 @dataclass(frozen=True, eq=False)
-class SkeletonFrame:
-    """One timestamped capture frame: ``keypoints`` holds one (x, y, z, confidence) row
-    per name of ``OPENNI_KEYPOINTS`` or ``OPENPOSE_KEYPOINTS``, in that order, and of the
-    optional fields only its layout's ``_EXTRAS`` may be set; hands are 21 x 3. Values must
-    be finite, coordinates at most ``MAX_COORD`` in magnitude, pixel counts non-negative.
-    Its arrays are read-only views, it cannot change, and it compares and hashes by identity."""
+class Capture:
+    """T timestamped frames of one layout as read-only float arrays: ``timestamps`` (T,
+    strictly increasing), ``keypoints`` (T x K x 4, a frame's (x, y, z, confidence) rows in
+    ``OPENNI_KEYPOINTS`` or ``OPENPOSE_KEYPOINTS`` order) and the layout's optional fields
+    (``_EXTRAS``) under their record names: hands T x 21 x 3, pairs T x 2, NaN throughout in
+    a frame that lacks them; the other layout's stay None. Values must be finite, coordinates
+    at most ``MAX_COORD`` in magnitude, pixel counts non-negative: else ``StructuralError``,
+    whose ``frame`` is the first failing frame (a wrong shape has none). It cannot change,
+    and it compares and hashes by identity."""
 
     layout: str
+    timestamps: np.ndarray
     keypoints: np.ndarray
     left_hand: np.ndarray | None = None
     right_hand: np.ndarray | None = None
-    timestamp: float = 0.0
-    head_orientation: tuple | None = None   # (beta, gamma) Euler, OpenNI only
-    left_pixels: tuple | None = None        # (palm, back) counts, OpenNI only
-    right_pixels: tuple | None = None
+    head_orientation: np.ndarray | None = None   # (beta, gamma) Euler, OpenNI only
+    left_pixels: np.ndarray | None = None        # (palm, back) counts, OpenNI only
+    right_pixels: np.ndarray | None = None
 
     def __post_init__(self):
         names = _ROW.get(self.layout)
         if names is None:
             raise StructuralError(f"unsupported layout {self.layout!r}")
-        for key in _EXTRAS[OPENPOSE_LAYOUT if self.layout == OPENNI_LAYOUT else OPENNI_LAYOUT]:
-            if getattr(self, key) is not None:
-                raise StructuralError(f"{self.layout} frames carry no {key}")
+        _refuse_foreign(self.layout, vars(self))
         object.__setattr__(self, "keypoints", read_only(self.keypoints))
-        if self.keypoints.shape != (len(names), 4):
+        if self.keypoints.ndim != 3 or self.keypoints.shape[1:] != (len(names), 4):
             raise StructuralError(_KEYPOINT_SET.format(self.layout, len(names)))
-        for key in ("left_hand", "right_hand"):
-            if getattr(self, key) is not None:
-                try:
-                    hand = read_only(getattr(self, key))
-                except (TypeError, ValueError, OverflowError):  # ragged, or not floats
-                    hand = np.empty(0)
-                # the max of an array that holds a NaN is NaN, which fails the bound
-                if not (hand.shape == (21, 3) and abs(hand).max() <= MAX_COORD):
-                    raise StructuralError("hand keypoint sets must be 21 x 3 finite values, "
-                                          f"each at most {MAX_COORD:.3g} in magnitude")
-                object.__setattr__(self, key, hand)
+        object.__setattr__(self, "timestamps", read_only(self.timestamps))
+        if self.timestamps.shape != self.keypoints.shape[:1]:
+            raise StructuralError("a capture needs one timestamp per frame")
+        if not len(self):
+            raise StructuralError("no frames in input")
         # a comparison is False for NaN, so the bounds refuse non-finite values too; a
         # confidence need only be finite, so its bound is the largest float
-        within = (abs(self.keypoints) <= _KEYPOINT_BOUND).all(axis=1)
-        if not within.all():
-            raise StructuralError(f"keypoint {list(names)[within.argmin()]} must be finite, "
-                                  f"with coordinates at most {MAX_COORD:.3g} in magnitude")
-        for key in _EXTRAS[OPENNI_LAYOUT]:     # the pairs
-            if getattr(self, key) is not None:
-                try:
-                    pair = tuple(map(float, getattr(self, key)))
-                except (TypeError, ValueError, OverflowError):  # not numbers: fails the length
-                    pair = ()
-                object.__setattr__(self, key, pair)
-                if len(pair) != 2 or not all(map(math.isfinite, pair)):
-                    raise StructuralError(f"{key} must be 2 finite numbers")
-                if key.endswith("pixels") and min(pair) < 0:
-                    raise StructuralError(f"{key} must be non-negative counts")
-        if not math.isfinite(self.timestamp):
-            raise StructuralError("timestamp must be finite")
+        within = (abs(self.keypoints) <= _KEYPOINT_BOUND).all(axis=2)
+        bad = list(names)[within[within.all(axis=1).argmin()].argmin()]
+        rules = [(within.all(axis=1), f"keypoint {bad} must be finite, with coordinates at "
+                                      f"most {MAX_COORD:.3g} in magnitude")]
+        for key in _EXTRAS[self.layout]:
+            shape = (len(self), *_SHAPE[key])
+            try:
+                field = getattr(self, key)
+                field = read_only(np.full(shape, np.nan) if field is None else field)
+            except (TypeError, ValueError, OverflowError):  # ragged, or not floats
+                field = np.empty(0)
+            if field.shape != shape:
+                raise StructuralError(_RULE[key])
+            object.__setattr__(self, key, field)
+            field = field.reshape(len(self), -1)
+            absent = np.isnan(field).all(axis=1)
+            ok = abs(field) <= MAX_COORD if key.endswith("hand") else np.isfinite(field)
+            # a frame's hands are checked before its keypoints, its pairs after them
+            rules.insert(len(rules) - key.endswith("hand"), (absent | ok.all(axis=1), _RULE[key]))
+            if key.endswith("pixels"):
+                rules.append((absent | (field >= 0).all(axis=1),
+                              f"{key} must be non-negative counts"))
+        rules += [(np.isfinite(self.timestamps), "timestamp must be finite"),
+                  (np.r_[True, self.timestamps[1:] > self.timestamps[:-1]], _INCREASING)]
+        passed = np.array([ok for ok, _ in rules])   # rules x frames
+        if not passed.all():   # the first failing frame, and the first rule it fails
+            frame = passed.all(axis=0).argmin()
+            error = StructuralError(rules[passed[:, frame].argmin()][1])
+            error.frame = int(frame)
+            raise error
 
-    def point(self, name):
-        """The keypoint's (x, y, z) floats; StructuralError below ``CONFIDENCE_THRESHOLD``."""
-        return _one(_point, self.keypoints, self.layout, name)
+    def __len__(self):
+        return len(self.timestamps)
+
+
+def _refuse_foreign(layout, fields):
+    """Refuse the first optional field of the other layout that ``fields`` sets."""
+    for key in _SHAPE:
+        if key not in _EXTRAS[layout] and fields.get(key) is not None:
+            raise StructuralError(f"{layout} frames carry no {key}")
 
 
 def range_conv(x, src, dst):
@@ -306,97 +324,86 @@ def _arm_angles(kp, layout, checks):
     return out
 
 
-def arm_angles(frame):
-    """Raw (unclamped) shoulder pitch/roll and elbow yaw/roll for both arms, as a dict
-    keyed by joint name. Raises DegenerateGeometryError on zero-length limb vectors and
-    StructuralError when a required keypoint is below ``CONFIDENCE_THRESHOLD``."""
-    return dict(zip(_ARM_JOINTS, _one(_arm_angles, frame.keypoints, frame.layout)))
+def arm_angles(keypoints, layout):
+    """Raw (unclamped) shoulder pitch/roll and elbow yaw/roll for both arms of one frame's
+    K x 4 ``keypoints`` of ``layout``, as a dict keyed by joint name. Raises
+    DegenerateGeometryError on zero-length limb vectors and StructuralError when a
+    required keypoint is below ``CONFIDENCE_THRESHOLD``."""
+    return dict(zip(_ARM_JOINTS, _one(_arm_angles, np.asarray(keypoints, dtype=float), layout)))
 
 
 class StreamMapper:
-    """Maps a sequence of skeleton frames to validated poses. Holds the last pose as
-    one 14-value array (joints missing from a frame keep their held value) and the
-    seeded generator behind OpenNI's random finger openings. Frames must be fed in
-    stream order; each layout stream gets its own mapper."""
+    """Maps captures to validated poses. Holds the last pose as one 14-value array (joints
+    missing from a frame keep their held value) and the seeded generator behind OpenNI's
+    random finger openings. Feed captures in stream order, one mapper per layout stream."""
 
     def __init__(self, profile=None, seed=0):
         self.profile = profile or RobotProfile.default()
         self.rng = philox(seed)
         self._values = self.profile.limits_array().mean(axis=1)
 
-    def map_frames(self, frames):
-        """The (T, 14) poses of ``frames``, all of one layout, and each one's clamp count.
+    def map_frames(self, capture):
+        """The (T, 14) poses of a :class:`Capture`'s frames, and each one's clamp count.
         Each joint group is computed for all T frames at once, and its fresh values are
         clamped once, by :func:`validate_pose`; where it cannot be computed it holds."""
-        layouts = {frame.layout for frame in frames}
-        if len(layouts) != 1:
-            raise StructuralError(f"frames must share one layout, got {sorted(layouts)}")
-        raw = np.empty((len(frames), len(self._values)))
+        raw = np.empty((len(capture), len(self._values)))
         fresh = np.zeros(raw.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for names, columns, ok in self._groups(frames, layouts.pop()):
+            for names, columns, ok in self._groups(capture):
                 for name, column in zip(names, columns):
                     raw[:, JOINT_INDEX[name]], fresh[:, JOINT_INDEX[name]] = column, ok
         clamped, n_clamped = validate_pose(np.where(fresh, raw, self._values), self.profile)
         # each entry takes the clamped value of the last frame where it was fresh
-        last = np.maximum.accumulate(np.where(fresh, np.arange(len(frames))[:, None], -1))
+        last = np.maximum.accumulate(np.where(fresh, np.arange(len(capture))[:, None], -1))
         values = np.where(last >= 0, np.take_along_axis(clamped, last, axis=0), self._values)
         self._values = values[-1].copy()
         return values, n_clamped
 
-    def map_frame(self, frame):
-        values, n_clamped = self.map_frames([frame])
-        return Pose(values=values[0], n_clamped=int(n_clamped[0]))
+    # a second name, kept because perfbench's spans.METHODS patches it
+    map_frame = map_frames
 
-    def _groups(self, frames, layout):
-        """Each joint group as (joint names, T-value columns, mask of the fresh frames)."""
-        kp = np.stack([frame.keypoints for frame in frames], axis=-1)   # K x 4 x T
+    def _groups(self, capture):
+        """Each joint group as (joint names, T-value columns, mask of the fresh frames).
+        A field that a frame lacks is NaN there, which fails the group's checks: it holds."""
+        layout, kp = capture.layout, capture.keypoints.transpose(1, 2, 0)   # K x 4 x T
         limits, arms, head = self.profile.joint_limits, [], []   # the two groups' checks
         yield _ARM_JOINTS, _arm_angles(kp, layout, arms), _passed(arms)
         if layout == OPENPOSE_LAYOUT:
             nose, neck = (_point(kp, layout, name, head) for name in ("Nose", "Neck"))
             yield ("HeadYaw", "HeadPitch"), _head_openpose(nose, neck, limits, head), _passed(head)
-            for prefix, key in (("L", "left_hand"), ("R", "right_hand")):
-                hands = np.stack([_NO_HAND if hand is None else hand
-                                  for hand in (getattr(frame, key) for frame in frames)])
+            for prefix, hands in (("L", capture.left_hand), ("R", capture.right_hand)):
                 yaw = map_hand_yaw_openpose(hands, limits[JOINT_INDEX[prefix + "WristYaw"]])
                 # thumb and pinky tips that coincide in the image hold that hand too
                 dx, dy = (hands[:, HAND_PINKY_TIP, :2] - hands[:, HAND_THUMB_TIP, :2]).T
                 yield ((prefix + "WristYaw", prefix + "HandOpen"),
                        (yaw, map_hand_opening_openpose(hands)), np.sqrt(dx * dx + dy * dy) >= 1e-12)
             return
-        beta = np.array([np.nan if frame.head_orientation is None else frame.head_orientation[0]
-                         for frame in frames])   # NaN where missing, which holds the head
+        beta = capture.head_orientation[:, 0]
         neck, top = (_point(kp, layout, name, head) for name in ("Neck", "Head"))
         yield (("HeadYaw", "HeadPitch"), _head_openni(beta, neck, top, head),
                _passed(head) & ~np.isnan(beta))
         # fingers are untracked: randomized per frame, seeded, left then right
-        fingers = self.rng.uniform(0.0, 1.0, size=(len(frames), 2))
+        fingers = self.rng.uniform(0.0, 1.0, size=(len(capture), 2))
         for side, (prefix, key) in enumerate((("L", "left_pixels"), ("R", "right_pixels"))):
-            # absent counts read as (0, 0), which hold the wrist yaw as no pixels seen do
-            palm, back = np.array([getattr(frame, key) or (0.0, 0.0) for frame in frames]).T
+            palm, back = getattr(capture, key).T   # NaN fails the non-negative check
             pixels = []
             yield (prefix + "WristYaw",), _hand_yaw_openni(palm, back, pixels), _passed(pixels)
-            yield (prefix + "HandOpen",), (fingers[:, side],), np.full(len(frames), True)
+            yield (prefix + "HandOpen",), (fingers[:, side],), np.full(len(capture), True)
 
 
-def map_capture(frames, profile=None, seed=0):
-    """The :class:`PoseStream` of capture frames, as from :func:`load_skeleton_frames`,
-    mapped by one :meth:`StreamMapper.map_frames` call. Its rate is the mean frame
-    rate, ``(len(frames) - 1) / (last timestamp - first)``, and 1 Hz for a single
-    frame; no frames, or frames of more than one layout, raise ``StructuralError``."""
-    if not frames:
-        raise StructuralError("no frames in input")
-    timestamps = [f.timestamp for f in frames]
-    if not all(a < b for a, b in zip(timestamps, timestamps[1:])):
-        raise StructuralError("frame timestamps must be strictly increasing")
-    values, _ = StreamMapper(profile, seed).map_frames(frames)
-    rate = (len(frames) - 1) / (timestamps[-1] - timestamps[0]) if len(frames) > 1 else 1.0
-    return PoseStream(values=values, timestamps=timestamps, native_rate_hz=rate)
+def map_capture(capture, profile=None, seed=0):
+    """The :class:`PoseStream` of a :class:`Capture`, as from :func:`load_skeleton_frames`,
+    mapped by one :meth:`StreamMapper.map_frames` call. Its rate is the mean frame rate,
+    ``(len(capture) - 1) / (last timestamp - first)``, and 1 Hz for a single frame."""
+    values, _ = StreamMapper(profile, seed).map_frames(capture)
+    first, last = capture.timestamps[[0, -1]].tolist()   # floats: their span may overflow
+    rate = (len(capture) - 1) / (last - first) if len(capture) > 1 else 1.0
+    return PoseStream(values=values, timestamps=capture.timestamps, native_rate_hz=rate)
 
 
-def _frame_from_record(rec, line, layout):
-    """One validated frame of ``layout``; every malformed field is a ParseError naming ``line``."""
+def _read_record(rec, line, layout):
+    """One record's K x 4 keypoints, timestamp and present optional fields as floats of the
+    right shapes, a present field without NaN (absent); else a ParseError naming ``line``."""
     if not isinstance(rec, dict):
         raise ParseError("skeleton record must be a JSON object", line)
     try:
@@ -416,32 +423,43 @@ def _frame_from_record(rec, line, layout):
             if not isinstance(coords, list) or not 3 <= len(coords) <= 4:
                 raise ParseError(f"keypoint {name} must be a list of 3 or 4 numbers", line)
             rows.append(coords if len(coords) == 4 else [*coords, 1.0])
-        kw = {key: rec.get(key) for key in chain.from_iterable(_EXTRAS.values())}
+        fields = {key: rec[key] for key in _EXTRAS[layout] if rec.get(key) is not None}
         numbers = [*rows, [rec["timestamp"]]]
-        for key in _EXTRAS[layout]:     # a pair is one row, a hand adds its rows
-            if kw[key] is not None:
-                if not isinstance(kw[key], list):
-                    raise ParseError(f"{key} must be a JSON array", line)
-                numbers += kw[key] if layout == OPENPOSE_LAYOUT else [kw[key]]
+        for key, field in fields.items():     # a pair is one row, a hand adds its rows
+            if not isinstance(field, list):
+                raise ParseError(f"{key} must be a JSON array", line)
+            numbers += field if key.endswith("hand") else [field]
         json_numbers(numbers, "capture values must be JSON numbers", line)
-        # SkeletonFrame refuses the other layout's fields, checks pairs, hands and bounds
-        return SkeletonFrame(layout=layout, keypoints=np.array(rows, dtype=float),
-                             timestamp=float(rec["timestamp"]), **kw)
+        _refuse_foreign(layout, rec)
+        for key, field in fields.items():
+            try:
+                fields[key] = field = np.array(field, dtype=float)
+            except (ValueError, OverflowError):   # ragged, or beyond the float range
+                field = np.empty(0)
+            if field.shape != _SHAPE[key] or np.isnan(field).any():
+                raise StructuralError(_RULE[key])
+        return np.array(rows, dtype=float), float(rec["timestamp"]), fields
     except (KeyError, TypeError, ValueError, OverflowError, StructuralError) as exc:
         raise ParseError(f"bad skeleton record: {exc}", line) from exc
 
 
 def load_skeleton_frames(path, layout):
-    """Read line-delimited JSON skeleton records (one frame per line, increasing
-    timestamps); a record whose layout is not ``layout`` is a ParseError."""
-    frames = []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            frame = _frame_from_record(parse_json(line, "invalid JSON", lineno), lineno, layout)
-            if frames and not frame.timestamp > frames[-1].timestamp:
-                raise ParseError("frame timestamps must be strictly increasing", lineno)
-            frames.append(frame)
-    return frames
+    """The :class:`Capture` of a file of JSON skeleton records of ``layout``, one per line. A
+    malformed record, or the first frame that fails a capture check, is a ParseError at its line."""
+    with open(path, "rb") as fh:   # one (line number, keypoints, timestamp, fields) per record
+        records = [(lineno, *_read_record(parse_json(line, "invalid JSON", lineno), lineno, layout))
+                   for lineno, line in enumerate(map(bytes.strip, fh), start=1) if line]
+    lines, keypoints, timestamps, extras = zip(*records) if records else [()] * 4
+    blocks = {key: np.full((len(lines), *_SHAPE[key]), np.nan) for key in _EXTRAS[layout]}
+    for frame, fields in enumerate(extras):   # a frame that lacks a field stays NaN there
+        for key, field in fields.items():
+            blocks[key][frame] = field
+    try:
+        return Capture(layout, np.array(timestamps),
+                       np.array(keypoints).reshape(len(lines), len(_ROW[layout]), 4), **blocks)
+    except StructuralError as exc:
+        if not hasattr(exc, "frame"):   # no frames
+            raise
+        # a timestamp out of order is not a bad record but a bad place in the file
+        message = str(exc) if str(exc) == _INCREASING else f"bad skeleton record: {exc}"
+        raise ParseError(message, lines[exc.frame]) from exc

@@ -124,24 +124,6 @@ class RobotProfile:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(eq=False)
-class Pose:
-    """One frame of 14 joint values (a float64 array).
-
-    ``n_clamped`` records how many values were pulled back inside their
-    limits by :func:`validate_pose`; out-of-range capture noise is clamped,
-    never rejected.
-    """
-
-    values: np.ndarray
-    n_clamped: int = 0
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (N_JOINTS,):
-            raise StructuralError(f"pose needs {N_JOINTS} values, got shape {self.values.shape}")
-
-
 def validate_pose(values, profile):
     """Clamp joint values of shape (..., 14) into their profile intervals.
 

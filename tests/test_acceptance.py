@@ -23,6 +23,7 @@ from gesturemetrics.mapping import (
     HEAD_PITCH_SRC,
     MAX_WRIST_YAW,
     N_PIXELS,
+    OPENPOSE_LAYOUT,
     arm_angles,
     map_hand_opening_openpose,
     map_hand_yaw_openni,
@@ -230,9 +231,9 @@ def test_criterion_08_mapping_suite():
             (800 - N_PIXELS) / N_PIXELS * MAX_WRIST_YAW, abs=1e-9)
         # arm angles against the independent acos/atan2 oracle
         for seed in range(10):
-            frame = random_arm_frame(np.random.default_rng(seed))
-            angles = arm_angles(frame)
-            for name, val in arm_oracle(frame).items():
+            kp = random_arm_frame(np.random.default_rng(seed))
+            angles = arm_angles(kp, OPENPOSE_LAYOUT)
+            for name, val in arm_oracle(kp).items():
                 assert angles[name] == pytest.approx(val, abs=1e-9), name
 
     _run(8, "mapping suite", body)

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from gesturemetrics.errors import ParseError, StructuralError
 from gesturemetrics.gmm import GmmModel
-from gesturemetrics.mapping import OPENNI_KEYPOINTS, OPENNI_LAYOUT, SkeletonFrame
+from gesturemetrics.mapping import OPENNI_KEYPOINTS, OPENNI_LAYOUT, Capture
 from gesturemetrics.model import (
     JOINT_NAMES,
     N_JOINTS,
     GestureDataset,
-    Pose,
     RobotProfile,
     as_matrix,
     column_labels,
@@ -128,10 +127,6 @@ class TestValidatePose:
             one, n_one = validate_pose(row, profile)
             assert np.array_equal(out[i], one)
             assert n_clamped[i] == n_one
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(StructuralError):
-            Pose(values=tuple(range(13)))
 
 
 def units_of(poses, mu, dt=0.25):
@@ -271,8 +266,7 @@ MAKERS = {
     "PoseStream": lambda: beat_gesture_stream(10),
     "GmmModel": lambda: GmmModel(weights=[0.5, 0.5], means=np.zeros((2, N_JOINTS)),
                                  covariance=np.eye(N_JOINTS), mu=1, dt=0.25),
-    "SkeletonFrame": lambda: SkeletonFrame(
-        layout=OPENNI_LAYOUT, keypoints=np.zeros((len(OPENNI_KEYPOINTS), 4))),
+    "Capture": lambda: Capture(OPENNI_LAYOUT, [0.0], np.zeros((1, len(OPENNI_KEYPOINTS), 4))),
 }
 
 
