@@ -7,8 +7,14 @@ All outputs are deterministic given identical inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
+import glob
+import os
 import sys
+
+import numpy as np
 
 from . import __version__, gmm, pcoa, pipeline, synth
 from .errors import GestureError, ParseError, StructuralError
@@ -262,6 +268,49 @@ def _parser():
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """Get and set functions of the thread count of the OpenBLAS that numpy bundles, or
+    None when it bundles none (MKL, Accelerate or a system BLAS)."""
+    root = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore the caller's count.
+
+    The toolkit's matrices are small: a second OpenBLAS thread gains nothing on them and
+    spins on the second core after each product, where the row worker of a large table
+    save (``pipeline.ROW_WORKER_CELLS``) then has to share it. The reference outputs and
+    the benchmark's outputs are the same bytes on one thread as on two."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def main(argv=None):
     try:
         args = _parser().parse_args(argv)
@@ -269,7 +318,8 @@ def main(argv=None):
         # argparse exits with 2 on bad usage; keep that contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (ParseError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_FAILURE

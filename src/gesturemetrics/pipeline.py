@@ -3,8 +3,8 @@
 CSV formats
 -----------
 Every table file is UTF-8 text in one layout (:func:`_write_table`): ``#key=value``
-header lines, one row of column labels, then one row of ``repr`` values per line, so a
-save/load round trip is exact.
+header lines, one row of column labels, then one row of ``repr`` values per line
+(:func:`_rows.format_row`), so a save/load round trip is exact.
 
 Pose stream: header ``#rate_hz=...``, labels ``timestamp,HeadYaw,...,RHandOpen`` and
 one pose per row.
@@ -19,17 +19,31 @@ row per PCoA dimension.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
+import subprocess
+import sys
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
+from . import _rows
 from .errors import ParseError, StructuralError
 from .model import JOINT_NAMES, N_JOINTS, GestureDataset, check_dt, column_labels, read_only
 from .pcoa import check_spectra
 
 MAX_POSES = 10_000_000   # the most poses a pose array may hold: about 1 GB of values
 _BODY = dict(delimiter=",", comments=None, dtype=float, ndmin=2)   # np.loadtxt of CSV bodies
+# Above this many cells, a table of doubles has its second half formatted by a worker
+# process (``_rows``) while this process formats the first. On 2 vCPUs with Python 3.11
+# the worker starts in about 13.5 ms and ``repr`` takes about 0.65 us per value, so the
+# worker's half of 2**16 cells takes some 21 ms to format, against that start-up and the
+# pipe: a smaller table gains little or nothing. Retarget's tables and a 600-unit dataset
+# (28-34k cells) stay in this process; a 2,500-unit dataset at mu = 4 (140k cells) goes
+# to the worker.
+ROW_WORKER_CELLS = 2 ** 16
+_FEED_ROWS = 1024       # rows stacked and piped to the worker at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,20 +205,61 @@ def _read_rows(lines, first_line, width, empty_message):
                 raise ParseError(f"non-finite cell {cell!r}", lineno)
 
 
-def _write_table(path, headers, labels, rows):
+def _write_table(path, headers, labels, *blocks):
     """Write one table file: a ``#key=value`` line per ``headers`` item, the ``labels``,
-    then a line per row drawn from ``rows``: sequences of Python numbers (whose ``repr``
-    round-trips exactly), each written as it is drawn, so no table is held as a list."""
-    with open(path, "w", encoding="utf-8") as fh:
+    then a line per row of ``blocks``, 2-D arrays of equal length whose rows are written
+    side by side. Rows are drawn and written one at a time, so no table is held as a
+    list of Python numbers. Above ``ROW_WORKER_CELLS`` doubles, a worker process formats
+    the second half of the rows as text while this process formats the first; the
+    bytes are the same either way."""
+    n = len(blocks[0])
+    width = sum(block.shape[1] for block in blocks)
+    split = n * width > ROW_WORKER_CELLS and all(b.dtype == np.float64 for b in blocks)
+    with open(path, "w", encoding="utf-8") as fh, \
+            (_row_worker(width) if split else nullcontext()) as worker:
         fh.writelines(f"#{key}={value}\n" for key, value in headers.items())
         fh.write(",".join(labels) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")
+        half = n // 2 if worker else n
+        if worker:
+            with suppress(BrokenPipeError):     # a worker that died fails by its exit code
+                for start in range(half, n, _FEED_ROWS):
+                    worker.stdin.write(np.hstack([b[start:start + _FEED_ROWS]
+                                                  for b in blocks]).data)
+                worker.stdin.close()
+        for parts in zip(*(map(np.ndarray.tolist, b[:half]) for b in blocks)):
+            fh.write(_rows.format_row(chain(*parts)))
+        if worker:
+            for chunk in iter(partial(worker.stdout.read, 1 << 16), b""):
+                fh.write(chunk.decode("ascii"))
+            if worker.wait():
+                raise ChildProcessError(f"the row worker exited with code {worker.returncode}")
+
+
+@contextmanager
+def _row_worker(width):
+    """A started ``_rows`` worker for rows of ``width`` doubles, or None when none can
+    start. On exit it is killed if it still runs, and waited for."""
+    try:
+        worker = subprocess.Popen([sys.executable, "-I", "-S", _rows.__file__, str(width)],
+                                  stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL)
+    except (OSError, TypeError):    # TypeError: sys.executable is None
+        yield None
+        return
+    try:
+        yield worker
+    finally:
+        if worker.poll() is None:
+            worker.kill()
+        worker.wait()
+        worker.stdout.close()
+        with suppress(BrokenPipeError):
+            worker.stdin.close()
 
 
 def save_dataset(ds, path):
     headers = {"mu": ds.mu, "dt": ds.dt, "rate_hz": ds.sample_rate_hz, "source": ds.source_tag}
-    _write_table(path, headers, column_labels(ds.mu), map(np.ndarray.tolist, ds.matrix))
+    _write_table(path, headers, column_labels(ds.mu), ds.matrix)
 
 
 def load_dataset(path):
@@ -229,7 +284,7 @@ def load_dataset(path):
 
 def save_stream(stream, path):
     _write_table(path, {"rate_hz": stream.native_rate_hz}, ["timestamp", *JOINT_NAMES],
-                 ([float(t), *v.tolist()] for t, v in zip(stream.timestamps, stream.values)))
+                 stream.timestamps[:, None], stream.values)
 
 
 def load_stream(path):
@@ -258,4 +313,5 @@ def save_spectra(path, spectrum_original, spectrum_generated):
     """Write two PCoA eigenvalue spectra of equal length, one row per dimension from 1."""
     n = check_spectra(spectrum_original, spectrum_generated)
     _write_table(path, {}, ["dimension", "eigenvalue_original", "eigenvalue_generated"],
-                 zip(range(1, n + 1), spectrum_original, spectrum_generated))
+                 np.arange(1, n + 1)[:, None],
+                 np.column_stack((spectrum_original, spectrum_generated)))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gesturemetrics
+from gesturemetrics import cli, pipeline
 from gesturemetrics.cli import main
 from gesturemetrics.gmm import load_model
 from gesturemetrics.mapping import OPENPOSE_KEYPOINTS
@@ -734,6 +735,17 @@ class TestErrors:
     def test_missing_input_file(self, tmp_path):
         assert main(["motion-stats", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.skipif(os.name != "posix", reason="the fake interpreter is a sh script")
+    def test_failed_row_worker_is_input_failure(self, tmp_path, monkeypatch, capsys):
+        # 3,000 units of mu = 4: a table large enough for the row worker
+        fake = tmp_path / "python"
+        fake.write_text("#!/bin/sh\nexit 3\n")
+        fake.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(fake))
+        out = tmp_path / "corpus.csv"
+        assert main(["synth-corpus", "--poses", "12000", "--mu", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the row worker exited with code 3\n"
+
     def test_cell_only_python_float_reads_is_input_failure(self, corpus, tmp_path, capsys):
         _, ds = corpus
         lines = ds.read_text().splitlines()
@@ -1128,3 +1140,26 @@ class TestErrors:
 
     def test_unknown_command_exit_two(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_command_runs_on_one_blas_thread_and_restores_the_callers(tmp_path, monkeypatch):
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be queried")
+    get, set_ = blas
+    before = get()
+    seen = []
+    save_dataset = pipeline.save_dataset
+    monkeypatch.setattr(pipeline, "save_dataset",
+                        lambda *args: seen.append(get()) or save_dataset(*args))
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS cannot run two threads here")
+        out = tmp_path / "corpus.csv"
+        assert main(["synth-corpus", "--poses", "40", "--mu", "4", "--out", str(out)]) == 0
+        assert seen == [1] and get() == 2
+        assert main(["motion-stats", str(tmp_path / "missing.csv")]) == 2
+        assert get() == 2
+    finally:
+        set_(before)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from gesturemetrics import pipeline, synth
+from gesturemetrics import _rows, pipeline, synth
 from gesturemetrics.errors import ParseError, StructuralError
-from gesturemetrics.model import N_JOINTS, GestureDataset
+from gesturemetrics.model import JOINT_NAMES, N_JOINTS, GestureDataset, column_labels
 from gesturemetrics.pipeline import (
     PoseStream,
     load_dataset,
@@ -314,6 +314,122 @@ class TestSaveMemory:
         finally:
             tracemalloc.stop()
         assert peak < array.nbytes / 2
+
+
+WORKER_EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+
+
+# a 2,500 x 56 dataset and a 5,000-pose stream (75,000 cells): both above
+# pipeline.ROW_WORKER_CELLS
+def large_dataset():
+    ds = synth.beat_gesture_corpus(10_000, 4, seed=5)
+    matrix = ds.matrix.copy()
+    matrix[2_000, :5] = WORKER_EDGE_VALUES       # in the worker's half
+    return dataclasses.replace(ds, matrix=matrix, source_tag="caf\u00e9 \u52d5\u304d")
+
+
+def large_stream():
+    stream = synth.beat_gesture_stream(5_000, seed=5)
+    values = stream.values.copy()
+    values[4_000, :5] = WORKER_EDGE_VALUES
+    return PoseStream(values=values, timestamps=stream.timestamps, native_rate_hz=4.0)
+
+
+def in_process_bytes(headers, labels, rows):
+    """A table file's bytes from the row formatter alone, with no worker."""
+    text = "".join(f"#{key}={value}\n" for key, value in headers.items())
+    text += ",".join(labels) + "\n" + "".join(map(_rows.format_row, rows))
+    return text.replace("\n", os.linesep).encode("utf-8")
+
+
+LARGE_TABLES = {
+    "dataset": (large_dataset, save_dataset, lambda ds: in_process_bytes(
+        {"mu": 4, "dt": ds.dt, "rate_hz": ds.sample_rate_hz, "source": ds.source_tag},
+        column_labels(4), ds.matrix.tolist())),
+    "stream": (large_stream, save_stream, lambda stream: in_process_bytes(
+        {"rate_hz": 4.0}, ["timestamp", *JOINT_NAMES],
+        np.column_stack((stream.timestamps, stream.values)).tolist())),
+}
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every row worker that a save starts."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def fake_interpreter(tmp_path, script):
+    """An executable that runs ``script`` in place of the worker's interpreter."""
+    path = tmp_path / "python"
+    path.write_text("#!/bin/sh\n" + script + "\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+needs_sh = pytest.mark.skipif(os.name != "posix", reason="the fake interpreter is a sh script")
+
+
+class TestRowWorker:
+    @pytest.mark.parametrize("table", ["dataset", "stream"])
+    def test_worker_writes_the_in_process_bytes(self, tmp_path, workers, table):
+        make, save, expected = LARGE_TABLES[table]
+        saved = make()
+        path = tmp_path / "table.csv"
+        save(saved, path)
+        assert len(workers) == 1 and workers[0].returncode == 0
+        assert path.read_bytes() == expected(saved)
+        if table == "dataset":
+            back = load_dataset(path)
+            assert back.source_tag == saved.source_tag
+            assert back.matrix.tobytes() == saved.matrix.tobytes()
+        else:
+            back = load_stream(path)
+            assert back.values.tobytes() == saved.values.tobytes()
+            assert back.timestamps.tobytes() == saved.timestamps.tobytes()
+
+    def test_small_table_starts_no_worker(self, tmp_path, workers):
+        # train's 600-unit set-up corpus: 33,600 cells
+        save_dataset(synth.beat_gesture_corpus(2_400, 4), tmp_path / "ds.csv")
+        assert workers == []
+
+    @pytest.mark.parametrize("executable", ["missing", ""])
+    @pytest.mark.parametrize("table", ["dataset", "stream"])
+    def test_worker_that_cannot_start_leaves_the_rows_in_process(
+            self, tmp_path, monkeypatch, workers, table, executable):
+        make, save, expected = LARGE_TABLES[table]
+        saved = make()
+        monkeypatch.setattr(sys, "executable", executable and str(tmp_path / executable))
+        save(saved, tmp_path / "table.csv")
+        assert workers == []
+        assert (tmp_path / "table.csv").read_bytes() == expected(saved)
+
+    @needs_sh
+    @pytest.mark.parametrize("script, code", [
+        ("exit 3", 3),
+        ("head -c 100000 > /dev/null; printf '1.0\\n'; kill -9 $$", -9),
+    ], ids=["exits-3", "killed"])
+    def test_failed_worker_fails_the_save(self, tmp_path, monkeypatch, workers, script, code):
+        monkeypatch.setattr(sys, "executable", fake_interpreter(tmp_path, script))
+        with pytest.raises(OSError, match=f"^the row worker exited with code {code}$"):
+            save_dataset(large_dataset(), tmp_path / "ds.csv")
+        assert [worker.returncode for worker in workers] == [code]
+
+    def test_interrupted_save_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, workers):
+        def interrupt(row):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(_rows, "format_row", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            save_dataset(large_dataset(), tmp_path / "ds.csv")
+        assert len(workers) == 1 and workers[0].returncode is not None
 
 
 def with_header(path, key, value):
